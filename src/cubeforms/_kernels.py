@@ -1,10 +1,4 @@
-"""Hot numeric kernels for the element projection pipeline.
-
-Two interchangeable backends: numba-jitted loops (default) and pure numpy
-vectorization.  Set CUBEFORMS_DISABLE_JIT=1 to force the numpy path; the
-numpy path is also the automatic fallback when numba is unavailable.  Both
-implementations are kept importable side by side so the benchmark and the
-tests can compare them directly.
+"""Hot numeric kernels for the element projection pipeline, vectorized numpy.
 
 Shapes used throughout:
     points   (P, n)   quadrature points on the reference cube
@@ -16,8 +10,6 @@ Shapes used throughout:
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 __all__ = [
@@ -27,27 +19,25 @@ __all__ = [
     "multilinear_jacobian",
     "jacobian_det_inv",
     "inverse_minors",
-    "backends",
 ]
 
+# Name of the kernel implementation, recorded in benchmark run records.
+BACKEND = "numpy"
 
-# ---------------------------------------------------------------------------
-# numpy backend
 
-
-def _np_eval_monomials(points: np.ndarray, exps: np.ndarray) -> np.ndarray:
+def eval_monomials(points: np.ndarray, exps: np.ndarray) -> np.ndarray:
     """Values of each monomial at each point, (P, T)."""
     return np.prod(points[:, None, :] ** exps[None, :, :], axis=2)
 
 
-def _np_multilinear_values(
+def multilinear_values(
     coeffs: np.ndarray, alphas: np.ndarray, points: np.ndarray
 ) -> np.ndarray:
     mono = np.prod(np.where(alphas[None, :, :] == 1, points[:, None, :], 1.0), axis=2)
     return mono @ coeffs
 
 
-def _np_multilinear_jacobian(
+def multilinear_jacobian(
     coeffs: np.ndarray, alphas: np.ndarray, points: np.ndarray
 ) -> np.ndarray:
     p, n = points.shape
@@ -66,15 +56,13 @@ def _np_multilinear_jacobian(
     return jac
 
 
-def _np_jacobian_det_inv(jacs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def jacobian_det_inv(jacs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     dets = np.linalg.det(jacs)
     invs = np.linalg.inv(jacs)
     return dets, invs
 
 
 def _small_dets(sub: np.ndarray, k: int) -> np.ndarray:
-    if k == 0:
-        return np.ones(sub.shape[:-2])
     if k == 1:
         return sub[..., 0, 0]
     if k == 2:
@@ -88,7 +76,7 @@ def _small_dets(sub: np.ndarray, k: int) -> np.ndarray:
     return np.linalg.det(sub)
 
 
-def _np_inverse_minors(
+def inverse_minors(
     invs: np.ndarray, rows: np.ndarray, cols: np.ndarray
 ) -> np.ndarray:
     """minors[p, a, b] = det(invs[p][rows[a], :][:, cols[b]]), (P, M, M)."""
@@ -98,171 +86,3 @@ def _np_inverse_minors(
     gathered = invs[:, rows][:, :, :, cols]        # (P, M, k, M, k)
     sub = np.transpose(gathered, (0, 1, 3, 2, 4))  # (P, M, M, k, k)
     return _small_dets(sub, k)
-
-
-_NUMPY_IMPL = {
-    "eval_monomials": _np_eval_monomials,
-    "multilinear_values": _np_multilinear_values,
-    "multilinear_jacobian": _np_multilinear_jacobian,
-    "jacobian_det_inv": _np_jacobian_det_inv,
-    "inverse_minors": _np_inverse_minors,
-}
-
-
-# ---------------------------------------------------------------------------
-# numba backend
-
-_DISABLE = os.environ.get("CUBEFORMS_DISABLE_JIT", "").lower() in {"1", "true", "yes"}
-
-_NUMBA_IMPL = None
-if not _DISABLE:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        njit = None
-    if njit is not None:
-
-        @njit(cache=True)
-        def _nb_eval_monomials(points, exps):
-            p, n = points.shape
-            t = exps.shape[0]
-            out = np.empty((p, t))
-            for ip in range(p):
-                for it in range(t):
-                    val = 1.0
-                    for m in range(n):
-                        e = exps[it, m]
-                        x = points[ip, m]
-                        for _ in range(e):
-                            val *= x
-                    out[ip, it] = val
-            return out
-
-        @njit(cache=True)
-        def _nb_multilinear_values(coeffs, alphas, points):
-            p, n = points.shape
-            c = coeffs.shape[0]
-            out = np.zeros((p, n))
-            for ip in range(p):
-                for ic in range(c):
-                    w = 1.0
-                    for m in range(n):
-                        if alphas[ic, m] == 1:
-                            w *= points[ip, m]
-                    for i in range(n):
-                        out[ip, i] += w * coeffs[ic, i]
-            return out
-
-        @njit(cache=True)
-        def _nb_multilinear_jacobian(coeffs, alphas, points):
-            p, n = points.shape
-            c = coeffs.shape[0]
-            jac = np.zeros((p, n, n))
-            for ip in range(p):
-                for ic in range(c):
-                    for j in range(n):
-                        if alphas[ic, j] != 1:
-                            continue
-                        w = 1.0
-                        for m in range(n):
-                            if m != j and alphas[ic, m] == 1:
-                                w *= points[ip, m]
-                        for i in range(n):
-                            jac[ip, i, j] += w * coeffs[ic, i]
-            return jac
-
-        @njit(cache=True)
-        def _nb_jacobian_det_inv(jacs):
-            p, n, _ = jacs.shape
-            dets = np.empty(p)
-            invs = np.empty((p, n, n))
-            for ip in range(p):
-                a = jacs[ip]
-                if n == 1:
-                    d = a[0, 0]
-                    dets[ip] = d
-                    invs[ip, 0, 0] = 1.0 / d
-                elif n == 2:
-                    d = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-                    dets[ip] = d
-                    invs[ip, 0, 0] = a[1, 1] / d
-                    invs[ip, 0, 1] = -a[0, 1] / d
-                    invs[ip, 1, 0] = -a[1, 0] / d
-                    invs[ip, 1, 1] = a[0, 0] / d
-                else:
-                    c00 = a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1]
-                    c01 = a[1, 2] * a[2, 0] - a[1, 0] * a[2, 2]
-                    c02 = a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0]
-                    d = a[0, 0] * c00 + a[0, 1] * c01 + a[0, 2] * c02
-                    dets[ip] = d
-                    invs[ip, 0, 0] = c00 / d
-                    invs[ip, 1, 0] = c01 / d
-                    invs[ip, 2, 0] = c02 / d
-                    invs[ip, 0, 1] = (a[0, 2] * a[2, 1] - a[0, 1] * a[2, 2]) / d
-                    invs[ip, 1, 1] = (a[0, 0] * a[2, 2] - a[0, 2] * a[2, 0]) / d
-                    invs[ip, 2, 1] = (a[0, 1] * a[2, 0] - a[0, 0] * a[2, 1]) / d
-                    invs[ip, 0, 2] = (a[0, 1] * a[1, 2] - a[0, 2] * a[1, 1]) / d
-                    invs[ip, 1, 2] = (a[0, 2] * a[1, 0] - a[0, 0] * a[1, 2]) / d
-                    invs[ip, 2, 2] = (a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]) / d
-            return dets, invs
-
-        @njit(cache=True)
-        def _nb_inverse_minors(invs, rows, cols):
-            p = invs.shape[0]
-            m, k = rows.shape
-            out = np.empty((p, m, m))
-            for ip in range(p):
-                a = invs[ip]
-                for ia in range(m):
-                    for ib in range(m):
-                        if k == 0:
-                            out[ip, ia, ib] = 1.0
-                        elif k == 1:
-                            out[ip, ia, ib] = a[rows[ia, 0], cols[ib, 0]]
-                        elif k == 2:
-                            out[ip, ia, ib] = (
-                                a[rows[ia, 0], cols[ib, 0]] * a[rows[ia, 1], cols[ib, 1]]
-                                - a[rows[ia, 0], cols[ib, 1]] * a[rows[ia, 1], cols[ib, 0]]
-                            )
-                        else:
-                            m00 = a[rows[ia, 0], cols[ib, 0]]
-                            m01 = a[rows[ia, 0], cols[ib, 1]]
-                            m02 = a[rows[ia, 0], cols[ib, 2]]
-                            m10 = a[rows[ia, 1], cols[ib, 0]]
-                            m11 = a[rows[ia, 1], cols[ib, 1]]
-                            m12 = a[rows[ia, 1], cols[ib, 2]]
-                            m20 = a[rows[ia, 2], cols[ib, 0]]
-                            m21 = a[rows[ia, 2], cols[ib, 1]]
-                            m22 = a[rows[ia, 2], cols[ib, 2]]
-                            out[ip, ia, ib] = (
-                                m00 * (m11 * m22 - m12 * m21)
-                                - m01 * (m10 * m22 - m12 * m20)
-                                + m02 * (m10 * m21 - m11 * m20)
-                            )
-            return out
-
-        _NUMBA_IMPL = {
-            "eval_monomials": _nb_eval_monomials,
-            "multilinear_values": _nb_multilinear_values,
-            "multilinear_jacobian": _nb_multilinear_jacobian,
-            "jacobian_det_inv": _nb_jacobian_det_inv,
-            "inverse_minors": _nb_inverse_minors,
-        }
-
-
-def backends() -> dict[str, dict]:
-    """All importable backend implementations, keyed by name."""
-    out = {"numpy": _NUMPY_IMPL}
-    if _NUMBA_IMPL is not None:
-        out["numba"] = _NUMBA_IMPL
-    return out
-
-
-BACKEND = "numba" if _NUMBA_IMPL is not None else "numpy"
-_ACTIVE = _NUMBA_IMPL if _NUMBA_IMPL is not None else _NUMPY_IMPL
-
-eval_monomials = _ACTIVE["eval_monomials"]
-multilinear_values = _ACTIVE["multilinear_values"]
-multilinear_jacobian = _ACTIVE["multilinear_jacobian"]
-jacobian_det_inv = _ACTIVE["jacobian_det_inv"]
-inverse_minors = _ACTIVE["inverse_minors"]

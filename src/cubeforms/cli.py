@@ -160,6 +160,7 @@ class ExperimentConfig:
 
     def to_text(self) -> str:
         cp = configparser.ConfigParser()
+        cp.optionxform = str  # keep the case of keys such as N
         cp["space"] = {"kind": self.space_kind, "n": str(self.n), "k": str(self.k)}
         if self.r is not None:
             cp["space"]["r"] = str(self.r)
@@ -415,7 +416,6 @@ def cmd_converge(args) -> int:
             d=cfg.d,
             shear=cfg.shear,
             quad_order=cfg.quad,
-            threads=args.threads,
         )
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
@@ -475,7 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("config", help="config path or bundled config name")
     p_conv.add_argument("--out", default=".", help="output directory")
     p_conv.add_argument("--quad", type=int, default=None, help="per-axis quadrature order")
-    p_conv.add_argument("--threads", type=int, default=1)
     p_conv.add_argument(
         "--assert-rates",
         type=float,

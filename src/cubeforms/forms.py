@@ -248,7 +248,8 @@ class Polynomial:
                 cache = powers[pos]
                 while len(cache) <= e:
                     cache.append(cache[-1] * args[pos])
-                term = term * cache[e]
+                if e:
+                    term = term * cache[e]
             out = out + term
         return out
 

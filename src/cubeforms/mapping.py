@@ -173,16 +173,7 @@ def jacobian(fmap: MultilinearMap) -> JacobianPoly:
         [fmap.component_poly(i).partial(j) for j in range(1, n + 1)]
         for i in range(1, n + 1)
     ]
-    det = Polynomial.zero(n)
-    for perm in permutations(range(n)):
-        inversions = sum(
-            1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b]
-        )
-        term = Polynomial.constant(n, 1)
-        for i in range(n):
-            term = term * entries[i][perm[i]]
-        det = det + (term if inversions % 2 == 0 else -term)
-    return JacobianPoly(n, entries, det)
+    return JacobianPoly(n, entries, _poly_matrix_det(entries, n))
 
 
 def check_diffeo(fmap: MultilinearMap, grid: int = 5) -> bool:
@@ -199,23 +190,6 @@ def check_diffeo(fmap: MultilinearMap, grid: int = 5) -> bool:
         if det.eval_exact(point) <= 0:
             return False
     return True
-
-
-def _compose_cached(
-    poly: Polynomial, comps: Sequence[Polynomial], power_cache: list[list[Polynomial]]
-) -> Polynomial:
-    m = comps[0].nvars
-    out = Polynomial.zero(m)
-    for exps, c in poly.terms.items():
-        term = Polynomial.constant(m, c)
-        for pos, e in enumerate(exps):
-            cache = power_cache[pos]
-            while len(cache) <= e:
-                cache.append(cache[-1] * comps[pos])
-            if e:
-                term = term * cache[e]
-        out = out + term
-    return out
 
 
 def _poly_matrix_det(rows: Sequence[Sequence[Polynomial]], nvars: int) -> Polynomial:
@@ -247,11 +221,10 @@ def pullback_polynomial(fmap: MultilinearMap, v: DiffForm) -> DiffForm:
         return DiffForm.zero(n, v.k)
     jac = jacobian(fmap)
     comps = [fmap.component_poly(i) for i in range(1, n + 1)]
-    power_cache: list[list[Polynomial]] = [[Polynomial.constant(n, 1)] for _ in comps]
     taus = enumerate_sigma(v.k, n)
     out = DiffForm.zero(n, v.k)
     for sigma, poly in v.components.items():
-        pulled_coeff = _compose_cached(poly, comps, power_cache)
+        pulled_coeff = poly.compose(comps)
         parts = {}
         for tau in taus:
             minor = _poly_matrix_det(

@@ -3,15 +3,12 @@
 The measured quantity is the elementwise best approximation of a smooth
 target form by the mapped reference space, which lower-bounds the
 conforming infimum; fitted h-rates from it are compared against the
-inclusion-based predictions.  Element computations run through the
-kernels module (numba by default, numpy fallback) and are independent
-across elements; reductions happen in fixed element order so reported
-errors do not depend on the thread count.
+inclusion-based predictions.  Element computations run through the numpy
+kernels module, one element at a time in mesh order.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -22,7 +19,14 @@ import numpy as np
 
 from . import _kernels
 from .forms import DiffForm, Polynomial, Scalar, enumerate_sigma, integrate_unit_box
-from .mapping import MultilinearMap, check_diffeo, jacobian, map_from_vertices, pullback_polynomial
+from .mapping import (
+    MultilinearMap,
+    check_diffeo,
+    compose_affine,
+    jacobian,
+    map_from_vertices,
+    pullback_polynomial,
+)
 from .spaces import FormSpace, RatePrediction, predict_rates
 
 __all__ = [
@@ -251,37 +255,20 @@ def mesh_uniform(n: int, subdivisions: int) -> Mesh:
     return _validate_mesh(mesh, Fraction(1))
 
 
-def _exact_det(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = Fraction(0)
-    for j in range(n):
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        term = rows[0][j] * _exact_det(minor)
-        total += term if j % 2 == 0 else -term
-    return total
-
-
 def mesh_parallelotope(n: int, subdivisions: int, shear: Sequence[Sequence[Scalar]]) -> Mesh:
     """Uniform mesh composed with the global affine map x -> (I + S) x."""
     s = [[Fraction(x) for x in row] for row in shear]
     if len(s) != n or any(len(r) != n for r in s):
         raise ValueError("shear matrix must be n x n")
     a = [[s[i][j] + (1 if i == j else 0) for j in range(n)] for i in range(n)]
-    det = _exact_det(a)
+    # Column j of I + S is the coefficient vector of x_j.
+    unit = [tuple(1 if m == j else 0 for m in range(n)) for j in range(n)]
+    outer = MultilinearMap(n, {unit[j]: [a[i][j] for i in range(n)] for j in range(n)})
+    det = jacobian(outer).det_poly.eval_exact((0,) * n)
     if det <= 0:
         raise ValueError("I + shear must have positive determinant")
     base = mesh_uniform(n, subdivisions)
-    elements = []
-    for el in base.elements:
-        verts = {}
-        for alpha in product((0, 1), repeat=n):
-            v = el.eval_exact(alpha)
-            verts[alpha] = tuple(
-                sum((a[i][j] * v[j] for j in range(n)), Fraction(0)) for i in range(n)
-            )
-        elements.append(map_from_vertices(verts))
+    elements = [compose_affine(outer, el) for el in base.elements]
     mesh = Mesh(n, elements, "parallelotope", {"N": subdivisions, "shear": shear})
     return _validate_mesh(mesh, det)
 
@@ -531,22 +518,13 @@ class ConvergenceReport:
         return self.rate_pairs[-1] if len(self.subdivisions) > 1 else None
 
 
-def _mesh_error(
-    mesh: Mesh, vhat: FormSpace, target: TargetForm, quad: QuadratureRule, threads: int = 1
-) -> float:
-    def one(idx_el):
-        idx, el = idx_el
+def _mesh_error(mesh: Mesh, vhat: FormSpace, target: TargetForm, quad: QuadratureRule) -> float:
+    errs = []
+    for idx, el in enumerate(mesh.elements):
         try:
-            return element_l2_error(el, vhat, target, quad)
+            errs.append(element_l2_error(el, vhat, target, quad))
         except NumericalError as exc:
             raise NumericalError(f"element {idx}: {exc}") from exc
-
-    items = list(enumerate(mesh.elements))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            errs = list(pool.map(one, items))
-    else:
-        errs = [one(item) for item in items]
     sq = np.array(errs, dtype=np.float64)
     return float(np.sqrt(np.sum(sq * sq)))
 
@@ -559,7 +537,6 @@ def convergence_study(
     d: Scalar | float = 0,
     shear: Sequence[Sequence[Scalar]] | None = None,
     quad_order: int | None = None,
-    threads: int = 1,
 ) -> ConvergenceReport:
     """Run the h-refinement study of the broken L2 projection error."""
     subdivision_list = list(subdivision_list)
@@ -573,7 +550,7 @@ def convergence_study(
     errors = []
     for big_n in subdivision_list:
         mesh = build_mesh(family, n, big_n, d=d, shear=shear)
-        errors.append(_mesh_error(mesh, vhat, target, quad, threads=threads))
+        errors.append(_mesh_error(mesh, vhat, target, quad))
     params: dict = {}
     if family in ("trapezoidal", "trilinear3d"):
         params["d"] = _as_fraction(d)

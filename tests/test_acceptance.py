@@ -32,15 +32,12 @@ from cubeforms.spaces import (
     predict_rates,
 )
 
-THREADS = 4
-
-
 def _ok(name: str, detail: str = "") -> None:
     print(f"PASS {name}" + (f" ({detail})" if detail else ""))
 
 
 def _rates(space, target, family, ns, **kw):
-    rep = convergence_study(space, target, family, ns, threads=THREADS, **kw)
+    rep = convergence_study(space, target, family, ns, **kw)
     return rep.last_pair_rate, rep
 
 

@@ -66,7 +66,11 @@ class TestConfigRoundTrip:
     def test_bundled_configs_parse_and_round_trip(self, name):
         text = bundled_config_path(name).read_text()
         cfg = parse_config(text)
-        again = parse_config(cfg.to_text())
+        echo = cfg.to_text()
+        levels = " ".join(str(x) for x in cfg.subdivision_list)
+        assert f"N = {levels}\n" in echo
+        assert f"n = {levels}\n" not in echo
+        again = parse_config(echo)
         assert cfg == again
 
     def test_missing_sections(self):
@@ -147,6 +151,9 @@ class TestConvergeCommand:
         assert rows[1][8] == ""  # rate_pair empty on the first data row
         record = json.loads((tmp_path / "tiny.json").read_text())
         assert record["report"]["errors"] == [float(r[7]) for r in rows[1:]]
+        assert "N = 2 4" in record["config"]
+        assert "n = 2 4" not in record["config"]
+        assert parse_config(record["config"]) == parse_config(TINY_CFG)
         assert "rate (last pair)" in out
 
     def test_missing_config(self, capsys):
@@ -175,15 +182,6 @@ class TestConvergeCommand:
         cfg = tmp_path / "coarse.cfg"
         cfg.write_text(TINY_CFG.replace("quad = 5", "quad = 1"))
         assert cli.main(["converge", str(cfg), "--out", str(tmp_path)]) == 3
-
-    def test_threads_do_not_change_output(self, tmp_path):
-        cfg = tmp_path / "tiny.cfg"
-        cfg.write_text(TINY_CFG)
-        cli.main(["converge", str(cfg), "--out", str(tmp_path / "a")])
-        cli.main(["converge", str(cfg), "--out", str(tmp_path / "b"), "--threads", "3"])
-        rows_a = (tmp_path / "a" / "tiny.csv").read_text()
-        rows_b = (tmp_path / "b" / "tiny.csv").read_text()
-        assert rows_a == rows_b
 
     def test_bundled_name_resolution(self, tmp_path):
         rc = cli.main(

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -6,74 +8,12 @@ from cubeforms.forms import Polynomial
 from cubeforms.mapping import jacobian
 from cubeforms.verify import random_rational_multilinear
 
-BACKENDS = _kernels.backends()
-
 
 def _case(n, rng, npts=17):
     fmap = random_rational_multilinear(n, rng)
     coeffs, alphas = fmap.float_arrays()
     pts = np.array([[rng.random() for _ in range(n)] for _ in range(npts)])
     return fmap, coeffs, alphas, pts
-
-
-def test_both_backends_available():
-    assert "numpy" in BACKENDS
-    assert _kernels.BACKEND in BACKENDS
-
-
-def test_env_flag_forces_numpy_backend():
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import cubeforms
-
-    # The child must import the same cubeforms as this process, whether it is
-    # installed or taken from a checkout via PYTHONPATH.
-    pkg_root = str(Path(cubeforms.__file__).resolve().parents[1])
-    env = dict(os.environ, CUBEFORMS_DISABLE_JIT="1")
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (pkg_root, env.get("PYTHONPATH")) if p
-    )
-    out = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "from cubeforms import _kernels; print(_kernels.BACKEND, _kernels._DISABLE)",
-        ],
-        env=env,
-        capture_output=True,
-        text=True,
-    )
-    assert out.returncode == 0, out.stderr
-    backend, disabled = out.stdout.split()
-    assert backend == "numpy"
-    # Without numba the backend is numpy anyway, so also check the flag was read.
-    assert disabled == "True"
-
-
-@pytest.mark.parametrize("n", [2, 3])
-def test_backends_agree(n, rng):
-    fmap, coeffs, alphas, pts = _case(n, rng)
-    exps = np.array(
-        [[min(i + j, 3) for j in range(n)] for i in range(4)], dtype=np.int64
-    )
-    rows = np.array([[i] for i in range(n)], dtype=np.int64)
-    results = {}
-    for name, impl in BACKENDS.items():
-        mono = impl["eval_monomials"](pts, exps)
-        vals = impl["multilinear_values"](coeffs, alphas, pts)
-        jacs = impl["multilinear_jacobian"](coeffs, alphas, pts)
-        dets, invs = impl["jacobian_det_inv"](jacs)
-        minors = impl["inverse_minors"](invs, rows, rows)
-        results[name] = (mono, vals, jacs, dets, invs, minors)
-    if len(results) < 2:
-        pytest.skip("only one backend importable")
-    a = results["numpy"]
-    b = results[[k for k in results if k != "numpy"][0]]
-    for x, y in zip(a, b):
-        assert np.allclose(x, y, atol=1e-13)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -117,3 +57,20 @@ def test_inverse_minors_top_degree(rng):
     full = np.array([[0, 1, 2]], dtype=np.int64)
     minors = _kernels.inverse_minors(invs, full, full)
     assert np.allclose(minors[:, 0, 0], 1.0 / dets, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_inverse_minors_every_size(n, rng):
+    _, coeffs, alphas, pts = _case(n, rng, npts=6)
+    jacs = _kernels.multilinear_jacobian(coeffs, alphas, pts)
+    _, invs = _kernels.jacobian_det_inv(jacs)
+    for k in range(n + 1):
+        sigmas = list(combinations(range(n), k))
+        m = len(sigmas)
+        sig_idx = np.array(sigmas, dtype=np.int64).reshape(m, k)
+        got = _kernels.inverse_minors(invs, sig_idx, sig_idx)
+        assert got.shape == (len(pts), m, m)
+        for a, rows in enumerate(sig_idx):
+            for b, cols in enumerate(sig_idx):
+                want = np.linalg.det(invs[:, rows][:, :, cols]) if k else np.ones(len(pts))
+                assert np.allclose(got[:, a, b], want, atol=1e-13), (k, a, b)

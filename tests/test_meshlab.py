@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -86,6 +87,29 @@ class TestMeshes:
         mesh = mesh_parallelotope(2, 2, [[0, Fraction(1, 2)], [0, 0]])
         assert mesh.size == 4
         assert all(el.is_affine for el in mesh.elements)
+
+    @pytest.mark.parametrize(
+        "shear",
+        [
+            [[0, Fraction(1, 2)], [Fraction(-1, 3), 0]],
+            [
+                [0, Fraction(1, 4), Fraction(-1, 3)],
+                [Fraction(1, 5), 0, Fraction(1, 2)],
+                [Fraction(-1, 6), Fraction(1, 7), 0],
+            ],
+        ],
+    )
+    def test_parallelotope_vertices(self, shear):
+        n = len(shear)
+        a = [[Fraction(shear[i][j]) + (1 if i == j else 0) for j in range(n)] for i in range(n)]
+        mesh = mesh_parallelotope(n, 2, shear)
+        base = mesh_uniform(n, 2)
+        assert mesh.size == base.size
+        for el, ref in zip(mesh.elements, base.elements):
+            for alpha in product((0, 1), repeat=n):
+                v = ref.eval_exact(alpha)
+                want = tuple(sum(a[i][j] * v[j] for j in range(n)) for i in range(n))
+                assert el.eval_exact(alpha) == want
 
     def test_parallelotope_invalid_shear(self):
         with pytest.raises(ValueError):
@@ -200,13 +224,6 @@ class TestConvergenceStudy:
         a = convergence_study(*args)
         b = convergence_study(*args)
         assert a.errors == b.errors
-
-    def test_threaded_matches_serial(self):
-        args = (build_Qminus(2, 2, 2), target_trig(2, 2), "trapezoidal", [2, 4])
-        serial = convergence_study(*args, d=0.3, threads=1)
-        parallel = convergence_study(*args, d=0.3, threads=4)
-        for e1, e2 in zip(serial.errors, parallel.errors):
-            assert e1 == pytest.approx(e2, rel=1e-14)
 
     def test_monotone_refinement_on_uniform(self):
         rep = convergence_study(
