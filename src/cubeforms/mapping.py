@@ -1,22 +1,27 @@
 """Affine and multilinear maps of the unit cube and form transport.
 
 A multilinear map is stored by its monomial corner coefficients, kept as
-exact rationals whenever it was built from rational vertices.  Pullback of
-polynomial forms is fully symbolic and exact; pushforward evaluation (the
-transport of reference shape functions onto a physical element) is a
-pointwise floating-point operation built on the Jacobian inverse, since
-the inverse of a multilinear map is not polynomial.
+exact rationals whenever it was built from rational vertices.  Validity
+(det DF > 0 on the closed cube) is proved in integer arithmetic from the
+Bernstein coefficients of det DF.  Pullback of polynomial forms is fully
+symbolic and exact; pushforward evaluation (the transport of reference
+shape functions onto a physical element) is a pointwise floating-point
+operation built on the Jacobian inverse, since the inverse of a
+multilinear map is not polynomial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations, product
+from math import comb, lcm, prod
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from .exactla import invert
 from .forms import DiffForm, IndexMap, Polynomial, Scalar, enumerate_sigma
 
 __all__ = [
@@ -142,7 +147,9 @@ def map_from_vertices(
 ) -> MultilinearMap:
     """Multilinear interpolant of corner positions: F(alpha) = vertices[alpha].
 
-    Monomial coefficients come from inclusion-exclusion over sub-corners.
+    Monomial coefficients come from inclusion-exclusion over sub-corners,
+    done one axis at a time on integers over the vertices' common
+    denominator.
     """
     alphas = list(vertices.keys())
     if not alphas:
@@ -151,20 +158,20 @@ def map_from_vertices(
     expected = _corner_index_tuples(n)
     if set(alphas) != set(expected):
         raise ValueError(f"need all {2**n} corners of the {n}-cube")
-    coeffs: dict[tuple[int, ...], list[Fraction]] = {}
-    for alpha in expected:
-        total = [Fraction(0)] * n
-        support = [i for i, a in enumerate(alpha) if a]
-        for sub in product(*((0, 1) for _ in support)):
-            beta = list(alpha)
-            for pos, bit in zip(support, sub):
-                beta[pos] = bit
-            sign = -1 if (sum(alpha) - sum(sub)) % 2 else 1
-            v = vertices[tuple(beta)]
-            for i in range(n):
-                total[i] += sign * Fraction(v[i])
-        coeffs[alpha] = total
-    return MultilinearMap(n, coeffs)
+    verts = {alpha: [Fraction(x) for x in vertices[alpha]] for alpha in expected}
+    denom = lcm(*(x.denominator for vec in verts.values() for x in vec))
+    ints = {
+        alpha: [x.numerator * (denom // x.denominator) for x in vec]
+        for alpha, vec in verts.items()
+    }
+    for axis in range(n):
+        for alpha in expected:
+            if alpha[axis]:
+                below = ints[alpha[:axis] + (0,) + alpha[axis + 1 :]]
+                ints[alpha] = [a - b for a, b in zip(ints[alpha], below)]
+    return MultilinearMap(
+        n, {alpha: [Fraction(c, denom) for c in vec] for alpha, vec in ints.items()}
+    )
 
 
 def jacobian(fmap: MultilinearMap) -> JacobianPoly:
@@ -176,20 +183,135 @@ def jacobian(fmap: MultilinearMap) -> JacobianPoly:
     return JacobianPoly(n, entries, _poly_matrix_det(entries, n))
 
 
-def check_diffeo(fmap: MultilinearMap, grid: int = 5) -> bool:
-    """Positivity screen for the Jacobian determinant: exact evaluation at
-    the 2^n corners and at a uniform grid per axis.  A failure anywhere
-    rejects the map; success certifies orientation at the samples only."""
-    det = jacobian(fmap).det_poly
+# Halvings per axis the validity proof may make before it gives up.
+_PROOF_DEPTH = 6
+
+# Integer tensor Bernstein coefficients, keyed by multi-index t in {0..d}^n.
+_Bernstein = dict[tuple[int, ...], int]
+
+
+def check_diffeo(fmap: MultilinearMap) -> bool:
+    """Exact proof that det DF > 0 on the closed unit cube.
+
+    det DF is written in the tensor Bernstein basis of degree n - 1 per
+    variable with integer coefficients.  All coefficients positive proves
+    positivity; a nonpositive corner coefficient (a value of det DF at a
+    cube corner) disproves it.  Otherwise every axis is halved by de
+    Casteljau subdivision and each piece is decided the same way, at most
+    _PROOF_DEPTH levels deep.  A map that is not proved within that depth
+    is rejected, so False means "invalid or not provably valid".
+    """
+    coeffs, _ = _det_bernstein(fmap)
+    return _bernstein_positive(coeffs, fmap.n)
+
+
+def _int_det(m: list[list[int]]) -> int:
+    k = len(m)
+    if k == 1:
+        return m[0][0]
+    if k == 2:
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    if k == 3:
+        (a, b, c), (d, e, f), (g, h, i) = m
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    return sum(
+        (-1) ** j * m[0][j] * _int_det([row[:j] + row[j + 1 :] for row in m[1:]])
+        for j in range(k)
+        if m[0][j]
+    )
+
+
+@lru_cache(maxsize=None)
+def _bernstein_inverse(d: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(K, s) with K / s the inverse of M[t][i] = C(d,i) (t/d)^i (1-t/d)^(d-i),
+    which maps Bernstein coefficients of degree d to values at t/d."""
+    m = [
+        [Fraction(comb(d, i) * t**i * (d - t) ** (d - i), d**d) for i in range(d + 1)]
+        for t in range(d + 1)
+    ]
+    inv = invert(m)
+    s = lcm(*(x.denominator for row in inv for x in row))
+    return tuple(tuple(int(x * s) for x in row) for row in inv), s
+
+
+@lru_cache(maxsize=None)
+def _jacobian_weights(n: int) -> tuple:
+    """For each t in {0..d}^n (d = n - 1), the nonzero (alpha, j, w) with
+    d^(n-1) dF/dx_j(t/d) = sum_(alpha, j, w) w c_alpha."""
+    d = n - 1
+    table = []
+    for t in product(range(d + 1), repeat=n):
+        terms = []
+        for alpha in _corner_index_tuples(n):
+            for j in range(n):
+                if alpha[j]:
+                    w = prod(t[m] if alpha[m] else d for m in range(n) if m != j)
+                    if w:
+                        terms.append((alpha, j, w))
+        table.append((t, tuple(terms)))
+    return tuple(table)
+
+
+def _det_bernstein(fmap: MultilinearMap) -> tuple[_Bernstein, int]:
+    """Integer tensor Bernstein coefficients b_t of det DF, with
+    det DF = sum_t b_t B_t / scale and B_t of degree d = n - 1 per variable
+    (column j of DF does not depend on x_j)."""
     n = fmap.n
-    for corner in _corner_index_tuples(n):
-        if det.eval_exact(corner) <= 0:
-            return False
-    ticks = [Fraction(i, grid - 1) for i in range(grid)]
-    for point in product(ticks, repeat=n):
-        if det.eval_exact(point) <= 0:
-            return False
-    return True
+    d = n - 1
+    denom = lcm(*(c.denominator for vec in fmap.coeffs.values() for c in vec))
+    ints = {
+        alpha: [c.numerator * (denom // c.denominator) for c in vec]
+        for alpha, vec in fmap.coeffs.items()
+    }
+    # Values of det(denom * d^(n-1) * DF) at the points t/d.
+    coeffs = {}
+    for t, terms in _jacobian_weights(n):
+        rows = [[0] * n for _ in range(n)]
+        for alpha, j, w in terms:
+            for i, c in enumerate(ints[alpha]):
+                rows[i][j] += c * w
+        coeffs[t] = _int_det(rows)
+    grid = list(coeffs)
+    inv, s = _bernstein_inverse(d)
+    for axis in range(n):
+        coeffs = {
+            t: sum(
+                k * coeffs[t[:axis] + (i,) + t[axis + 1 :]]
+                for i, k in enumerate(inv[t[axis]])
+            )
+            for t in grid
+        }
+    return coeffs, (denom * d ** (n - 1) * s) ** n
+
+
+def _halve(coeffs: _Bernstein, axis: int, d: int) -> tuple[_Bernstein, _Bernstein]:
+    """Bernstein coefficients of both halves along one axis (de Casteljau at
+    1/2), each scaled by 2^d so they stay integers."""
+    low: _Bernstein = {}
+    high: _Bernstein = {}
+    for t in coeffs:
+        if t[axis]:
+            continue
+        keys = [t[:axis] + (i,) + t[axis + 1 :] for i in range(d + 1)]
+        line = [coeffs[key] for key in keys]
+        for r in range(d + 1):
+            low[keys[r]] = line[0] << (d - r)
+            high[keys[d - r]] = line[-1] << (d - r)
+            line = [a + b for a, b in zip(line, line[1:])]
+    return low, high
+
+
+def _bernstein_positive(coeffs: _Bernstein, n: int, depth: int = _PROOF_DEPTH) -> bool:
+    """The proof of check_diffeo on Bernstein coefficients of degree n - 1."""
+    if all(c > 0 for c in coeffs.values()):
+        return True
+    d = n - 1
+    if depth == 0 or any(coeffs[t] <= 0 for t in product((0, d), repeat=n)):
+        return False
+    boxes = [coeffs]
+    for axis in range(n):
+        boxes = [half for box in boxes for half in _halve(box, axis, d)]
+    return all(_bernstein_positive(box, n, depth - 1) for box in boxes)
 
 
 def _poly_matrix_det(rows: Sequence[Sequence[Polynomial]], nvars: int) -> Polynomial:

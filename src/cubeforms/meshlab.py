@@ -21,7 +21,8 @@ from . import _kernels
 from .forms import DiffForm, Polynomial, Scalar, enumerate_sigma, integrate_unit_box
 from .mapping import (
     MultilinearMap,
-    check_diffeo,
+    _bernstein_positive,
+    _det_bernstein,
     compose_affine,
     jacobian,
     map_from_vertices,
@@ -230,17 +231,22 @@ class Mesh:
 
 
 def _validate_mesh(mesh: Mesh, expected_volume: Fraction) -> Mesh:
+    """Prove every element orientation preserving (as check_diffeo does) and
+    check that the exact element volumes add up to the domain's."""
     total = Fraction(0)
     for idx, el in enumerate(mesh.elements):
-        if not check_diffeo(el):
+        coeffs, scale = _det_bernstein(el)
+        if not _bernstein_positive(coeffs, el.n):
             raise ValueError(f"element {idx} of {mesh.family} mesh is not orientation preserving")
-        total += jacobian(el).det_poly.integral_box(1)
+        # Each tensor Bernstein polynomial integrates to 1 / (d+1)^n.
+        total += Fraction(sum(coeffs.values()), len(coeffs) * scale)
     if abs(float(total - expected_volume)) > 1e-10:
         raise ValueError(f"{mesh.family} mesh does not tile: volume {float(total)}")
     return mesh
 
 
-def mesh_uniform(n: int, subdivisions: int) -> Mesh:
+def _lattice_elements(n: int, subdivisions: int) -> list[MultilinearMap]:
+    """The N^n axis-aligned cells of the uniform lattice, not validated."""
     if subdivisions < 1:
         raise ValueError("need at least one subdivision")
     big_n = subdivisions
@@ -251,7 +257,11 @@ def mesh_uniform(n: int, subdivisions: int) -> Mesh:
             for alpha in product((0, 1), repeat=n)
         }
         elements.append(map_from_vertices(verts))
-    mesh = Mesh(n, elements, "uniform", {"N": big_n})
+    return elements
+
+
+def mesh_uniform(n: int, subdivisions: int) -> Mesh:
+    mesh = Mesh(n, _lattice_elements(n, subdivisions), "uniform", {"N": subdivisions})
     return _validate_mesh(mesh, Fraction(1))
 
 
@@ -267,8 +277,7 @@ def mesh_parallelotope(n: int, subdivisions: int, shear: Sequence[Sequence[Scala
     det = jacobian(outer).det_poly.eval_exact((0,) * n)
     if det <= 0:
         raise ValueError("I + shear must have positive determinant")
-    base = mesh_uniform(n, subdivisions)
-    elements = [compose_affine(outer, el) for el in base.elements]
+    elements = [compose_affine(outer, el) for el in _lattice_elements(n, subdivisions)]
     mesh = Mesh(n, elements, "parallelotope", {"N": subdivisions, "shear": shear})
     return _validate_mesh(mesh, det)
 

@@ -1,9 +1,12 @@
 import random
+from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
 from cubeforms.forms import DiffForm, enumerate_sigma
+from cubeforms.mapping import map_from_vertices
 
 settings.register_profile(
     "cubeforms",
@@ -39,3 +42,40 @@ def nk_pairs(max_n: int = 3):
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+@pytest.fixture
+def screen_counterexample():
+    """A trilinear map whose det DF is positive at the 2^3 corners and on the
+    5^3 grid of ticks i/4, yet negative at (1/8, 0, 0)."""
+    F = Fraction
+    return map_from_vertices(
+        {
+            (0, 0, 0): (F(3, 4), F(3, 8), F(-1, 8)),
+            (0, 0, 1): (F(3, 8), F(-1, 8), F(3, 8)),
+            (0, 1, 0): (0, F(3, 4), F(1, 8)),
+            (0, 1, 1): (F(-1, 4), F(5, 8), F(3, 2)),
+            (1, 0, 0): (F(11, 8), F(-1, 2), 0),
+            (1, 0, 1): (F(13, 8), F(-1, 4), F(13, 8)),
+            (1, 1, 0): (F(7, 8), F(13, 8), F(-1, 4)),
+            (1, 1, 1): (F(3, 4), 1, F(9, 8)),
+        }
+    )
+
+
+def vertex_strategy(n: int, spread: int = 2, max_denominator: int = 12):
+    """Corner positions alpha -> alpha + offset with mixed-denominator
+    rational offsets in [-spread/4, spread/4]^n; small spreads give mostly
+    valid maps, large ones mostly folded maps."""
+    corners = list(product((0, 1), repeat=n))
+    offset = st.fractions(
+        min_value=Fraction(-spread, 4), max_value=Fraction(spread, 4), max_denominator=max_denominator
+    )
+
+    def build(offsets):
+        return {
+            alpha: tuple(a + o for a, o in zip(alpha, offs))
+            for alpha, offs in zip(corners, offsets)
+        }
+
+    return st.tuples(*([st.tuples(*([offset] * n))] * len(corners))).map(build)

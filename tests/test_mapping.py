@@ -1,8 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import product
+from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cubeforms.forms import (
     DiffForm,
@@ -14,6 +18,9 @@ from cubeforms.forms import (
 from cubeforms.mapping import (
     MultilinearMap,
     SingularMapError,
+    _bernstein_positive,
+    _det_bernstein,
+    _halve,
     check_diffeo,
     compose_affine,
     jacobian,
@@ -23,6 +30,8 @@ from cubeforms.mapping import (
 )
 from cubeforms.spaces import build_P, build_Qminus, in_span
 from cubeforms.verify import random_rational_affine, random_rational_multilinear
+
+from conftest import vertex_strategy
 
 
 def trapezoid_map(d=Fraction(1, 2)):
@@ -65,6 +74,14 @@ class TestMapFromVertices:
             vals = fmap.eval_exact(alpha)
             assert all(isinstance(v, Fraction) for v in vals)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @given(data=st.data())
+    def test_interpolates_mixed_denominators(self, n, data):
+        verts = data.draw(vertex_strategy(n, spread=4, max_denominator=30))
+        fmap = map_from_vertices(verts)
+        for alpha, v in verts.items():
+            assert fmap.eval_exact(alpha) == v
+
 
 class TestJacobian:
     def test_identity(self):
@@ -91,6 +108,81 @@ class TestJacobian:
                 assert jac.entries[i][j].degree_in(j + 1) <= 0
 
 
+def old_screen_points(n):
+    """The corners and the 5^n grid of ticks i/4 that check_diffeo once sampled."""
+    ticks = [Fraction(i, 4) for i in range(5)]
+    return list(product((0, 1), repeat=n)) + list(product(ticks, repeat=n))
+
+
+def bernstein_eval(coeffs, scale, n, point):
+    d = n - 1
+    total = Fraction(0)
+    for t, b in coeffs.items():
+        w = Fraction(b)
+        for ti, x in zip(t, point):
+            w *= comb(d, ti) * x**ti * (1 - x) ** (d - ti)
+        total += w
+    return total / scale
+
+
+# Valid, but two of its 27 Bernstein coefficients are negative, so the
+# proof needs one subdivision.
+SUBDIVIDED_VERTICES = {
+    (0, 0, 0): (Fraction(1, 2), Fraction(-5, 8), 0),
+    (0, 0, 1): (Fraction(-1, 8), Fraction(1, 8), Fraction(13, 8)),
+    (0, 1, 0): (Fraction(3, 8), Fraction(7, 8), Fraction(-3, 8)),
+    (0, 1, 1): (Fraction(1, 4), Fraction(7, 8), Fraction(5, 4)),
+    (1, 0, 0): (Fraction(5, 8), Fraction(1, 4), Fraction(3, 8)),
+    (1, 0, 1): (Fraction(3, 8), Fraction(-1, 8), Fraction(11, 8)),
+    (1, 1, 0): (Fraction(1, 2), Fraction(3, 2), Fraction(1, 8)),
+    (1, 1, 1): (Fraction(1, 2), 1, Fraction(1, 2)),
+}
+
+
+class TestDetBernstein:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @given(data=st.data())
+    def test_matches_det_poly(self, n, data):
+        fmap = map_from_vertices(data.draw(vertex_strategy(n, spread=4)))
+        det = jacobian(fmap).det_poly
+        coeffs, scale = _det_bernstein(fmap)
+        assert len(coeffs) == n**n
+        coord = st.fractions(min_value=-1, max_value=2, max_denominator=20)
+        for point in data.draw(st.lists(st.tuples(*([coord] * n)), min_size=1, max_size=4)):
+            assert bernstein_eval(coeffs, scale, n, point) == det.eval_exact(point)
+        assert Fraction(sum(coeffs.values()), n**n * scale) == det.integral_box(1)
+
+    def test_four_dimensions(self, rng):
+        # n >= 4 takes the cofactor branch of the integer determinant.
+        fmap = map_from_vertices(
+            {
+                alpha: tuple(a + Fraction(rng.randint(-1, 1), 16) for a in alpha)
+                for alpha in product((0, 1), repeat=4)
+            }
+        )
+        det = jacobian(fmap).det_poly
+        coeffs, scale = _det_bernstein(fmap)
+        point = (Fraction(1, 3), Fraction(-1, 2), Fraction(5, 7), 2)
+        assert bernstein_eval(coeffs, scale, 4, point) == det.eval_exact(point)
+        assert Fraction(sum(coeffs.values()), 4**4 * scale) == det.integral_box(1)
+        assert check_diffeo(fmap)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @given(data=st.data())
+    def test_halves_are_restrictions(self, n, data):
+        fmap = map_from_vertices(data.draw(vertex_strategy(n, spread=4)))
+        det = jacobian(fmap).det_poly
+        coeffs, scale = _det_bernstein(fmap)
+        axis = data.draw(st.integers(0, n - 1))
+        unit = st.fractions(min_value=0, max_value=1, max_denominator=20)
+        point = data.draw(st.tuples(*([unit] * n)))
+        for half, shift in zip(_halve(coeffs, axis, n - 1), (0, 1)):
+            inner = list(point)
+            inner[axis] = (shift + point[axis]) / 2
+            got = bernstein_eval(half, scale * 2 ** (n - 1), n, point)
+            assert got == det.eval_exact(inner)
+
+
 class TestCheckDiffeo:
     def test_identity(self):
         assert check_diffeo(MultilinearMap.identity(2))
@@ -103,6 +195,44 @@ class TestCheckDiffeo:
             {(0, 0): (1, 0), (1, 0): (0, 0), (0, 1): (0, 1), (1, 1): (1, 1)}
         )
         assert not check_diffeo(fmap)
+
+    def test_sampled_screen_was_unsound(self, screen_counterexample):
+        det = jacobian(screen_counterexample).det_poly
+        assert all(det.eval_exact(p) > 0 for p in old_screen_points(3))
+        assert det.eval_exact((Fraction(1, 8), 0, 0)) == Fraction(-169, 16384)
+        assert not check_diffeo(screen_counterexample)
+
+    def test_subdivision_proves_and_depth_caps(self):
+        fmap = map_from_vertices(SUBDIVIDED_VERTICES)
+        coeffs, _ = _det_bernstein(fmap)
+        assert min(coeffs.values()) < 0
+        assert check_diffeo(fmap)
+        assert not _bernstein_positive(coeffs, 3, depth=0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @given(h=st.fractions(min_value=Fraction(1, 100), max_value=100))
+    def test_identity_and_dilations(self, n, h):
+        assert check_diffeo(MultilinearMap.identity(n))
+        assert check_diffeo(MultilinearMap.dilation(n, h))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_random_rational_multilinear(self, n, seed):
+        assert check_diffeo(random_rational_multilinear(n, random.Random(seed)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @given(data=st.data())
+    def test_agrees_with_det_poly(self, n, data):
+        fmap = map_from_vertices(data.draw(vertex_strategy(n, spread=3)))
+        det = jacobian(fmap).det_poly
+        ok = check_diffeo(fmap)
+        if n <= 2:
+            # det DF has degree <= 1 per variable, so its corner values decide.
+            assert ok == all(det.eval_exact(c) > 0 for c in product((0, 1), repeat=n))
+        unit = st.fractions(min_value=0, max_value=1, max_denominator=50)
+        points = old_screen_points(n) + data.draw(st.lists(st.tuples(*([unit] * n)), max_size=4))
+        if ok:
+            assert all(det.eval_exact(p) > 0 for p in points)
 
 
 class TestPullback:

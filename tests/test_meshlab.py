@@ -8,7 +8,9 @@ import pytest
 from cubeforms.forms import DiffForm, Polynomial, l2_inner_reference
 from cubeforms.mapping import jacobian, map_from_vertices
 from cubeforms.meshlab import (
+    Mesh,
     NumericalError,
+    _validate_mesh,
     convergence_study,
     default_quad_order,
     discrete_l2_pairing,
@@ -114,6 +116,18 @@ class TestMeshes:
     def test_parallelotope_invalid_shear(self):
         with pytest.raises(ValueError):
             mesh_parallelotope(2, 2, [[-1, 0], [0, -1]])
+
+    def test_validate_rejects_folded_element(self, screen_counterexample):
+        base = mesh_uniform(3, 2)
+        mesh = Mesh(3, [screen_counterexample] + base.elements[1:], "uniform")
+        with pytest.raises(ValueError, match="element 0 of uniform mesh is not orientation preserving"):
+            _validate_mesh(mesh, Fraction(1))
+
+    def test_validate_rejects_gap(self):
+        base = mesh_uniform(2, 4)
+        mesh = Mesh(2, base.elements[:-1], "uniform")
+        with pytest.raises(ValueError, match="does not tile: volume 0.9375"):
+            _validate_mesh(mesh, Fraction(1))
 
     def test_trapezoid_d0_is_uniform(self):
         flat = mesh_trapezoidal(2, 0)
