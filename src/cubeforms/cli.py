@@ -351,9 +351,9 @@ def run_record(cfg: ExperimentConfig, report: ConvergenceReport) -> dict:
 
 def cmd_check(args) -> int:
     results = verify.run_all(args.max_n, args.max_r, pullback_maps=args.pullback_maps)
-    failed = [name for name, ok, _ in results if not ok]
-    for name, ok, detail in results:
-        print(f"{'PASS' if ok else 'FAIL'} {name}{(' ' + detail) if detail else ''}")
+    failed = [name for name, ok in results if not ok]
+    for name, ok in results:
+        print(f"{'PASS' if ok else 'FAIL'} {name}")
     print(f"{len(results) - len(failed)}/{len(results)} checks passed")
     if failed:
         print("failed:", ", ".join(failed), file=sys.stderr)

@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import lcm
+from operator import add
 from typing import Mapping, Sequence
 
 Monomial = tuple[int, ...]
@@ -155,19 +156,9 @@ class Polynomial:
             return p
         if self.nvars != other.nvars:
             raise ValueError("polynomial arity mismatch")
-        out: dict[Monomial, Fraction] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                val = out.get(key, Fraction(0)) + ca * cb
-                if val == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = val
-        p = Polynomial.__new__(Polynomial)
-        p.nvars = self.nvars
-        p.terms = out
-        return p
+        a, da = _cleared(self.terms)
+        b, db = _cleared(other.terms)
+        return _from_ints(self.nvars, _int_mul(a, b), da * db)
 
     __rmul__ = __mul__
 
@@ -300,6 +291,39 @@ class Polynomial:
             )
             parts.append(f"{c}" if not mono else (mono if c == 1 else f"{c}*{mono}"))
         return " + ".join(parts)
+
+
+IntPoly = dict[Monomial, int]
+
+
+def _cleared(terms: Mapping[Monomial, Fraction]) -> tuple[IntPoly, int]:
+    """(integer terms, d) with terms = integer terms / d, d the least common
+    denominator."""
+    d = lcm(*(c.denominator for c in terms.values()))
+    return {e: c.numerator * (d // c.denominator) for e, c in terms.items()}, d
+
+
+def _int_mul(a: IntPoly, b: IntPoly, out: IntPoly | None = None) -> IntPoly:
+    """Adds the product of two integer polynomials into ``out`` (a new dict
+    when None) and returns it.  Terms that cancel stay as zeros; _from_ints
+    drops them."""
+    if out is None:
+        out = {}
+    get = out.get
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            key = tuple(map(add, ea, eb))
+            out[key] = get(key, 0) + ca * cb
+    return out
+
+
+def _from_ints(nvars: int, ints: IntPoly, denom: int) -> Polynomial:
+    """The Polynomial ints / denom, with one normalised Fraction per nonzero
+    term."""
+    p = Polynomial.__new__(Polynomial)
+    p.nvars = nvars
+    p.terms = {e: Fraction(c, denom) for e, c in ints.items() if c}
+    return p
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,21 @@
 A multilinear map is stored by its monomial corner coefficients, kept as
 exact rationals whenever it was built from rational vertices.  Validity
 (det DF > 0 on the closed cube) is proved in integer arithmetic from the
-Bernstein coefficients of det DF.  Pullback of polynomial forms is fully
-symbolic and exact; pushforward evaluation (the transport of reference
-shape functions onto a physical element) is a pointwise floating-point
-operation built on the Jacobian inverse, since the inverse of a
-multilinear map is not polynomial.
+Bernstein coefficients of det DF.  Pushforward evaluation (the transport of
+reference shape functions onto a physical element) is a pointwise
+floating-point operation built on the Jacobian inverse, since the inverse
+of a multilinear map is not polynomial.
+
+Pullback of polynomial forms is fully symbolic and exact, and runs on
+Python ints.  On first use a map builds one cache, kept for its lifetime:
+its components cleared to integer polynomials D F^i over the common
+denominator D of its coefficients, the entries of D DF, and memos of the
+minors det((D DF)[sigma, tau]) and of the monomial images D^|e| F^e (built
+from cached powers of each D F^i).  A pullback sums c F^e times a minor
+over each tau in integers over one denominator and makes one Fraction per
+output coefficient; ``jacobian`` reads its entries and determinant from the
+same cache.  ``coeffs`` is never changed after construction, so the cache
+never goes stale.
 """
 
 from __future__ import annotations
@@ -15,14 +25,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import product
 from math import comb, lcm, prod
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .exactla import invert
-from .forms import DiffForm, IndexMap, Polynomial, Scalar, enumerate_sigma
+from .forms import (
+    DiffForm,
+    IndexMap,
+    IntPoly,
+    Polynomial,
+    Scalar,
+    _from_ints,
+    _int_mul,
+    enumerate_sigma,
+)
 
 __all__ = [
     "MultilinearMap",
@@ -49,7 +68,7 @@ class MultilinearMap:
     """F: [0,1]^n -> R^n with F(x) = sum_alpha c_alpha prod_i x_i^alpha_i,
     alpha running over the corner multi-indices {0,1}^n."""
 
-    __slots__ = ("n", "coeffs", "_float_cache")
+    __slots__ = ("n", "coeffs", "_float_cache", "_int_cache")
 
     def __init__(self, n: int, coeffs: Mapping[tuple[int, ...], Sequence[Scalar]]):
         self.n = n
@@ -61,6 +80,7 @@ class MultilinearMap:
             full[alpha] = tuple(Fraction(x) for x in vec)
         self.coeffs = full
         self._float_cache = None
+        self._int_cache = None
 
     @classmethod
     def identity(cls, n: int) -> "MultilinearMap":
@@ -122,6 +142,12 @@ class MultilinearMap:
             self._float_cache = (coeffs, np.array(alphas, dtype=np.int64))
         return self._float_cache
 
+    def _int_data(self) -> "_ClearedMap":
+        """The integer-cleared exact data of this map, built on first use."""
+        if self._int_cache is None:
+            self._int_cache = _ClearedMap(self)
+        return self._int_cache
+
     def __call__(self, point: Sequence[float]) -> np.ndarray:
         pt = np.asarray(point, dtype=np.float64)
         coeffs, alphas = self.float_arrays()
@@ -131,6 +157,71 @@ class MultilinearMap:
     def __repr__(self) -> str:
         kind = "affine" if self.is_affine else "multilinear"
         return f"MultilinearMap(n={self.n}, {kind})"
+
+
+def _cleared_coeffs(fmap: MultilinearMap) -> tuple[dict[tuple[int, ...], list[int]], int]:
+    """(integer corner coefficients, D) with coeffs = integers / D, D the
+    common denominator of all coefficients."""
+    denom = lcm(*(c.denominator for vec in fmap.coeffs.values() for c in vec))
+    ints = {
+        alpha: [c.numerator * (denom // c.denominator) for c in vec]
+        for alpha, vec in fmap.coeffs.items()
+    }
+    return ints, denom
+
+
+class _ClearedMap:
+    """The pullback cache of one map F (see the module docstring), with
+    entries[i][j] = D dF^(i+1)/dx^(j+1) as an integer polynomial."""
+
+    __slots__ = ("n", "denom", "entries", "_powers", "_images", "_minors")
+
+    def __init__(self, fmap: MultilinearMap):
+        n = fmap.n
+        ints, self.denom = _cleared_coeffs(fmap)
+        comps = [{alpha: vec[i] for alpha, vec in ints.items() if vec[i]} for i in range(n)]
+        # Components are multilinear, so d/dx_j just clears alpha_j.
+        self.entries = [
+            [{a[:j] + (0,) + a[j + 1 :]: c for a, c in comp.items() if a[j]} for j in range(n)]
+            for comp in comps
+        ]
+        self.n = n
+        # _powers[i][p] = (D F^(i+1))^p.
+        self._powers = [[{(0,) * n: 1}, comp] for comp in comps]
+        self._images: dict[tuple[int, ...], IntPoly] = {}
+        self._minors: dict[tuple[IndexMap, IndexMap], IntPoly] = {}
+
+    def minor(self, sigma: IndexMap, tau: IndexMap) -> IntPoly:
+        """det((D DF)[sigma, tau]) for 1-based rows sigma and columns tau,
+        by expansion along the first row over memoized smaller minors."""
+        key = (sigma, tau)
+        got = self._minors.get(key)
+        if got is None:
+            if not sigma:
+                got = {(0,) * self.n: 1}
+            else:
+                got = {}
+                row = self.entries[sigma[0] - 1]
+                for j, t in enumerate(tau):
+                    entry = row[t - 1]
+                    if j % 2:
+                        entry = {e: -c for e, c in entry.items()}
+                    _int_mul(entry, self.minor(sigma[1:], tau[:j] + tau[j + 1 :]), got)
+            self._minors[key] = got
+        return got
+
+    def image(self, exps: tuple[int, ...]) -> IntPoly:
+        """D^|e| F^e = prod_i (D F^i)^(e_i) for the exponent tuple e."""
+        got = self._images.get(exps)
+        if got is None:
+            got = {(0,) * self.n: 1}
+            for powers, e in zip(self._powers, exps):
+                while len(powers) <= e:
+                    powers.append(_int_mul(powers[-1], powers[1]))
+                if e:
+                    got = _int_mul(got, powers[e])
+            self._images[exps] = got
+        return got
 
 
 @dataclass
@@ -176,11 +267,11 @@ def map_from_vertices(
 
 def jacobian(fmap: MultilinearMap) -> JacobianPoly:
     n = fmap.n
-    entries = [
-        [fmap.component_poly(i).partial(j) for j in range(1, n + 1)]
-        for i in range(1, n + 1)
-    ]
-    return JacobianPoly(n, entries, _poly_matrix_det(entries, n))
+    cleared = fmap._int_data()
+    d = cleared.denom
+    entries = [[_from_ints(n, entry, d) for entry in row] for row in cleared.entries]
+    full = tuple(range(1, n + 1))
+    return JacobianPoly(n, entries, _from_ints(n, cleared.minor(full, full), d**n))
 
 
 # Halvings per axis the validity proof may make before it gives up.
@@ -258,11 +349,7 @@ def _det_bernstein(fmap: MultilinearMap) -> tuple[_Bernstein, int]:
     (column j of DF does not depend on x_j)."""
     n = fmap.n
     d = n - 1
-    denom = lcm(*(c.denominator for vec in fmap.coeffs.values() for c in vec))
-    ints = {
-        alpha: [c.numerator * (denom // c.denominator) for c in vec]
-        for alpha, vec in fmap.coeffs.items()
-    }
+    ints, denom = _cleared_coeffs(fmap)
     # Values of det(denom * d^(n-1) * DF) at the points t/d.
     coeffs = {}
     for t, terms in _jacobian_weights(n):
@@ -314,50 +401,40 @@ def _bernstein_positive(coeffs: _Bernstein, n: int, depth: int = _PROOF_DEPTH) -
     return all(_bernstein_positive(box, n, depth - 1) for box in boxes)
 
 
-def _poly_matrix_det(rows: Sequence[Sequence[Polynomial]], nvars: int) -> Polynomial:
-    k = len(rows)
-    if k == 0:
-        return Polynomial.constant(nvars, 1)
-    det = Polynomial.zero(nvars)
-    for perm in permutations(range(k)):
-        inversions = sum(
-            1 for a in range(k) for b in range(a + 1, k) if perm[a] > perm[b]
-        )
-        term = Polynomial.constant(nvars, 1)
-        for i in range(k):
-            term = term * rows[i][perm[i]]
-        det = det + (term if inversions % 2 == 0 else -term)
-    return det
-
-
 def pullback_polynomial(fmap: MultilinearMap, v: DiffForm) -> DiffForm:
     """Exact pullback F*v of a polynomial k-form through a multilinear map.
 
     Expands (v_sigma o F) det(DF[sigma, tau]) over increasing tau, which is
-    the component form of the coordinate pullback formula.
+    the component form of the coordinate pullback formula.  With L the
+    common denominator of v's coefficients and m its top degree, each
+    c_e x^e of v_sigma contributes c_e L D^(m-|e|) (D^|e| F^e) in integers,
+    so component tau is an integer polynomial over L D^(m+k).
     """
     n = fmap.n
+    k = v.k
     if v.n != n:
         raise ValueError("form dimension does not match the map")
-    if v.k > n:
-        return DiffForm.zero(n, v.k)
-    jac = jacobian(fmap)
-    comps = [fmap.component_poly(i) for i in range(1, n + 1)]
-    taus = enumerate_sigma(v.k, n)
-    out = DiffForm.zero(n, v.k)
+    if k > n or v.is_zero:
+        return DiffForm.zero(n, k)
+    cleared = fmap._int_data()
+    d = cleared.denom
+    big_l = lcm(*(c.denominator for p in v.components.values() for c in p.terms.values()))
+    m = v.max_degree()
+    one = (0,) * n
+    pulled = []
     for sigma, poly in v.components.items():
-        pulled_coeff = poly.compose(comps)
-        parts = {}
-        for tau in taus:
-            minor = _poly_matrix_det(
-                [[jac.entries[s - 1][t - 1] for t in tau] for s in sigma], n
-            )
-            if not minor.is_zero:
-                term = pulled_coeff * minor
-                if not term.is_zero:
-                    parts[tau] = term
-        out = out + DiffForm(n, v.k, parts)
-    return out
+        acc: IntPoly = {}
+        for exps, c in poly.terms.items():
+            scale = c.numerator * (big_l // c.denominator) * d ** (m - sum(exps))
+            _int_mul({one: scale}, cleared.image(exps), acc)
+        pulled.append((sigma, acc))
+    parts = {}
+    for tau in enumerate_sigma(k, n):
+        acc = {}
+        for sigma, coeff in pulled:
+            _int_mul(coeff, cleared.minor(sigma, tau), acc)
+        parts[tau] = _from_ints(n, acc, big_l * d ** (m + k))
+    return DiffForm(n, k, parts)
 
 
 def pushforward_eval(

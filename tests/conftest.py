@@ -35,6 +35,17 @@ def form_strategy(n: int, k: int, max_exp: int = 2, max_terms: int = 3):
     return st.lists(term, min_size=0, max_size=max_terms).map(build)
 
 
+def naive_product(p, q) -> dict:
+    """Terms of p * q by a Fraction double loop, cancelled terms dropped;
+    the reference for the integer product of Polynomial.__mul__."""
+    out = {}
+    for ea, ca in p.terms.items():
+        for eb, cb in q.terms.items():
+            key = tuple(x + y for x, y in zip(ea, eb))
+            out[key] = out.get(key, Fraction(0)) + ca * cb
+    return {e: c for e, c in out.items() if c != 0}
+
+
 def nk_pairs(max_n: int = 3):
     return [(n, k) for n in range(1, max_n + 1) for k in range(n + 1)]
 

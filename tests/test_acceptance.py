@@ -71,9 +71,9 @@ def test_criterion_03_unisolvence():
 
 
 def test_criterion_04_calculus_and_subcomplex():
-    for name, ok, _ in verify.check_calculus(3):
+    for name, ok in verify.check_calculus(3):
         assert ok, name
-    for name, ok, _ in verify.check_subcomplex(3, 3):
+    for name, ok in verify.check_subcomplex(3, 3):
         assert ok, name
     _ok("criterion 4: d.d=0, Leibniz, anticommutativity, trace-d, subcomplex (exact)")
 
@@ -81,9 +81,9 @@ def test_criterion_04_calculus_and_subcomplex():
 @pytest.mark.parametrize("n", [2, 3])
 def test_criterion_05_pullback_inclusions(n):
     results = verify.check_pullback_inclusions(n, max_r=3, n_maps=20, seed=1105)
-    for name, ok, _ in results:
+    for name, ok in results:
         assert ok, name
-    n_maps = sum(1 for name, _, _ in results if name.startswith("pullback-multilinear"))
+    n_maps = sum(1 for name, _ in results if name.startswith("pullback-multilinear"))
     assert n_maps == 20
     _ok(f"criterion 5: pullback inclusions n={n} (20 maps, r <= 3, exact membership)")
 

@@ -99,7 +99,7 @@ class TestCheckCommand:
         from cubeforms import verify
 
         def corrupted(max_n, max_r, pullback_maps):
-            return [("dimension r=1 k=0 n=2", False, "injected corruption")]
+            return [("dimension r=1 k=0 n=2", False)]
 
         monkeypatch.setattr(verify, "run_all", corrupted)
         rc = cli.main(["check"])

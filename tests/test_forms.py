@@ -17,7 +17,7 @@ from cubeforms.forms import (
     wedge,
 )
 
-from conftest import form_strategy, nk_pairs
+from conftest import form_strategy, naive_product, nk_pairs
 
 
 def mono(n, sigma, exps, c=1):
@@ -194,3 +194,49 @@ class TestPolynomial:
         got = p.compose([x_plus_y, y_only])
         want = (x_plus_y * x_plus_y) * y_only
         assert got == want
+
+
+def poly_strategy(nvars: int, max_terms: int = 4):
+    """Polynomials with mixed-denominator coefficients of both signs."""
+    term = st.tuples(
+        st.tuples(*([st.integers(0, 3)] * nvars)),
+        st.fractions(min_value=-5, max_value=5, max_denominator=12),
+    )
+    return st.lists(term, max_size=max_terms).map(lambda ts: Polynomial(nvars, dict(ts)))
+
+
+class TestPolynomialProduct:
+    @pytest.mark.parametrize("nvars", [0, 1, 2, 3])
+    @given(data=st.data())
+    def test_matches_fraction_double_loop(self, nvars, data):
+        p = data.draw(poly_strategy(nvars))
+        q = data.draw(poly_strategy(nvars))
+        # (p + q)(p - q) makes cross terms that cancel exactly.
+        for a, b in [(p, q), (q, p), (p + q, p - q), (p, p), (p, -p)]:
+            got = a * b
+            assert got.terms == naive_product(a, b)
+            assert got.nvars == nvars
+
+    def test_cancelled_terms_are_not_stored(self):
+        x = Polynomial.variable(2, 1)
+        y = Polynomial.variable(2, 2) * Fraction(2, 3)
+        got = (x + y) * (x - y)
+        assert got.terms == {(2, 0): 1, (0, 2): Fraction(-4, 9)}
+
+    @pytest.mark.parametrize("nvars", [0, 2])
+    @given(data=st.data())
+    def test_zero_and_constants(self, nvars, data):
+        p = data.draw(poly_strategy(nvars))
+        c = data.draw(st.fractions(min_value=-5, max_value=5, max_denominator=12))
+        assert (p * Polynomial.zero(nvars)).terms == {}
+        assert (Polynomial.zero(nvars) * p).terms == {}
+        const = Polynomial.constant(nvars, c)
+        assert (p * const).terms == (const * p).terms == naive_product(p, const)
+
+    @given(p=poly_strategy(2), c=st.fractions(min_value=-5, max_value=5, max_denominator=12))
+    def test_scalar_multiplication(self, p, c):
+        want = {e: v * c for e, v in p.terms.items() if c != 0}
+        assert (p * c).terms == want
+        assert (c * p).terms == want
+        assert (p * 3).terms == {e: 3 * v for e, v in p.terms.items()}
+        assert (p * 0).is_zero

@@ -1,6 +1,7 @@
 import random
+import time
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import comb
 
 import numpy as np
@@ -28,10 +29,50 @@ from cubeforms.mapping import (
     pullback_polynomial,
     pushforward_eval,
 )
+from cubeforms import verify
 from cubeforms.spaces import build_P, build_Qminus, in_span
 from cubeforms.verify import random_rational_affine, random_rational_multilinear
 
-from conftest import vertex_strategy
+from conftest import form_strategy, naive_product, vertex_strategy
+
+
+def reference_jacobian(fmap):
+    """(components, DF entries, det of a square block) of the textbook
+    formulas, multiplying by a Fraction double loop."""
+    n = fmap.n
+    comps = [Polynomial(n, {a: vec[i] for a, vec in fmap.coeffs.items()}) for i in range(n)]
+    entries = [[c.partial(j) for j in range(1, n + 1)] for c in comps]
+
+    def det(rows):
+        total = Polynomial.zero(n)
+        for perm in permutations(range(len(rows))):
+            inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :])
+            term = Polynomial.constant(n, -1 if inversions % 2 else 1)
+            for row, j in zip(rows, perm):
+                term = Polynomial(n, naive_product(term, row[j]))
+            total = total + term
+        return total
+
+    return comps, entries, det
+
+
+def reference_pullback(fmap, v):
+    """F*v = sum over sigma, tau of (v_sigma o F) det DF[sigma, tau] dx^tau."""
+    n = fmap.n
+    comps, entries, det = reference_jacobian(fmap)
+    out = DiffForm.zero(n, v.k)
+    for sigma, poly in v.components.items():
+        pulled = Polynomial.zero(n)
+        for exps, c in poly.terms.items():
+            term = Polynomial.constant(n, c)
+            for comp, e in zip(comps, exps):
+                for _ in range(e):
+                    term = Polynomial(n, naive_product(term, comp))
+            pulled = pulled + term
+        for tau in enumerate_sigma(v.k, n):
+            minor = det([[entries[s - 1][t - 1] for t in tau] for s in sigma])
+            out = out + DiffForm(n, v.k, {tau: Polynomial(n, naive_product(pulled, minor))})
+    return out
 
 
 def trapezoid_map(d=Fraction(1, 2)):
@@ -286,6 +327,22 @@ class TestPullback:
         rhs = pullback_polynomial(inner, pullback_polynomial(outer, v))
         assert lhs == rhs
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @given(data=st.data())
+    def test_matches_textbook_formula(self, n, data):
+        f = map_from_vertices(data.draw(vertex_strategy(n)))
+        g = map_from_vertices(data.draw(vertex_strategy(n, spread=4)))
+        v = data.draw(form_strategy(n, data.draw(st.integers(0, n)), max_terms=4))
+        w = data.draw(form_strategy(n, data.draw(st.integers(0, n)), max_terms=4))
+        # Repeats hit each map's cache; alternating maps checks they stay apart.
+        for fmap, form in [(f, v), (g, w), (f, w), (g, v), (f, v), (g, w)]:
+            assert pullback_polynomial(fmap, form) == reference_pullback(fmap, form)
+        for fmap in (f, g):
+            _, entries, det = reference_jacobian(fmap)
+            jac = jacobian(fmap)
+            assert jac.entries == entries
+            assert jac.det_poly == det(entries)
+
     def test_dilation_l2_scaling(self):
         for n in (1, 2, 3):
             for h in (Fraction(1, 2), Fraction(1, 3), Fraction(2)):
@@ -298,6 +355,16 @@ class TestPullback:
                         pullback_polynomial(fmap, v), pullback_polynomial(fmap, v)
                     )
                     assert lhs == h ** (2 * k - n) * l2_inner_box(v, v, h)
+
+
+class TestRandomMaps:
+    @pytest.mark.parametrize("draw", [random_rational_multilinear, random_rational_affine])
+    def test_gives_up_when_every_draw_is_rejected(self, draw, monkeypatch):
+        monkeypatch.setattr(verify, "check_diffeo", lambda fmap: False)
+        t0 = time.perf_counter()
+        with pytest.raises(RuntimeError, match=f"dimension 3 in {verify._MAX_DRAWS} draws"):
+            draw(3, random.Random(0))
+        assert time.perf_counter() - t0 < 10
 
 
 class TestPushforward:
