@@ -33,13 +33,11 @@ from .spaces import (
 from .mapping import (
     JacobianPoly,
     MultilinearMap,
-    SingularMapError,
     check_diffeo,
     compose_affine,
     jacobian,
     map_from_vertices,
     pullback_polynomial,
-    pushforward_eval,
 )
 from .dofs import (
     DofFunctional,

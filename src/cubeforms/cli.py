@@ -363,8 +363,10 @@ def cmd_check(args) -> int:
 
 def _parse_r_range(text: str) -> list[int]:
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
+        lo, hi = (int(x) for x in text.split("..", 1))
+        if hi < lo:
+            raise ValueError(f"empty range --r {text}: the upper end is below the lower")
+        return list(range(lo, hi + 1))
     return [int(text)]
 
 

@@ -1,15 +1,18 @@
 """Small dense exact linear algebra over the rationals.
 
-Rank goes through fraction-free (Bareiss) elimination on an integer-cleared
-copy, which stays fast for the few-hundred-row matrices that show up in
-unisolvence checks.  Reduced echelon form and solves use Fraction
-arithmetic directly; matrices are plain lists of lists.
+Every routine runs one fraction-free (Bareiss) elimination on a copy whose
+rows are cleared to integers, so no Fraction is built inside the loop.
+Rank clears each pivot column below the pivot only; the reduced echelon
+form clears it above the pivot too (fraction-free Gauss-Jordan), which
+leaves every pivot equal to the last one, and makes one Fraction per entry
+at the end.  The inverse is read from the echelon form of [A | I].
+Matrices are plain lists of lists.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Sequence
 
 Row = list[Fraction]
@@ -18,23 +21,28 @@ Row = list[Fraction]
 def _cleared_int_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
     out = []
     for row in rows:
-        denom = 1
-        for x in row:
-            f = Fraction(x)
-            denom = denom * f.denominator // gcd(denom, f.denominator)
-        out.append([int(Fraction(x) * denom) for x in row])
+        row = [Fraction(x) for x in row]
+        denom = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (denom // x.denominator) for x in row])
     return out
 
 
-def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Exact rank via Bareiss fraction-free elimination."""
-    if not rows:
-        return 0
-    m = _cleared_int_rows(rows)
-    nrows, ncols = len(m), len(m[0])
-    r = 0
+def _eliminate(m: list[list[int]], above: bool) -> tuple[list[int], int]:
+    """Fraction-free elimination of the integer rows m, in place.
+
+    Each step swaps a pivot p into row r and updates the rows it clears by
+    x -> (p x - f y) // prev, with prev the previous pivot; the division is
+    exact (Bareiss).  Below the pivot the columns before it are already
+    zero, so those rows update from the pivot column on.  With ``above``
+    the rows above are cleared as well and are updated in full.  Returns
+    (pivot columns, last pivot); m[:rank] are the pivot rows.
+    """
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    pivots: list[int] = []
     prev = 1
     for col in range(ncols):
+        r = len(pivots)
         if r == nrows:
             break
         piv = next((i for i in range(r, nrows) if m[i][col] != 0), None)
@@ -44,84 +52,50 @@ def rank(rows: Sequence[Sequence[Fraction]]) -> int:
             m[r], m[piv] = m[piv], m[r]
         pr = m[r]
         p = pr[col]
-        for i in range(r + 1, nrows):
+        for i in range(0 if above else r + 1, nrows):
+            if i == r:
+                continue
             ri = m[i]
             f = ri[col]
-            for j in range(col, ncols):
+            for j in range(col if i > r else 0, ncols):
                 ri[j] = (p * ri[j] - f * pr[j]) // prev
         prev = p
-        r += 1
-    return r
+        pivots.append(col)
+    return pivots, prev
+
+
+def rank(rows: Sequence[Sequence[Fraction]]) -> int:
+    """Exact rank."""
+    pivots, _ = _eliminate(_cleared_int_rows(rows), above=False)
+    return len(pivots)
 
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[Row], list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
-        return [], []
-    nrows, ncols = len(m), len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        if r == nrows:
-            break
-        piv = next((i for i in range(r, nrows) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][col]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-    return m[:r], pivots
-
-
-def reduce_against(echelon: Sequence[Row], pivots: Sequence[int], vec: Sequence[Fraction]) -> Row:
-    """Residual of a vector after elimination against an RREF basis."""
-    v = [Fraction(x) for x in vec]
-    for row, col in zip(echelon, pivots):
-        f = v[col]
-        if f != 0:
-            v = [a - f * b for a, b in zip(v, row)]
-    return v
+    m = _cleared_int_rows(rows)
+    pivots, d = _eliminate(m, above=True)
+    return [[Fraction(x, d) for x in row] for row in m[: len(pivots)]], pivots
 
 
 def in_row_span(echelon: Sequence[Row], pivots: Sequence[int], vec: Sequence[Fraction]) -> bool:
-    return all(x == 0 for x in reduce_against(echelon, pivots, vec))
-
-
-def solve_matrix(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> list[Row]:
-    """Exact solve A X = B for square invertible A (Gauss-Jordan)."""
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix must be square")
-    aug = [
-        [Fraction(x) for x in row_a] + [Fraction(x) for x in row_b]
-        for row_a, row_b in zip(a, b)
-    ]
-    width = len(aug[0])
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return [row[n:width] for row in aug]
+    """Whether vec lies in the span of reduced echelon rows.  Each row is 1
+    at its own pivot and 0 at the others, so the only candidate combination
+    takes vec's entries at the pivot columns as coefficients."""
+    coeffs = [(vec[col], row) for row, col in zip(echelon, pivots) if vec[col] != 0]
+    return all(
+        x == sum((c * row[j] for c, row in coeffs), Fraction(0)) for j, x in enumerate(vec)
+    )
 
 
 def invert(a: Sequence[Sequence[Fraction]]) -> list[Row]:
+    """Exact inverse of a square matrix; ZeroDivisionError if it is singular."""
     n = len(a)
-    identity = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    return solve_matrix(a, identity)
+    if any(len(row) != n for row in a):
+        raise ValueError("matrix must be square")
+    echelon, pivots = rref([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)])
+    if pivots[:n] != list(range(n)):
+        raise ZeroDivisionError("matrix is singular")
+    return [row[n:] for row in echelon]
 
 
 def is_invertible(a: Sequence[Sequence[Fraction]]) -> bool:

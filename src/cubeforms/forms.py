@@ -35,7 +35,6 @@ __all__ = [
     "l2_inner_box",
     "integrate_unit_box",
     "evaluate",
-    "monomial_degree",
     "permutation_sign",
 ]
 
@@ -49,10 +48,6 @@ def enumerate_sigma(k: int, n: int) -> list[IndexMap]:
     if k < 0 or k > n:
         raise ValueError(f"form degree k={k} out of range for n={n}")
     return [tuple(c) for c in combinations(range(1, n + 1), k)]
-
-
-def monomial_degree(exponents: Monomial) -> int:
-    return sum(exponents)
 
 
 def permutation_sign(left: IndexMap, right: IndexMap) -> int:
@@ -222,27 +217,6 @@ class Polynomial:
             else:
                 out[key] = val2
         return Polynomial(len(keep), out)
-
-    def compose(self, args: Sequence["Polynomial"]) -> "Polynomial":
-        """Substitute x_i := args[i-1]; all args share one target arity."""
-        if len(args) != self.nvars:
-            raise ValueError("composition needs one polynomial per variable")
-        if self.nvars == 0:
-            return Polynomial(0, dict(self.terms))
-        m = args[0].nvars
-        # Power cache keeps repeated monomial substitution cheap.
-        powers: list[list[Polynomial]] = [[Polynomial.constant(m, 1)] for _ in args]
-        out = Polynomial.zero(m)
-        for exps, c in self.terms.items():
-            term = Polynomial.constant(m, c)
-            for pos, e in enumerate(exps):
-                cache = powers[pos]
-                while len(cache) <= e:
-                    cache.append(cache[-1] * args[pos])
-                if e:
-                    term = term * cache[e]
-            out = out + term
-        return out
 
     def eval_exact(self, point: Sequence[Scalar]) -> Fraction:
         if len(point) != self.nvars:

@@ -1,12 +1,12 @@
-"""Affine and multilinear maps of the unit cube and form transport.
+"""Affine and multilinear maps of the unit cube and exact form pullback.
 
 A multilinear map is stored by its monomial corner coefficients, kept as
 exact rationals whenever it was built from rational vertices.  Validity
 (det DF > 0 on the closed cube) is proved in integer arithmetic from the
-Bernstein coefficients of det DF.  Pushforward evaluation (the transport of
-reference shape functions onto a physical element) is a pointwise
-floating-point operation built on the Jacobian inverse, since the inverse
-of a multilinear map is not polynomial.
+Bernstein coefficients of det DF.  The pushforward (F^-1)* of reference
+shape functions is not polynomial, since the inverse of a multilinear map
+is not; the numeric lab evaluates it at quadrature points through the
+numpy kernels (``meshlab.target_from_reference``).
 
 Pullback of polynomial forms is fully symbolic and exact, and runs on
 Python ints.  On first use a map builds one cache, kept for its lifetime:
@@ -46,18 +46,12 @@ from .forms import (
 __all__ = [
     "MultilinearMap",
     "JacobianPoly",
-    "SingularMapError",
     "map_from_vertices",
     "jacobian",
     "check_diffeo",
     "pullback_polynomial",
-    "pushforward_eval",
     "compose_affine",
 ]
-
-
-class SingularMapError(ArithmeticError):
-    """Jacobian not invertible at a requested point."""
 
 
 def _corner_index_tuples(n: int) -> list[tuple[int, ...]]:
@@ -110,14 +104,6 @@ class MultilinearMap:
             for alpha, vec in self.coeffs.items()
             if sum(alpha) >= 2
         )
-
-    def component_poly(self, i: int) -> Polynomial:
-        """Component F^i (1-based) as an exact polynomial in n variables."""
-        terms = {}
-        for alpha, vec in self.coeffs.items():
-            if vec[i - 1] != 0:
-                terms[alpha] = vec[i - 1]
-        return Polynomial(self.n, terms)
 
     def eval_exact(self, point: Sequence[Scalar]) -> tuple[Fraction, ...]:
         pt = [Fraction(x) for x in point]
@@ -435,40 +421,6 @@ def pullback_polynomial(fmap: MultilinearMap, v: DiffForm) -> DiffForm:
             _int_mul(coeff, cleared.minor(sigma, tau), acc)
         parts[tau] = _from_ints(n, acc, big_l * d ** (m + k))
     return DiffForm(n, k, parts)
-
-
-def pushforward_eval(
-    fmap: MultilinearMap, what: DiffForm, xhat: Sequence[float]
-) -> dict[IndexMap, float]:
-    """Components of (F^-1)* what at the physical point F(xhat).
-
-    Component sigma equals sum_tau what_tau(xhat) * minor_(tau,sigma) of
-    DF(xhat)^-1, the rows-tau / columns-sigma determinant.  Floating point.
-    """
-    n = fmap.n
-    if what.n != n:
-        raise ValueError("form dimension does not match the map")
-    jac = jacobian(fmap)
-    pt = [float(x) for x in xhat]
-    a = np.array(
-        [[jac.entries[i][j].eval_float(pt) for j in range(n)] for i in range(n)]
-    )
-    det = float(np.linalg.det(a))
-    if abs(det) < 1e-14:
-        raise SingularMapError(f"Jacobian singular at xhat={tuple(pt)} (det={det:g})")
-    ainv = np.linalg.inv(a)
-    k = what.k
-    hat_vals = {sigma: poly.eval_float(pt) for sigma, poly in what.components.items()}
-    out: dict[IndexMap, float] = {}
-    for sigma in enumerate_sigma(k, n):
-        cols = [s - 1 for s in sigma]
-        total = 0.0
-        for tau, w in hat_vals.items():
-            rows = [t - 1 for t in tau]
-            minor = float(np.linalg.det(ainv[np.ix_(rows, cols)])) if k else 1.0
-            total += w * minor
-        out[sigma] = total
-    return out
 
 
 def compose_affine(outer: MultilinearMap, inner: MultilinearMap) -> MultilinearMap:

@@ -74,16 +74,8 @@ class FormSpace:
 
     def rank(self) -> int:
         """Exact rank of the basis as vectors of rational coefficients."""
-        coords = self.coordinates()
-        index = {c: j for j, c in enumerate(coords)}
-        rows = []
-        for f in self.basis:
-            row = [Fraction(0)] * len(coords)
-            for sigma, poly in f.components.items():
-                for exps, c in poly.terms.items():
-                    row[index[(sigma, exps)]] = c
-            rows.append(row)
-        return exactla.rank(rows)
+        _, _, pivots = _echelon_of(self)
+        return len(pivots)
 
 
 def zero_space(n: int, k: int, label: str = "zero") -> FormSpace:
@@ -180,6 +172,8 @@ def build_SrLambda1_2d(r: int) -> FormSpace:
 
 
 def _echelon_of(space: FormSpace) -> tuple:
+    """(coordinate index, reduced echelon rows, pivots) of the basis
+    coefficient rows, computed once per space."""
     if space._echelon is None:
         coords = space.coordinates()
         index = {c: j for j, c in enumerate(coords)}
@@ -234,7 +228,11 @@ class RatePrediction:
     s_multilinear: int
 
 
-def predict_rates(v: FormSpace, max_s: int = 64) -> RatePrediction:
+# Largest affine order predict_rates tries.
+_MAX_S = 64
+
+
+def predict_rates(v: FormSpace) -> RatePrediction:
     """Largest s with P_(s-1) Lambda^k inside V, and with
     Q_(s+k-1)^- Lambda^k inside V.  s = 0 is always admissible since both
     test spaces degenerate to zero there."""
@@ -242,7 +240,7 @@ def predict_rates(v: FormSpace, max_s: int = 64) -> RatePrediction:
         raise ValueError("rate prediction needs a nonzero space")
     n, k = v.n, v.k
     s_affine = 0
-    for s in range(1, max_s + 1):
+    for s in range(1, _MAX_S + 1):
         probe = build_P(s - 1, k, n)
         if probe.dim > v.dim or not contains(v, probe):
             break

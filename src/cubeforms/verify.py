@@ -27,19 +27,24 @@ CheckResult = tuple[str, bool]
 # Draws a random map generator makes before it gives up.
 _MAX_DRAWS = 1000
 
+# Random maps move each vertex coordinate by k / _DENOM, |k| <= _SPREAD.
+_DENOM = 8
+_SPREAD = 2
+
+# check_dof_counts builds the functionals themselves up to this dimension.
+_BUILD_UP_TO_N = 3
+
 
 def _corner_tuples(n: int):
     return list(product((0, 1), repeat=n))
 
 
-def random_rational_multilinear(
-    n: int, rng: random.Random, denom: int = 8, spread: int = 2
-) -> MultilinearMap:
+def random_rational_multilinear(n: int, rng: random.Random) -> MultilinearMap:
     """Random valid multilinear map with rational vertices near the corners."""
     for _ in range(_MAX_DRAWS):
         verts = {
             alpha: tuple(
-                Fraction(alpha[i]) + Fraction(rng.randint(-spread, spread), denom)
+                Fraction(alpha[i]) + Fraction(rng.randint(-_SPREAD, _SPREAD), _DENOM)
                 for i in range(n)
             )
             for alpha in _corner_tuples(n)
@@ -50,19 +55,17 @@ def random_rational_multilinear(
     raise RuntimeError(f"no valid multilinear map of dimension {n} in {_MAX_DRAWS} draws")
 
 
-def random_rational_affine(
-    n: int, rng: random.Random, denom: int = 8, spread: int = 2
-) -> MultilinearMap:
+def random_rational_affine(n: int, rng: random.Random) -> MultilinearMap:
     """Random affine map x -> A x + b with rational entries and det A > 0."""
     for _ in range(_MAX_DRAWS):
         a = [
             [
-                Fraction(1 if i == j else 0) + Fraction(rng.randint(-spread, spread), denom)
+                Fraction(1 if i == j else 0) + Fraction(rng.randint(-_SPREAD, _SPREAD), _DENOM)
                 for j in range(n)
             ]
             for i in range(n)
         ]
-        b = [Fraction(rng.randint(-spread, spread), denom) for _ in range(n)]
+        b = [Fraction(rng.randint(-_SPREAD, _SPREAD), _DENOM) for _ in range(n)]
         verts = {
             alpha: tuple(
                 b[i] + sum(a[i][j] * alpha[j] for j in range(n)) for i in range(n)
@@ -85,13 +88,13 @@ def check_dimensions(max_n: int = 4, max_r: int = 4) -> list[CheckResult]:
     return out
 
 
-def check_dof_counts(max_n: int = 4, max_r: int = 4, build_up_to_n: int = 3) -> list[CheckResult]:
+def check_dof_counts(max_n: int = 4, max_r: int = 4) -> list[CheckResult]:
     out = []
     for n in range(1, max_n + 1):
         for k in range(n + 1):
             for r in range(1, max_r + 1):
                 ok = dof_count_by_faces(r, k, n) == dim_Qminus(r, k, n)
-                if n <= build_up_to_n:
+                if n <= _BUILD_UP_TO_N:
                     ok = ok and build_dofs(r, k, n).count == dim_Qminus(r, k, n)
                 out.append((f"dof-count r={r} k={k} n={n}", ok))
     return out

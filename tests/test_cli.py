@@ -134,6 +134,14 @@ class TestRatesCommand:
         rc = cli.main(["rates", "--kind", "SLambda1_2d", "--r", "2", "--k", "0", "--n", "3"])
         assert rc == 2
 
+    def test_descending_range_usage_error(self, capsys):
+        rc = cli.main(["rates", "--kind", "Qminus", "--r", "3..1", "--k", "1", "--n", "2"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "3..1" in captured.err
+
 
 class TestConvergeCommand:
     def test_tiny_run_writes_outputs(self, tmp_path, capsys):

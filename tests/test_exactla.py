@@ -69,7 +69,7 @@ def matrices(draw, max_rows=6, max_cols=6, square=False):
     return m
 
 
-@settings(max_examples=150)
+@settings(max_examples=100)
 @given(matrices())
 def test_rank_and_rref_match_reference(m):
     echelon, pivots = exactla.rref(m)
@@ -80,7 +80,7 @@ def test_rank_and_rref_match_reference(m):
     assert exactla.rank(m) == len(want_pivots)
 
 
-@settings(max_examples=150)
+@settings(max_examples=100)
 @given(st.data())
 def test_in_row_span_matches_reference(data):
     m = data.draw(matrices())
@@ -95,7 +95,7 @@ def test_in_row_span_matches_reference(data):
     assert exactla.in_row_span(echelon, pivots, vec) == want
 
 
-@settings(max_examples=150)
+@settings(max_examples=100)
 @given(matrices(square=True))
 def test_invert_matches_reference(a):
     want = reference_inverse(a)

@@ -187,14 +187,6 @@ class TestPolynomial:
         assert p.integral_box() == Fraction(1, 6)
         assert p.integral_box(Fraction(1, 2)) == Fraction(1, 8) * Fraction(1, 24)
 
-    def test_compose(self):
-        p = Polynomial.monomial(2, (2, 1))
-        x_plus_y = Polynomial(2, {(1, 0): 1, (0, 1): 1})
-        y_only = Polynomial.variable(2, 2)
-        got = p.compose([x_plus_y, y_only])
-        want = (x_plus_y * x_plus_y) * y_only
-        assert got == want
-
 
 def poly_strategy(nvars: int, max_terms: int = 4):
     """Polynomials with mixed-denominator coefficients of both signs."""
