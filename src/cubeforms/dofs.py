@@ -4,17 +4,28 @@ Each functional integrates the trace of a form over a face against a
 weight from the matching tensor-product space one degree down; vertex
 functionals degenerate to point evaluation through the same code path.
 All verdicts (counts, matrix invertibility, dual bases) are exact.
+
+One private routine pairs a trace with a weight.  Both arrive cleared to
+integer polynomials over one denominator each, and the integral of their
+wedge over the face is an integer sum over term pairs, with a common
+moment denominator M for the face: the sign of the complementary index
+maps, times the two coefficients, times M / prod(a_i + b_i + 1).  One
+Fraction is made per entry.  The unisolvence matrix traces each basis
+form onto each face once and clears each weight once, then pairs the
+cached integer forms; ``apply_dof`` runs the same pairing on one form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
-from math import comb
+from math import comb, lcm, prod
+from operator import add
 
 from . import exactla
-from .forms import DiffForm, Face, integrate_unit_box, trace
+from .forms import DiffForm, Face, IndexMap, Monomial, enumerate_sigma, permutation_sign, trace
 from .spaces import build_Qminus, dim_Qminus
 
 __all__ = [
@@ -66,13 +77,78 @@ class DofSet:
         return len(self.functionals)
 
 
+# (components as (exponents, integer coefficient) terms, common denominator,
+# largest exponent)
+_Cleared = tuple[dict[IndexMap, tuple[tuple[Monomial, int], ...]], int, int]
+_ZERO: _Cleared = ({}, 1, 0)
+
+
+def _cleared_form(f: DiffForm) -> _Cleared:
+    """The components of f over one common denominator, with the largest
+    exponent of any variable in any term.  Zero forms share _ZERO: most
+    traces of a basis form onto a face vanish."""
+    if f.is_zero:
+        return _ZERO
+    polys = f.components.values()
+    d = lcm(*(c.denominator for p in polys for c in p.terms.values()))
+    ints = {
+        sigma: tuple((e, c.numerator * (d // c.denominator)) for e, c in p.terms.items())
+        for sigma, p in f.components.items()
+    }
+    top = max((x for p in polys for e in p.terms for x in e), default=0)
+    return ints, d, top
+
+
+@lru_cache(maxsize=None)
+def _complements(k: int, dim: int) -> tuple[tuple[IndexMap, IndexMap, int], ...]:
+    """(sigma, its complement tau in 1..dim, sign of dx^sigma ^ dx^tau) for
+    every k-index map sigma."""
+    full = set(range(1, dim + 1))
+    pairs = [(sigma, tuple(sorted(full - set(sigma)))) for sigma in enumerate_sigma(k, dim)]
+    return tuple((sigma, tau, permutation_sign(sigma, tau)) for sigma, tau in pairs)
+
+
+@lru_cache(maxsize=None)
+def _moment_table(top: int) -> tuple[int, tuple[int, ...]]:
+    """(L, (L // 1, ..., L // (top + 1))) with L = lcm(1..top+1), so that
+    M = L^dim is a common denominator of the monomial moments on [0,1]^dim
+    when no exponent sum exceeds top."""
+    base = lcm(*range(1, top + 2))
+    return base, tuple(base // j for j in range(1, top + 2))
+
+
+def _pair(dim: int, k: int, tr: _Cleared, weight: _Cleared) -> Fraction:
+    """Integral over [0,1]^dim of tr ^ weight, tr a k-form and weight a
+    (dim-k)-form: the integer sum of sign * c_a * c_b * M / prod(a_i + b_i + 1)
+    over M times both denominators."""
+    tr_ints, tr_denom, tr_top = tr
+    w_ints, w_denom, w_top = weight
+    base, moments = _moment_table(tr_top + w_top)
+    at = moments.__getitem__
+    total = 0
+    for sigma, tau, sign in _complements(k, dim):
+        pa = tr_ints.get(sigma)
+        pb = w_ints.get(tau)
+        if pa is None or pb is None:
+            continue
+        s = 0
+        for ea, ca in pa:
+            for eb, cb in pb:
+                s += ca * cb * prod(map(at, map(add, ea, eb)))
+        total += sign * s
+    return Fraction(total, base**dim * tr_denom * w_denom)
+
+
 def apply_dof(xi: DofFunctional, v: DiffForm) -> Fraction:
-    if v.n != xi.face.n:
+    """The integral over xi's face of tr v ^ weight, by the integer pairing."""
+    face, weight = xi.face, xi.weight
+    if v.n != face.n:
         raise ValueError("form does not live on the functional's cube")
-    if v.k > xi.face.dim:
+    if v.k > face.dim:
         raise ValueError("form degree exceeds the face dimension")
-    restricted = trace(v, xi.face)
-    return integrate_unit_box(restricted.wedge(xi.weight))
+    if weight.n != face.dim or weight.k != face.dim - v.k:
+        raise ValueError("weight does not pair with the form's trace on this face")
+    return _pair(face.dim, v.k, _cleared_form(trace(v, face)), _cleared_form(weight))
 
 
 def build_dofs(r: int, k: int, n: int) -> DofSet:
@@ -108,10 +184,22 @@ def dof_count_by_faces(r: int, k: int, n: int) -> int:
 
 def unisolvence_matrix(r: int, k: int, n: int) -> tuple[list[list[Fraction]], bool]:
     """Matrix of all functionals applied to the monomial basis, plus the
-    exact invertibility verdict."""
+    exact invertibility verdict.  Each basis form is traced onto each face
+    once and each weight cleared once."""
     space = build_Qminus(r, k, n)
     dofs = build_dofs(r, k, n)
-    matrix = [[apply_dof(xi, b) for b in space.basis] for xi in dofs.functionals]
+    traces: dict[Face, list[_Cleared]] = {}
+    weights: dict[DiffForm, _Cleared] = {}
+    matrix = []
+    for xi in dofs.functionals:
+        face = xi.face
+        row_traces = traces.get(face)
+        if row_traces is None:
+            row_traces = traces[face] = [_cleared_form(trace(b, face)) for b in space.basis]
+        weight = weights.get(xi.weight)
+        if weight is None:
+            weight = weights[xi.weight] = _cleared_form(xi.weight)
+        matrix.append([_pair(face.dim, k, t, weight) for t in row_traces])
     return matrix, exactla.is_invertible(matrix)
 
 

@@ -6,7 +6,10 @@ Rank clears each pivot column below the pivot only; the reduced echelon
 form clears it above the pivot too (fraction-free Gauss-Jordan), which
 leaves every pivot equal to the last one, and makes one Fraction per entry
 at the end.  The inverse is read from the echelon form of [A | I].
-Matrices are plain lists of lists.
+Invertibility is first certified modulo the prime p = 2^61 - 1: a
+determinant that is nonzero mod p is nonzero over the rationals.  A zero
+one proves nothing, so the Bareiss elimination then decides, and singular
+verdicts stay exact.  Matrices are plain lists of lists.
 """
 
 from __future__ import annotations
@@ -17,11 +20,14 @@ from typing import Sequence
 
 Row = list[Fraction]
 
+_PRIME = 2**61 - 1
+
 
 def _cleared_int_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
+    """Each row times the lcm of its denominators; entries are ints or
+    Fractions, both of which carry numerator and denominator."""
     out = []
     for row in rows:
-        row = [Fraction(x) for x in row]
         denom = lcm(*(x.denominator for x in row))
         out.append([x.numerator * (denom // x.denominator) for x in row])
     return out
@@ -98,6 +104,33 @@ def invert(a: Sequence[Sequence[Fraction]]) -> list[Row]:
     return [row[n:] for row in echelon]
 
 
+def _nonzero_det_mod_p(m: list[list[int]]) -> bool:
+    """Whether the square integer matrix m has a nonzero determinant modulo
+    _PRIME.  Each step replaces the rows by the Schur complement of a pivot
+    row scaled to pivot 1, one row at a time; m is consumed."""
+    p = _PRIME
+    rows = m
+    for i, row in enumerate(rows):
+        rows[i] = [x % p for x in row]
+    while rows:
+        i = next((i for i, row in enumerate(rows) if row[0]), None)
+        if i is None:
+            return False
+        pivot = rows.pop(i)
+        inv = pow(pivot[0], -1, p)
+        tail = [y * inv % p for y in pivot[1:]]
+        for j, row in enumerate(rows):
+            f = row[0]
+            rows[j] = [(x - f * y) % p for x, y in zip(row[1:], tail)] if f else row[1:]
+    return True
+
+
 def is_invertible(a: Sequence[Sequence[Fraction]]) -> bool:
+    """Exact invertibility: certified modulo _PRIME, else decided by the
+    fraction-free elimination of ``rank``."""
     n = len(a)
-    return n == 0 or (all(len(r) == n for r in a) and rank(a) == n)
+    if n == 0:
+        return True
+    if any(len(r) != n for r in a):
+        return False
+    return _nonzero_det_mod_p(_cleared_int_rows(a)) or rank(a) == n

@@ -320,6 +320,9 @@ class Face:
             raise ValueError("fixed coordinate index out of range")
         object.__setattr__(self, "fixed", fixed)
 
+    def __hash__(self):
+        return hash((self.n, frozenset(self.fixed.items())))
+
     @property
     def free(self) -> tuple[int, ...]:
         return tuple(i for i in range(1, self.n + 1) if i not in self.fixed)

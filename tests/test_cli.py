@@ -1,6 +1,8 @@
 import csv
 import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,8 @@ from cubeforms.cli import (
     parse_monomial_form,
 )
 from cubeforms.forms import DiffForm
+
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 
 TINY_CFG = """
 [space]
@@ -94,6 +98,21 @@ class TestCheckCommand:
         assert rc == 0
         assert "checks passed" in out
         assert "FAIL" not in out
+
+    def test_pass_lines_match_benchmark_golden(self, capsys):
+        """The check names the benchmark compares, with one pullback map:
+        golden names with map index 1 or more are dropped."""
+        golden = json.loads(GOLDEN.read_text())["check"]
+        want = [
+            f"PASS {name}"
+            for name in golden
+            if not (m := re.search(r" map=(\d+)$", name)) or int(m.group(1)) < 1
+        ]
+        rc = cli.main(["check", "--pullback-maps", "1"])
+        out = capsys.readouterr().out
+        got = [line for line in out.splitlines() if line.startswith(("PASS ", "FAIL "))]
+        assert rc == 0
+        assert got == want
 
     def test_corrupted_check_named_on_failure(self, capsys, monkeypatch):
         from cubeforms import verify

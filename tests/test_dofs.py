@@ -2,6 +2,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubeforms.dofs import (
     DofFunctional,
@@ -12,8 +14,16 @@ from cubeforms.dofs import (
     enumerate_faces,
     unisolvence_matrix,
 )
-from cubeforms.forms import DiffForm, Face, Polynomial, trace
+from cubeforms.forms import DiffForm, Face, Polynomial, integrate_unit_box, trace
 from cubeforms.spaces import build_Qminus, dim_Qminus
+
+from conftest import form_strategy
+
+
+def textbook_dof(face, weight, v):
+    """The functional's definition, built from forms: the integral over the
+    face of the wedge of v's trace with the weight."""
+    return integrate_unit_box(trace(v, face).wedge(weight))
 
 
 class TestEnumerateFaces:
@@ -38,6 +48,21 @@ class TestEnumerateFaces:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             enumerate_faces(2, 3)
+
+
+class TestHashing:
+    def test_face_hash_ignores_insertion_order(self):
+        a = Face(3, {1: 0, 3: 1})
+        b = Face(3, {3: 1, 1: 0})
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, Face(3, {1: 1, 3: 1})}) == 2
+
+    def test_dof_functional_is_hashable(self):
+        dofs = build_dofs(2, 1, 2)
+        assert len(set(dofs.functionals)) == dofs.count
+        xi = dofs.functionals[0]
+        twin = DofFunctional(Face(xi.face.n, dict(reversed(list(xi.face.fixed.items())))), xi.weight)
+        assert {xi: 1}[twin] == 1
 
 
 class TestBuildDofs:
@@ -88,6 +113,29 @@ class TestApplyDof:
         v = DiffForm.monomial_form(2, (1, 2), (1, 0))
         assert apply_dof(xi, v) == Fraction(1, 2)
 
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_matches_textbook_definition(self, data):
+        n = data.draw(st.integers(1, 3))
+        k = data.draw(st.integers(0, n))
+        d = data.draw(st.integers(k, n))
+        face = data.draw(st.sampled_from(enumerate_faces(n, d)))
+        v = data.draw(form_strategy(n, k, max_exp=3, max_terms=4))
+        r = data.draw(st.integers(2, 3))
+        weights = build_Qminus(r - 1, d - k, d).basis + [
+            data.draw(form_strategy(d, d - k, max_exp=2, max_terms=3))
+        ]
+        for weight in weights:
+            assert apply_dof(DofFunctional(face, weight), v) == textbook_dof(face, weight, v)
+
+    def test_weight_must_pair_with_trace(self):
+        face = Face(2, {2: 0})
+        v = DiffForm.basis_form(2, (1,))
+        with pytest.raises(ValueError):
+            apply_dof(DofFunctional(face, DiffForm.basis_form(1, (1,))), v)
+        with pytest.raises(ValueError):
+            apply_dof(DofFunctional(face, DiffForm.basis_form(2, ())), v)
+
     def test_degree_mismatch(self):
         face = Face(2, {1: 0, 2: 0})
         weight = DiffForm(0, 0, {(): Polynomial.constant(0, 1)})
@@ -107,6 +155,20 @@ class TestUnisolvence:
     def test_lowest_order_3d_edges(self):
         matrix, ok = unisolvence_matrix(1, 1, 3)
         assert len(matrix) == 12 and ok
+
+    @pytest.mark.parametrize(
+        "r,k,n",
+        [(r, k, n) for n in (1, 2, 3) for k in range(n + 1) for r in (1, 2, 3) if r <= 2 or n <= 2],
+    )
+    def test_entries_match_textbook_definition(self, r, k, n):
+        matrix, ok = unisolvence_matrix(r, k, n)
+        basis = build_Qminus(r, k, n).basis
+        want = [
+            [textbook_dof(xi.face, xi.weight, b) for b in basis]
+            for xi in build_dofs(r, k, n).functionals
+        ]
+        assert matrix == want
+        assert ok
 
 
 class TestDualBasis:

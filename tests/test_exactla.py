@@ -140,3 +140,50 @@ def test_invert_rejects_singular_and_non_square():
         exactla.invert([[Fraction(1, 3), 0, 1], [0, 0, 0], [1, 2, 3]])
     with pytest.raises(ValueError):
         exactla.invert([[1, 2, 3], [4, 5, 6]])
+
+
+P = exactla._PRIME
+
+
+def _count_eliminations(monkeypatch):
+    """Counts calls of the Bareiss fallback behind is_invertible."""
+    calls = []
+    original = exactla._eliminate
+
+    def spy(m, above):
+        calls.append(len(m))
+        return original(m, above)
+
+    monkeypatch.setattr(exactla, "_eliminate", spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        [[P]],
+        [[P, 0], [0, 1]],
+        # det = 2p; clearing the rows to integers multiplies it by 2 * 3 * 3
+        [[Fraction(1, 2), 1, 0], [0, 2, Fraction(1, 3)], [1, 0, Fraction(6 * P - 1, 3)]],
+    ],
+    ids=["p", "diag(p,1)", "det=2p"],
+)
+def test_determinant_multiple_of_prime_takes_fallback(a, monkeypatch):
+    calls = _count_eliminations(monkeypatch)
+    assert exactla.is_invertible(a)
+    assert calls == [len(a)]
+
+
+def test_singular_takes_fallback_and_stays_singular(monkeypatch):
+    calls = _count_eliminations(monkeypatch)
+    assert not exactla.is_invertible([[1, 2, 3], [4, 5, 6], [5, 7, 9]])
+    assert not exactla.is_invertible([[P, 2 * P], [1, 2]])
+    assert calls == [3, 2]
+
+
+def test_nonzero_determinant_mod_prime_needs_no_fallback(monkeypatch):
+    calls = _count_eliminations(monkeypatch)
+    hilbert = [[Fraction(1, i + j + 1) for j in range(5)] for i in range(5)]
+    assert exactla.is_invertible(hilbert)
+    assert exactla.is_invertible([[0, 1], [P + 1, 0]])
+    assert calls == []
