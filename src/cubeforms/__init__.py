@@ -2,7 +2,9 @@
 
 Exact-arithmetic reference-space algebra (forms, spaces, mappings, degrees
 of freedom) plus a numeric lab measuring L2 approximation rates of mapped
-spaces on parallelotope and curvilinear cubic mesh families.
+spaces on parallelotope and curvilinear cubic meshes.  Each mesh family is
+a rule placing the points of the lattice {0..N}^n; its cells are the
+multilinear maps through their lattice corners.
 """
 
 from .forms import (
@@ -34,7 +36,6 @@ from .mapping import (
     JacobianPoly,
     MultilinearMap,
     check_diffeo,
-    compose_affine,
     jacobian,
     map_from_vertices,
     pullback_polynomial,

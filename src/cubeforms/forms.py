@@ -157,14 +157,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int) -> "Polynomial":
-        if e < 0:
-            raise ValueError("negative polynomial power")
-        out = Polynomial.constant(self.nvars, 1)
-        for _ in range(e):
-            out = out * self
-        return out
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Polynomial)
@@ -377,11 +369,6 @@ class DiffForm:
     @classmethod
     def zero(cls, n: int, k: int) -> "DiffForm":
         return cls(n, k)
-
-    @classmethod
-    def from_polynomial(cls, poly: Polynomial) -> "DiffForm":
-        """Wrap a polynomial as a 0-form."""
-        return cls(poly.nvars, 0, {(): poly})
 
     @classmethod
     def monomial_form(

@@ -50,7 +50,6 @@ __all__ = [
     "jacobian",
     "check_diffeo",
     "pullback_polynomial",
-    "compose_affine",
 ]
 
 
@@ -422,27 +421,3 @@ def pullback_polynomial(fmap: MultilinearMap, v: DiffForm) -> DiffForm:
         parts[tau] = _from_ints(n, acc, big_l * d ** (m + k))
     return DiffForm(n, k, parts)
 
-
-def compose_affine(outer: MultilinearMap, inner: MultilinearMap) -> MultilinearMap:
-    """Composition G o F with G affine, so the result stays multilinear."""
-    if outer.n != inner.n:
-        raise ValueError("dimension mismatch in composition")
-    if not outer.is_affine:
-        raise ValueError("outer map must be affine to keep the composite multilinear")
-    n = outer.n
-    zero_alpha = (0,) * n
-    b = outer.coeffs[zero_alpha]
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            alpha = tuple(1 if m == j else 0 for m in range(n))
-            row.append(outer.coeffs[alpha][i])
-        rows.append(row)
-    coeffs: dict[tuple[int, ...], list[Fraction]] = {}
-    for alpha, vec in inner.coeffs.items():
-        new = [sum((rows[i][j] * vec[j] for j in range(n)), Fraction(0)) for i in range(n)]
-        if alpha == zero_alpha:
-            new = [x + b[i] for i, x in enumerate(new)]
-        coeffs[alpha] = new
-    return MultilinearMap(n, coeffs)

@@ -1,15 +1,23 @@
 """Mesh families, tensor Gauss quadrature, and broken L2 projection studies.
 
+A mesh is the N^n cells of the lattice {0..N}^n.  Each family is a rule
+that places the lattice points, each computed once and exactly; cell c is
+the multilinear map through the points c + {0,1}^n, so neighbouring cells
+share vertices and hence faces.  A mesh is returned only once det DF > 0
+is proved on every cell and the exact cell volumes sum to the domain's.
+
 The measured quantity is the elementwise best approximation of a smooth
 target form by the mapped reference space, which lower-bounds the
 conforming infimum; fitted h-rates from it are compared against the
-inclusion-based predictions.  Element computations run through the numpy
+inclusion-based predictions.  Polynomial forms enter the float path
+through one view (index maps, monomial exponents, coefficients) and one
+pushforward through DF^-1.  Element computations run through the numpy
 kernels module, one element at a time in mesh order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import log
@@ -23,8 +31,7 @@ from .mapping import (
     MultilinearMap,
     _bernstein_positive,
     _det_bernstein,
-    compose_affine,
-    jacobian,
+    _int_det,
     map_from_vertices,
     pullback_polynomial,
 )
@@ -51,9 +58,6 @@ __all__ = [
     "convergence_study",
     "default_quad_order",
 ]
-
-MESH_FAMILIES = ("uniform", "parallelotope", "trapezoidal", "trilinear3d")
-
 
 class NumericalError(RuntimeError):
     """Numeric failure in the projection pipeline (singular or rank-deficient)."""
@@ -130,17 +134,10 @@ def target_trig(n: int, k: int, scale: float = 1.0) -> TargetForm:
 def target_from_form(form: DiffForm, label: str = "poly") -> TargetForm:
     """A polynomial differential form used as target, evaluated in physical
     coordinates."""
-    sigmas = enumerate_sigma(form.k, form.n)
-    comps = [form.component(s) for s in sigmas]
+    _, exps, coeffs = _float_view([form], form.n, form.k)
 
     def fn(xphys, _xref):
-        cols = []
-        for poly in comps:
-            col = np.zeros(xphys.shape[0])
-            for exps, c in poly.terms.items():
-                col += float(c) * np.prod(xphys ** np.array(exps), axis=1)
-            cols.append(col)
-        return np.stack(cols, axis=1)
+        return _kernels.eval_monomials(xphys, exps) @ coeffs[0].T
 
     return TargetForm(form.n, form.k, label, fn)
 
@@ -148,70 +145,49 @@ def target_from_form(form: DiffForm, label: str = "poly") -> TargetForm:
 def target_from_reference(fmap: MultilinearMap, what: DiffForm, label: str = "mapped") -> TargetForm:
     """The pushforward of a reference form through a fixed element map,
     evaluated via the reference points.  Only meaningful on that element."""
-    n, k = fmap.n, what.k
-    sigmas = enumerate_sigma(k, n)
-    sig_idx = np.array([[s - 1 for s in sig] for sig in sigmas], dtype=np.int64).reshape(
-        len(sigmas), k
-    )
     coeffs_f, alphas = fmap.float_arrays()
-    exps, coefs = _form_arrays(what, sigmas)
+    view = _float_view([what], fmap.n, what.k)
 
     def fn(_xphys, xref):
         jacs = _kernels.multilinear_jacobian(coeffs_f, alphas, xref)
         _, invs = _kernels.jacobian_det_inv(jacs)
-        minors = _kernels.inverse_minors(invs, sig_idx, sig_idx)
-        mono = _kernels.eval_monomials(xref, exps)
-        hat = mono @ coefs.T  # (P, M)
-        return np.einsum("pt,pts->ps", hat, minors)
+        return _pushforward(view, xref, invs)[:, :, 0]
 
-    return TargetForm(n, k, label, fn)
+    return TargetForm(fmap.n, what.k, label, fn)
 
 
 # ---------------------------------------------------------------------------
-# float views of spaces and forms
+# float view of polynomial forms
 
 
-def _form_arrays(form: DiffForm, sigmas: list) -> tuple[np.ndarray, np.ndarray]:
-    """(exponent rows (T,n), per-component coefficient matrix (M,T))."""
-    monos = sorted({e for p in form.components.values() for e in p.terms})
+def _float_view(forms: Sequence[DiffForm], n: int, k: int):
+    """Float arrays of polynomial k-forms on [0,1]^n: (sig_idx (M,k), the
+    0-based index maps; exps (T,n), the monomials any form uses; coeffs
+    (J,M,T), the coefficient of monomial t in component m of form j)."""
+    sigmas = enumerate_sigma(k, n)
+    monos = sorted({e for f in forms for p in f.components.values() for e in p.terms})
     if not monos:
-        monos = [(0,) * form.n]
+        monos = [(0,) * n]
     index = {e: t for t, e in enumerate(monos)}
-    coefs = np.zeros((len(sigmas), len(monos)))
-    for m, sig in enumerate(sigmas):
-        poly = form.components.get(sig)
-        if poly is not None:
-            for exps, c in poly.terms.items():
-                coefs[m, index[exps]] = float(c)
-    return np.array(monos, dtype=np.int64).reshape(len(monos), form.n), coefs
-
-
-def _space_arrays(space: FormSpace):
-    """Cached float view of a FormSpace: (sigmas, exps (T,n), coeffs (J,M,T))."""
-    cached = getattr(space, "_float_view", None)
-    if cached is not None:
-        return cached
-    sigmas = enumerate_sigma(space.k, space.n)
-    monos = sorted(
-        {e for f in space.basis for p in f.components.values() for e in p.terms}
-    )
-    if not monos:
-        monos = [(0,) * space.n]
-    index = {e: t for t, e in enumerate(monos)}
-    coeffs = np.zeros((len(space.basis), len(sigmas), len(monos)))
     sig_pos = {s: m for m, s in enumerate(sigmas)}
-    for j, f in enumerate(space.basis):
+    coeffs = np.zeros((len(forms), len(sigmas), len(monos)))
+    for j, f in enumerate(forms):
         for sig, poly in f.components.items():
-            m = sig_pos[sig]
             for exps, c in poly.terms.items():
-                coeffs[j, m, index[exps]] = float(c)
-    exps_arr = np.array(monos, dtype=np.int64).reshape(len(monos), space.n)
-    sig_idx = np.array([[s - 1 for s in sig] for sig in sigmas], dtype=np.int64).reshape(
-        len(sigmas), space.k
-    )
-    view = (sigmas, sig_idx, exps_arr, coeffs)
-    space._float_view = view
-    return view
+                coeffs[j, sig_pos[sig], index[exps]] = float(c)
+    sig_idx = np.array([[s - 1 for s in sig] for sig in sigmas], dtype=np.int64)
+    exps_arr = np.array(monos, dtype=np.int64).reshape(len(monos), n)
+    return sig_idx.reshape(len(sigmas), k), exps_arr, coeffs
+
+
+def _pushforward(view, xref: np.ndarray, invs: np.ndarray) -> np.ndarray:
+    """Values (P, M, J) of the pushforward (F^-1)* of each form of the view
+    at the images of the reference points xref, given DF^-1 there."""
+    sig_idx, exps, coeffs = view
+    minors = _kernels.inverse_minors(invs, sig_idx, sig_idx)
+    mono = _kernels.eval_monomials(xref, exps)
+    hat = np.einsum("jmt,pt->jmp", coeffs, mono)
+    return np.einsum("jtp,pts->psj", hat, minors)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +199,6 @@ class Mesh:
     n: int
     elements: list[MultilinearMap]
     family: str
-    params: dict = field(default_factory=dict)
 
     @property
     def size(self) -> int:
@@ -240,29 +215,40 @@ def _validate_mesh(mesh: Mesh, expected_volume: Fraction) -> Mesh:
             raise ValueError(f"element {idx} of {mesh.family} mesh is not orientation preserving")
         # Each tensor Bernstein polynomial integrates to 1 / (d+1)^n.
         total += Fraction(sum(coeffs.values()), len(coeffs) * scale)
-    if abs(float(total - expected_volume)) > 1e-10:
+    if total != expected_volume:
         raise ValueError(f"{mesh.family} mesh does not tile: volume {float(total)}")
     return mesh
 
 
-def _lattice_elements(n: int, subdivisions: int) -> list[MultilinearMap]:
-    """The N^n axis-aligned cells of the uniform lattice, not validated."""
-    if subdivisions < 1:
+def _lattice_mesh(
+    n: int,
+    big_n: int,
+    vertex: Callable[[tuple[int, ...]], Sequence[Fraction]],
+    family: str,
+    volume: Fraction,
+) -> Mesh:
+    """The N^n cells of the lattice {0..N}^n, cell c being the multilinear
+    map through the images vertex(c + alpha) of its corners.  Each lattice
+    point is placed once and shared by every cell that has it as a corner;
+    the mesh is validated against the domain volume."""
+    if big_n < 1:
         raise ValueError("need at least one subdivision")
-    big_n = subdivisions
-    elements = []
-    for cell in product(range(big_n), repeat=n):
-        verts = {
-            alpha: tuple(Fraction(c + a, big_n) for c, a in zip(cell, alpha))
-            for alpha in product((0, 1), repeat=n)
-        }
-        elements.append(map_from_vertices(verts))
-    return elements
+    points = {idx: vertex(idx) for idx in product(range(big_n + 1), repeat=n)}
+    corners = list(product((0, 1), repeat=n))
+    elements = [
+        map_from_vertices(
+            {alpha: points[tuple(c + a for c, a in zip(cell, alpha))] for alpha in corners}
+        )
+        for cell in product(range(big_n), repeat=n)
+    ]
+    return _validate_mesh(Mesh(n, elements, family), volume)
 
 
 def mesh_uniform(n: int, subdivisions: int) -> Mesh:
-    mesh = Mesh(n, _lattice_elements(n, subdivisions), "uniform", {"N": subdivisions})
-    return _validate_mesh(mesh, Fraction(1))
+    def vertex(idx):
+        return tuple(Fraction(i, subdivisions) for i in idx)
+
+    return _lattice_mesh(n, subdivisions, vertex, "uniform", Fraction(1))
 
 
 def mesh_parallelotope(n: int, subdivisions: int, shear: Sequence[Sequence[Scalar]]) -> Mesh:
@@ -271,15 +257,15 @@ def mesh_parallelotope(n: int, subdivisions: int, shear: Sequence[Sequence[Scala
     if len(s) != n or any(len(r) != n for r in s):
         raise ValueError("shear matrix must be n x n")
     a = [[s[i][j] + (1 if i == j else 0) for j in range(n)] for i in range(n)]
-    # Column j of I + S is the coefficient vector of x_j.
-    unit = [tuple(1 if m == j else 0 for m in range(n)) for j in range(n)]
-    outer = MultilinearMap(n, {unit[j]: [a[i][j] for i in range(n)] for j in range(n)})
-    det = jacobian(outer).det_poly.eval_exact((0,) * n)
+    det = _int_det(a)
     if det <= 0:
         raise ValueError("I + shear must have positive determinant")
-    elements = [compose_affine(outer, el) for el in _lattice_elements(n, subdivisions)]
-    mesh = Mesh(n, elements, "parallelotope", {"N": subdivisions, "shear": shear})
-    return _validate_mesh(mesh, det)
+
+    def vertex(idx):
+        x = [Fraction(i, subdivisions) for i in idx]
+        return tuple(sum(a[i][j] * x[j] for j in range(n)) for i in range(n))
+
+    return _lattice_mesh(n, subdivisions, vertex, "parallelotope", det)
 
 
 def _as_fraction(x: Scalar | float | str) -> Fraction:
@@ -288,76 +274,45 @@ def _as_fraction(x: Scalar | float | str) -> Fraction:
     return Fraction(x)
 
 
-def _trapezoid_heights(big_n: int, d: Fraction) -> list[list[Fraction]]:
-    """y[i][j] for the 2D trapezoid vertex pattern; boundary rows clamped."""
-    ys = []
-    for i in range(big_n + 1):
-        col = []
-        for j in range(big_n + 1):
-            if j == 0:
-                col.append(Fraction(0))
-            elif j == big_n:
-                col.append(Fraction(1))
+def _distorted_mesh(n: int, subdivisions: int, d: Scalar | float, family: str) -> Mesh:
+    """The uniform lattice with each interior coordinate a >= 1 moved by
+    +d/2 or -d/2 of a cell, the sign alternating with the parity of
+    idx_0 + ... + idx_a; boundary coordinates stay put, so the domain is
+    still the unit cube.  In 2D this gives trapezoids with vertical sides
+    and oppositely slanted tops and bottoms, scale-invariant under
+    refinement; in 3D the faces are non-planar, so elements are genuinely
+    trilinear."""
+    big_n = subdivisions
+    dd = _as_fraction(d)
+    if big_n < 2 or big_n % 2:
+        raise ValueError(f"{family} meshes need an even N >= 2")
+    if not 0 <= dd < 1:
+        raise ValueError("distortion must satisfy 0 <= d < 1")
+
+    def vertex(idx):
+        out = [Fraction(idx[0], big_n)]
+        for a in range(1, n):
+            i = idx[a]
+            if i in (0, big_n):
+                out.append(Fraction(i, big_n))
             else:
-                wiggle = d / 2 if (i + j) % 2 == 0 else -d / 2
-                col.append((j + wiggle) / big_n)
-        ys.append(col)
-    return ys
+                wiggle = dd / 2 if sum(idx[: a + 1]) % 2 == 0 else -dd / 2
+                out.append((i + wiggle) / big_n)
+        return tuple(out)
+
+    return _lattice_mesh(n, big_n, vertex, family, Fraction(1))
 
 
 def mesh_trapezoidal(subdivisions: int, d: Scalar | float) -> Mesh:
-    """2D mesh of trapezoids with vertical left/right edges and oppositely
-    slanted top/bottom; interior cells are scale-invariant under refinement,
-    so elements stay uniformly non-affine."""
-    big_n = subdivisions
-    dd = _as_fraction(d)
-    if big_n < 2 or big_n % 2:
-        raise ValueError("trapezoidal meshes need an even N >= 2")
-    if not 0 <= dd < 1:
-        raise ValueError("distortion must satisfy 0 <= d < 1")
-    ys = _trapezoid_heights(big_n, dd)
-    elements = []
-    for i, j in product(range(big_n), repeat=2):
-        verts = {
-            (a1, a2): (Fraction(i + a1, big_n), ys[i + a1][j + a2])
-            for a1, a2 in product((0, 1), repeat=2)
-        }
-        elements.append(map_from_vertices(verts))
-    mesh = Mesh(2, elements, "trapezoidal", {"N": big_n, "d": dd})
-    return _validate_mesh(mesh, Fraction(1))
+    """2D mesh of trapezoids (see _distorted_mesh); interior cells stay
+    uniformly non-affine under refinement."""
+    return _distorted_mesh(2, subdivisions, d, "trapezoidal")
 
 
 def mesh_trilinear_3d(subdivisions: int, d: Scalar | float) -> Mesh:
-    """3D analogue: the trapezoid pattern in (x, y) tensored with z-layers,
-    plus an alternating z-offset at interior vertices, so faces are truly
-    non-planar and elements genuinely trilinear."""
-    big_n = subdivisions
-    dd = _as_fraction(d)
-    if big_n < 2 or big_n % 2:
-        raise ValueError("trilinear meshes need an even N >= 2")
-    if not 0 <= dd < 1:
-        raise ValueError("distortion must satisfy 0 <= d < 1")
-    ys = _trapezoid_heights(big_n, dd)
-
-    def zval(i: int, j: int, kk: int) -> Fraction:
-        if kk == 0 or kk == big_n:
-            return Fraction(kk, big_n)
-        wiggle = dd / 2 if (i + j + kk) % 2 == 0 else -dd / 2
-        return (kk + wiggle) / big_n
-
-    elements = []
-    for i, j, kk in product(range(big_n), repeat=3):
-        verts = {
-            (a1, a2, a3): (
-                Fraction(i + a1, big_n),
-                ys[i + a1][j + a2],
-                zval(i + a1, j + a2, kk + a3),
-            )
-            for a1, a2, a3 in product((0, 1), repeat=3)
-        }
-        elements.append(map_from_vertices(verts))
-    mesh = Mesh(3, elements, "trilinear3d", {"N": big_n, "d": dd})
-    return _validate_mesh(mesh, Fraction(1))
+    """3D analogue of the trapezoidal mesh with an alternating z-offset at
+    interior vertices (see _distorted_mesh)."""
+    return _distorted_mesh(3, subdivisions, d, "trilinear3d")
 
 
 def build_mesh(
@@ -424,18 +379,16 @@ def element_l2_error(
     if k > 3:
         raise NumericalError("numeric pipeline supports form degree k <= 3")
     xref, xphys, dets, invs = _element_data(fmap, quad)
-    sigmas, sig_idx, exps, coeffs = _space_arrays(vhat)
     mu = quad.weights * dets
     scale = np.sqrt(mu)
     uvals = target.values(xphys, xref)
     nbasis = len(vhat.basis)
     if nbasis == 0:
         return float(np.linalg.norm(uvals * scale[:, None]))
-    minors = _kernels.inverse_minors(invs, sig_idx, sig_idx)
-    mono = _kernels.eval_monomials(xref, exps)
-    hat = np.einsum("jmt,pt->jmp", coeffs, mono)
-    phys = np.einsum("jtp,pts->psj", hat, minors)
-    a = (phys * scale[:, None, None]).reshape(-1, nbasis)
+    view = getattr(vhat, "_float_view", None)
+    if view is None:
+        view = vhat._float_view = _float_view(vhat.basis, n, k)
+    a = (_pushforward(view, xref, invs) * scale[:, None, None]).reshape(-1, nbasis)
     y = (uvals * scale[:, None]).reshape(-1)
     sol, _, rank, sv = np.linalg.lstsq(a, y, rcond=None)
     if rank < nbasis:
@@ -490,11 +443,6 @@ class ConvergenceReport:
     subdivisions: list[int]
     errors: list[float]
     prediction: RatePrediction
-    params: dict = field(default_factory=dict)
-
-    @property
-    def hs(self) -> list[float]:
-        return [1.0 / nn for nn in self.subdivisions]
 
     @property
     def rate_pairs(self) -> list[float | None]:
@@ -560,11 +508,6 @@ def convergence_study(
     for big_n in subdivision_list:
         mesh = build_mesh(family, n, big_n, d=d, shear=shear)
         errors.append(_mesh_error(mesh, vhat, target, quad))
-    params: dict = {}
-    if family in ("trapezoidal", "trilinear3d"):
-        params["d"] = _as_fraction(d)
-    if family == "parallelotope" and shear is not None:
-        params["shear"] = shear
     return ConvergenceReport(
         family=family,
         space_label=vhat.label,
@@ -575,5 +518,4 @@ def convergence_study(
         subdivisions=subdivision_list,
         errors=errors,
         prediction=predict_rates(vhat),
-        params=params,
     )

@@ -1,16 +1,20 @@
+import json
 import math
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cubeforms.cli import bundled_config_names, bundled_config_path, parse_config
 from cubeforms.forms import DiffForm, Polynomial, l2_inner_reference
 from cubeforms.mapping import jacobian, map_from_vertices
 from cubeforms.meshlab import (
     Mesh,
     NumericalError,
     _validate_mesh,
+    build_mesh,
     convergence_study,
     default_quad_order,
     discrete_l2_pairing,
@@ -28,6 +32,17 @@ from cubeforms.meshlab import (
 from cubeforms.mapping import MultilinearMap
 from cubeforms.spaces import build_P, build_Qminus
 from cubeforms.verify import random_rational_multilinear
+
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+# The relative tolerance perfbench/workloads.py applies to golden errors.
+GOLDEN_RTOL = 1e-12
+
+SHEAR_2D = [[0, Fraction(1, 2)], [Fraction(-1, 3), 0]]
+SHEAR_3D = [
+    [0, Fraction(1, 4), Fraction(-1, 3)],
+    [Fraction(1, 5), 0, Fraction(1, 2)],
+    [Fraction(-1, 6), Fraction(1, 7), 0],
+]
 
 
 def trapezoid_map(d=Fraction(1, 2)):
@@ -129,6 +144,22 @@ class TestMeshes:
         with pytest.raises(ValueError, match="does not tile: volume 0.9375"):
             _validate_mesh(mesh, Fraction(1))
 
+    def test_validate_rejects_tiny_gap(self):
+        # The last cell's (1,1) corner pulled in by 1e-12: volume 1 - 2.5e-13.
+        base = mesh_uniform(2, 2)
+        half = Fraction(1, 2)
+        last = map_from_vertices(
+            {
+                (0, 0): (half, half),
+                (1, 0): (1, half),
+                (0, 1): (half, 1),
+                (1, 1): (1, 1 - Fraction(1, 10**12)),
+            }
+        )
+        mesh = Mesh(2, base.elements[:-1] + [last], "uniform")
+        with pytest.raises(ValueError, match=r"does not tile: volume 0\.99999999999975$"):
+            _validate_mesh(mesh, Fraction(1))
+
     def test_trapezoid_d0_is_uniform(self):
         flat = mesh_trapezoidal(2, 0)
         uni = mesh_uniform(2, 2)
@@ -170,6 +201,53 @@ class TestMeshes:
             jacobian(el).det_poly.integral_box(1) for el in mesh.elements
         )
         assert total == 1
+
+
+class TestConformity:
+    """Cells sharing a lattice point map it to the same exact point, so they
+    also agree on shared faces: a multilinear map restricted to a face is
+    fixed by the face's corners.  Cells are listed in the order of
+    product(range(N), repeat=n)."""
+
+    @pytest.mark.parametrize("big_n", [2, 4])
+    @pytest.mark.parametrize(
+        "family,n,kw",
+        [
+            ("uniform", 2, {}),
+            ("uniform", 3, {}),
+            ("parallelotope", 2, {"shear": SHEAR_2D}),
+            ("parallelotope", 3, {"shear": SHEAR_3D}),
+            ("trapezoidal", 2, {"d": Fraction(3, 10)}),
+            ("trilinear3d", 3, {"d": Fraction(3, 10)}),
+        ],
+        ids=[
+            "uniform-2d",
+            "uniform-3d",
+            "parallelotope-2d",
+            "parallelotope-3d",
+            "trapezoidal",
+            "trilinear3d",
+        ],
+    )
+    def test_shared_vertices_agree(self, family, n, kw, big_n):
+        mesh = build_mesh(family, n, big_n, **kw)
+        cells = list(product(range(big_n), repeat=n))
+        assert mesh.size == len(cells)
+        images: dict[tuple[int, ...], set] = {}
+        for cell, el in zip(cells, mesh.elements):
+            for alpha in product((0, 1), repeat=n):
+                idx = tuple(c + a for c, a in zip(cell, alpha))
+                images.setdefault(idx, set()).add(el.eval_exact(alpha))
+        assert len(images) == (big_n + 1) ** n
+        assert all(len(pts) == 1 for pts in images.values())
+        points = {idx: next(iter(pts)) for idx, pts in images.items()}
+        assert len(set(points.values())) == len(points)
+        if family != "parallelotope":
+            # Lattice points on a face of {0..N}^n stay on that face of the cube.
+            for idx, x in points.items():
+                for i, xi in zip(idx, x):
+                    if i in (0, big_n):
+                        assert xi == Fraction(i, big_n)
 
 
 class TestElementError:
@@ -254,3 +332,24 @@ class TestConvergenceStudy:
     def test_default_quad_orders(self):
         assert default_quad_order(build_Qminus(2, 0, 2), 2) == 8
         assert default_quad_order(build_Qminus(2, 0, 3), 3) == 6
+
+
+class TestGoldenErrors:
+    @pytest.mark.parametrize("name", [Path(f).stem for f in bundled_config_names()])
+    def test_first_levels_match_benchmark_golden(self, name):
+        """The first two levels of each bundled config reproduce the errors
+        the benchmark compares, at its relative tolerance."""
+        golden = json.loads(GOLDEN.read_text())["converge"][name][:2]
+        cfg = parse_config(bundled_config_path(name).read_text())
+        assert [big_n for big_n, _ in golden] == cfg.subdivision_list[:2]
+        rep = convergence_study(
+            cfg.build_space(),
+            cfg.build_target(),
+            cfg.family,
+            cfg.subdivision_list[:2],
+            d=cfg.d,
+            shear=cfg.shear,
+            quad_order=cfg.quad,
+        )
+        for (big_n, want), got in zip(golden, rep.errors):
+            assert abs(got - want) <= GOLDEN_RTOL * abs(want), (big_n, got, want)
