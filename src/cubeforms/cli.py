@@ -215,6 +215,8 @@ def parse_config(text: str) -> ExperimentConfig:
         if kind not in SPACE_KINDS:
             raise ConfigError(f"space kind must be one of {SPACE_KINDS}")
         n = int(sp["n"])
+        if n < 1:
+            raise ConfigError("space needs n >= 1")
         k = int(sp["k"])
         r = int(sp["r"]) if "r" in sp else None
         if kind != "custom" and r is None:
@@ -243,12 +245,14 @@ def parse_config(text: str) -> ExperimentConfig:
             if len(entries) != n * n:
                 raise ConfigError(f"shear needs {n * n} row-major entries")
             cfg.shear = [entries[i * n : (i + 1) * n] for i in range(n)]
+        if cfg.csv_name and (Path(cfg.csv_name).name != cfg.csv_name or cfg.csv_name == ".."):
+            raise ConfigError(f"run csv must be a bare file name: {cfg.csv_name!r}")
+        cfg.build_space()
+        cfg.build_target()
     except (KeyError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(str(exc)) from exc
-    cfg.build_space()
-    cfg.build_target()
     return cfg
 
 

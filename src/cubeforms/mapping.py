@@ -1,22 +1,22 @@
 """Affine and multilinear maps of the unit cube and exact form pullback.
 
-A multilinear map is stored by its monomial corner coefficients, kept as
-exact rationals whenever it was built from rational vertices.  Validity
-(det DF > 0 on the closed cube) is proved in integer arithmetic from the
-Bernstein coefficients of det DF.  The pushforward (F^-1)* of reference
-shape functions is not polynomial, since the inverse of a multilinear map
-is not; the numeric lab evaluates it at quadrature points through the
-numpy kernels (``meshlab.target_from_reference``).
+A multilinear map is stored by its monomial corner coefficients as Python
+ints over one positive denominator D, in lowest terms; ``coeffs`` is a
+derived view of them as rationals and ``float_arrays`` a correctly rounded
+float one.  Validity (det DF > 0 on the closed cube) is proved in integer
+arithmetic from the Bernstein coefficients of det DF.  The pushforward
+(F^-1)* of reference shape functions is not polynomial, since the inverse
+of a multilinear map is not; the numeric lab evaluates it at quadrature
+points through the numpy kernels (``meshlab.target_from_reference``).
 
 Pullback of polynomial forms is fully symbolic and exact, and runs on
 Python ints.  On first use a map builds one cache, kept for its lifetime:
-its components cleared to integer polynomials D F^i over the common
-denominator D of its coefficients, the entries of D DF, and memos of the
-minors det((D DF)[sigma, tau]) and of the monomial images D^|e| F^e (built
-from cached powers of each D F^i).  A pullback sums c F^e times a minor
-over each tau in integers over one denominator and makes one Fraction per
-output coefficient; ``jacobian`` reads its entries and determinant from the
-same cache.  ``coeffs`` is never changed after construction, so the cache
+its components as integer polynomials D F^i, the entries of D DF, and memos
+of the minors det((D DF)[sigma, tau]) and of the monomial images D^|e| F^e
+(built from cached powers of each D F^i).  A pullback sums c F^e times a
+minor over each tau in integers over one denominator and makes one Fraction
+per output coefficient; ``jacobian`` reads its entries and determinant from
+the same cache.  A map is never changed after construction, so the cache
 never goes stale.
 """
 
@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb, lcm, prod
+from math import comb, gcd, lcm, prod
+from operator import index
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -53,76 +54,78 @@ __all__ = [
 ]
 
 
-def _corner_index_tuples(n: int) -> list[tuple[int, ...]]:
-    return list(product((0, 1), repeat=n))
+@lru_cache(maxsize=None)
+def _corners(n: int) -> tuple[tuple[int, ...], ...]:
+    """The corner multi-indices {0,1}^n in lexicographic order."""
+    return tuple(product((0, 1), repeat=n))
 
 
 class MultilinearMap:
     """F: [0,1]^n -> R^n with F(x) = sum_alpha c_alpha prod_i x_i^alpha_i,
-    alpha running over the corner multi-indices {0,1}^n."""
+    alpha running over the corner multi-indices {0,1}^n.  The coefficients
+    are stored as c_alpha = ints[alpha] / denom in lowest terms, that is with
+    gcd(all ints, denom) = 1."""
 
-    __slots__ = ("n", "coeffs", "_float_cache", "_int_cache")
+    __slots__ = ("n", "ints", "denom", "_float_cache", "_int_cache")
 
-    def __init__(self, n: int, coeffs: Mapping[tuple[int, ...], Sequence[Scalar]]):
-        self.n = n
-        full: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
-        for alpha in _corner_index_tuples(n):
-            vec = coeffs.get(alpha, (0,) * n)
+    def __init__(self, n: int, ints: Mapping[tuple[int, ...], Sequence[int]], denom: int):
+        if denom <= 0:
+            raise ValueError("the denominator must be positive")
+        full = {}
+        for alpha in _corners(n):
+            vec = tuple(map(index, ints.get(alpha, (0,) * n)))
             if len(vec) != n:
                 raise ValueError("coefficient vectors must have length n")
-            full[alpha] = tuple(Fraction(x) for x in vec)
-        self.coeffs = full
+            full[alpha] = vec
+        g = gcd(denom, *(c for vec in full.values() for c in vec))
+        if g > 1:
+            full = {alpha: tuple(c // g for c in vec) for alpha, vec in full.items()}
+            denom //= g
+        self.n = n
+        self.ints = full
+        self.denom = denom
         self._float_cache = None
         self._int_cache = None
 
     @classmethod
     def identity(cls, n: int) -> "MultilinearMap":
-        coeffs = {}
-        for i in range(n):
-            alpha = tuple(1 if j == i else 0 for j in range(n))
-            vec = [0] * n
-            vec[i] = 1
-            coeffs[alpha] = vec
-        return cls(n, coeffs)
+        return cls.dilation(n, 1)
 
     @classmethod
     def dilation(cls, n: int, h: Scalar) -> "MultilinearMap":
         h = Fraction(h)
-        coeffs = {}
-        for i in range(n):
-            alpha = tuple(1 if j == i else 0 for j in range(n))
-            vec = [Fraction(0)] * n
-            vec[i] = h
-            coeffs[alpha] = vec
-        return cls(n, coeffs)
+        units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        return cls(n, {e: [h.numerator * x for x in e] for e in units}, h.denominator)
+
+    @property
+    def coeffs(self) -> dict[tuple[int, ...], tuple[Fraction, ...]]:
+        """The corner coefficients as exact rationals (a derived view)."""
+        return {
+            alpha: tuple(Fraction(c, self.denom) for c in vec) for alpha, vec in self.ints.items()
+        }
 
     @property
     def is_affine(self) -> bool:
-        return all(
-            all(c == 0 for c in vec)
-            for alpha, vec in self.coeffs.items()
-            if sum(alpha) >= 2
-        )
+        return not any(any(vec) for alpha, vec in self.ints.items() if sum(alpha) >= 2)
 
     def eval_exact(self, point: Sequence[Scalar]) -> tuple[Fraction, ...]:
         pt = [Fraction(x) for x in point]
-        out = [Fraction(0)] * self.n
-        for alpha, vec in self.coeffs.items():
-            w = Fraction(1)
-            for x, a in zip(pt, alpha):
-                if a:
-                    w *= x
-            if w != 0:
+        out = [0] * self.n
+        for alpha, vec in self.ints.items():
+            w = prod(x for x, a in zip(pt, alpha) if a)
+            if w:
                 for i in range(self.n):
                     out[i] += vec[i] * w
-        return tuple(out)
+        return tuple(Fraction(x) / self.denom for x in out)
 
     def float_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(coeff matrix (2^n, n) float64, alpha matrix (2^n, n) int64)."""
+        """(coeff matrix (2^n, n) float64, alpha matrix (2^n, n) int64).
+        Each entry is the int true division c / denom, which Python rounds
+        correctly, so it equals float(Fraction(c, denom))."""
         if self._float_cache is None:
-            alphas = _corner_index_tuples(self.n)
+            alphas = _corners(self.n)
             coeffs = np.array(
-                [[float(c) for c in self.coeffs[a]] for a in alphas], dtype=np.float64
+                [[c / self.denom for c in self.ints[a]] for a in alphas], dtype=np.float64
             )
             self._float_cache = (coeffs, np.array(alphas, dtype=np.int64))
         return self._float_cache
@@ -144,17 +147,6 @@ class MultilinearMap:
         return f"MultilinearMap(n={self.n}, {kind})"
 
 
-def _cleared_coeffs(fmap: MultilinearMap) -> tuple[dict[tuple[int, ...], list[int]], int]:
-    """(integer corner coefficients, D) with coeffs = integers / D, D the
-    common denominator of all coefficients."""
-    denom = lcm(*(c.denominator for vec in fmap.coeffs.values() for c in vec))
-    ints = {
-        alpha: [c.numerator * (denom // c.denominator) for c in vec]
-        for alpha, vec in fmap.coeffs.items()
-    }
-    return ints, denom
-
-
 class _ClearedMap:
     """The pullback cache of one map F (see the module docstring), with
     entries[i][j] = D dF^(i+1)/dx^(j+1) as an integer polynomial."""
@@ -163,8 +155,8 @@ class _ClearedMap:
 
     def __init__(self, fmap: MultilinearMap):
         n = fmap.n
-        ints, self.denom = _cleared_coeffs(fmap)
-        comps = [{alpha: vec[i] for alpha, vec in ints.items() if vec[i]} for i in range(n)]
+        self.denom = fmap.denom
+        comps = [{alpha: vec[i] for alpha, vec in fmap.ints.items() if vec[i]} for i in range(n)]
         # Components are multilinear, so d/dx_j just clears alpha_j.
         self.entries = [
             [{a[:j] + (0,) + a[j + 1 :]: c for a, c in comp.items() if a[j]} for j in range(n)]
@@ -223,31 +215,35 @@ def map_from_vertices(
 ) -> MultilinearMap:
     """Multilinear interpolant of corner positions: F(alpha) = vertices[alpha].
 
-    Monomial coefficients come from inclusion-exclusion over sub-corners,
-    done one axis at a time on integers over the vertices' common
-    denominator.
+    The vertices are cleared once to integers over their common denominator
+    and handed to _from_corners.
     """
     alphas = list(vertices.keys())
     if not alphas:
         raise ValueError("no vertices supplied")
     n = len(alphas[0])
-    expected = _corner_index_tuples(n)
-    if set(alphas) != set(expected):
+    corners = _corners(n)
+    if set(alphas) != set(corners):
         raise ValueError(f"need all {2**n} corners of the {n}-cube")
-    verts = {alpha: [Fraction(x) for x in vertices[alpha]] for alpha in expected}
-    denom = lcm(*(x.denominator for vec in verts.values() for x in vec))
-    ints = {
-        alpha: [x.numerator * (denom // x.denominator) for x in vec]
-        for alpha, vec in verts.items()
-    }
+    verts = [[Fraction(x) for x in vertices[alpha]] for alpha in corners]
+    denom = lcm(*(x.denominator for vec in verts for x in vec))
+    points = [[x.numerator * (denom // x.denominator) for x in vec] for vec in verts]
+    return _from_corners(n, points, denom)
+
+
+def _from_corners(n: int, points: Sequence[Sequence[int]], denom: int) -> MultilinearMap:
+    """The multilinear map through the integer corner positions points[i] /
+    denom, points[i] the image of corner _corners(n)[i].  Monomial
+    coefficients come from inclusion-exclusion over sub-corners, done one
+    axis at a time."""
+    corners = _corners(n)
+    vecs = [list(p) for p in points]
     for axis in range(n):
-        for alpha in expected:
+        step = 1 << (n - 1 - axis)
+        for i, alpha in enumerate(corners):
             if alpha[axis]:
-                below = ints[alpha[:axis] + (0,) + alpha[axis + 1 :]]
-                ints[alpha] = [a - b for a, b in zip(ints[alpha], below)]
-    return MultilinearMap(
-        n, {alpha: [Fraction(c, denom) for c in vec] for alpha, vec in ints.items()}
-    )
+                vecs[i] = [a - b for a, b in zip(vecs[i], vecs[i - step])]
+    return MultilinearMap(n, dict(zip(corners, vecs)), denom)
 
 
 def jacobian(fmap: MultilinearMap) -> JacobianPoly:
@@ -318,7 +314,7 @@ def _jacobian_weights(n: int) -> tuple:
     table = []
     for t in product(range(d + 1), repeat=n):
         terms = []
-        for alpha in _corner_index_tuples(n):
+        for alpha in _corners(n):
             for j in range(n):
                 if alpha[j]:
                     w = prod(t[m] if alpha[m] else d for m in range(n) if m != j)
@@ -334,13 +330,12 @@ def _det_bernstein(fmap: MultilinearMap) -> tuple[_Bernstein, int]:
     (column j of DF does not depend on x_j)."""
     n = fmap.n
     d = n - 1
-    ints, denom = _cleared_coeffs(fmap)
     # Values of det(denom * d^(n-1) * DF) at the points t/d.
     coeffs = {}
     for t, terms in _jacobian_weights(n):
         rows = [[0] * n for _ in range(n)]
         for alpha, j, w in terms:
-            for i, c in enumerate(ints[alpha]):
+            for i, c in enumerate(fmap.ints[alpha]):
                 rows[i][j] += c * w
         coeffs[t] = _int_det(rows)
     grid = list(coeffs)
@@ -353,7 +348,7 @@ def _det_bernstein(fmap: MultilinearMap) -> tuple[_Bernstein, int]:
             )
             for t in grid
         }
-    return coeffs, (denom * d ** (n - 1) * s) ** n
+    return coeffs, (fmap.denom * d ** (n - 1) * s) ** n
 
 
 def _halve(coeffs: _Bernstein, axis: int, d: int) -> tuple[_Bernstein, _Bernstein]:

@@ -1,10 +1,12 @@
 """Mesh families, tensor Gauss quadrature, and broken L2 projection studies.
 
 A mesh is the N^n cells of the lattice {0..N}^n.  Each family is a rule
-that places the lattice points, each computed once and exactly; cell c is
-the multilinear map through the points c + {0,1}^n, so neighbouring cells
-share vertices and hence faces.  A mesh is returned only once det DF > 0
-is proved on every cell and the exact cell volumes sum to the domain's.
+that places the lattice points, each computed once as integers over one
+mesh denominator; cell c is the multilinear map through the points
+c + {0,1}^n, built from those integers with no Fraction per vertex or
+coefficient, so neighbouring cells share vertices and hence faces.  A mesh
+is returned only once det DF > 0 is proved on every cell and the exact
+cell volumes sum to the domain's.
 
 The measured quantity is the elementwise best approximation of a smooth
 target form by the mapped reference space, which lower-bounds the
@@ -20,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import log
+from math import lcm, log
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,9 +32,10 @@ from .forms import DiffForm, Polynomial, Scalar, enumerate_sigma, integrate_unit
 from .mapping import (
     MultilinearMap,
     _bernstein_positive,
+    _corners,
     _det_bernstein,
+    _from_corners,
     _int_det,
-    map_from_vertices,
     pullback_polynomial,
 )
 from .spaces import FormSpace, RatePrediction, predict_rates
@@ -223,21 +226,23 @@ def _validate_mesh(mesh: Mesh, expected_volume: Fraction) -> Mesh:
 def _lattice_mesh(
     n: int,
     big_n: int,
-    vertex: Callable[[tuple[int, ...]], Sequence[Fraction]],
+    vertex: Callable[[tuple[int, ...]], Sequence[int]],
+    denom: int,
     family: str,
     volume: Fraction,
 ) -> Mesh:
     """The N^n cells of the lattice {0..N}^n, cell c being the multilinear
-    map through the images vertex(c + alpha) of its corners.  Each lattice
-    point is placed once and shared by every cell that has it as a corner;
-    the mesh is validated against the domain volume."""
+    map through the images vertex(c + alpha) / denom of its corners, with
+    vertex integer valued.  Each lattice point is placed once and shared by
+    every cell that has it as a corner; the mesh is validated against the
+    domain volume."""
     if big_n < 1:
         raise ValueError("need at least one subdivision")
     points = {idx: vertex(idx) for idx in product(range(big_n + 1), repeat=n)}
-    corners = list(product((0, 1), repeat=n))
+    corners = _corners(n)
     elements = [
-        map_from_vertices(
-            {alpha: points[tuple(c + a for c, a in zip(cell, alpha))] for alpha in corners}
+        _from_corners(
+            n, [points[tuple(c + a for c, a in zip(cell, alpha))] for alpha in corners], denom
         )
         for cell in product(range(big_n), repeat=n)
     ]
@@ -245,10 +250,7 @@ def _lattice_mesh(
 
 
 def mesh_uniform(n: int, subdivisions: int) -> Mesh:
-    def vertex(idx):
-        return tuple(Fraction(i, subdivisions) for i in idx)
-
-    return _lattice_mesh(n, subdivisions, vertex, "uniform", Fraction(1))
+    return _lattice_mesh(n, subdivisions, lambda idx: idx, subdivisions, "uniform", Fraction(1))
 
 
 def mesh_parallelotope(n: int, subdivisions: int, shear: Sequence[Sequence[Scalar]]) -> Mesh:
@@ -260,12 +262,13 @@ def mesh_parallelotope(n: int, subdivisions: int, shear: Sequence[Sequence[Scala
     det = _int_det(a)
     if det <= 0:
         raise ValueError("I + shear must have positive determinant")
+    big_d = lcm(*(x.denominator for row in a for x in row))
+    a_int = [[int(x * big_d) for x in row] for row in a]
 
     def vertex(idx):
-        x = [Fraction(i, subdivisions) for i in idx]
-        return tuple(sum(a[i][j] * x[j] for j in range(n)) for i in range(n))
+        return tuple(sum(aij * i for aij, i in zip(row, idx)) for row in a_int)
 
-    return _lattice_mesh(n, subdivisions, vertex, "parallelotope", det)
+    return _lattice_mesh(n, subdivisions, vertex, big_d * subdivisions, "parallelotope", det)
 
 
 def _as_fraction(x: Scalar | float | str) -> Fraction:
@@ -281,26 +284,23 @@ def _distorted_mesh(n: int, subdivisions: int, d: Scalar | float, family: str) -
     still the unit cube.  In 2D this gives trapezoids with vertical sides
     and oppositely slanted tops and bottoms, scale-invariant under
     refinement; in 3D the faces are non-planar, so elements are genuinely
-    trilinear."""
+    trilinear.  With d = p/q the points are integers over 2qN."""
     big_n = subdivisions
     dd = _as_fraction(d)
     if big_n < 2 or big_n % 2:
         raise ValueError(f"{family} meshes need an even N >= 2")
     if not 0 <= dd < 1:
         raise ValueError("distortion must satisfy 0 <= d < 1")
+    p, q = dd.numerator, dd.denominator
 
     def vertex(idx):
-        out = [Fraction(idx[0], big_n)]
+        out = [2 * q * i for i in idx]
         for a in range(1, n):
-            i = idx[a]
-            if i in (0, big_n):
-                out.append(Fraction(i, big_n))
-            else:
-                wiggle = dd / 2 if sum(idx[: a + 1]) % 2 == 0 else -dd / 2
-                out.append((i + wiggle) / big_n)
-        return tuple(out)
+            if idx[a] not in (0, big_n):
+                out[a] += p if sum(idx[: a + 1]) % 2 == 0 else -p
+        return out
 
-    return _lattice_mesh(n, big_n, vertex, family, Fraction(1))
+    return _lattice_mesh(n, big_n, vertex, 2 * q * big_n, family, Fraction(1))
 
 
 def mesh_trapezoidal(subdivisions: int, d: Scalar | float) -> Mesh:

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
 
 from .dofs import build_dofs, dof_count_by_faces, enumerate_faces, unisolvence_matrix
 from .forms import DiffForm, enumerate_sigma, l2_inner_box, l2_inner_reference
 from .mapping import (
     MultilinearMap,
+    _corners,
     check_diffeo,
     map_from_vertices,
     pullback_polynomial,
@@ -35,10 +35,6 @@ _SPREAD = 2
 _BUILD_UP_TO_N = 3
 
 
-def _corner_tuples(n: int):
-    return list(product((0, 1), repeat=n))
-
-
 def random_rational_multilinear(n: int, rng: random.Random) -> MultilinearMap:
     """Random valid multilinear map with rational vertices near the corners."""
     for _ in range(_MAX_DRAWS):
@@ -47,7 +43,7 @@ def random_rational_multilinear(n: int, rng: random.Random) -> MultilinearMap:
                 Fraction(alpha[i]) + Fraction(rng.randint(-_SPREAD, _SPREAD), _DENOM)
                 for i in range(n)
             )
-            for alpha in _corner_tuples(n)
+            for alpha in _corners(n)
         }
         fmap = map_from_vertices(verts)
         if check_diffeo(fmap):
@@ -70,7 +66,7 @@ def random_rational_affine(n: int, rng: random.Random) -> MultilinearMap:
             alpha: tuple(
                 b[i] + sum(a[i][j] * alpha[j] for j in range(n)) for i in range(n)
             )
-            for alpha in _corner_tuples(n)
+            for alpha in _corners(n)
         }
         fmap = map_from_vertices(verts)
         if fmap.is_affine and check_diffeo(fmap):

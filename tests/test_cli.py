@@ -191,6 +191,40 @@ class TestConvergeCommand:
         cfg.write_text("[space]\nkind = Qminus\n")
         assert cli.main(["converge", str(cfg)]) == 2
 
+    @pytest.mark.parametrize(
+        "space, reason",
+        [
+            ("kind = Qminus\nr = 1\nk = 3\nn = 2", "k=3 invalid for n=2"),
+            ("kind = serendipity\nr = 0\nk = 0\nn = 2", "r >= 1"),
+            ("kind = Qminus\nr = 1\nk = 0\nn = 0", "n >= 1"),
+        ],
+    )
+    def test_invalid_space_is_config_error(self, tmp_path, capsys, space, reason):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"[space]\n{space}\n\n[mesh]\nfamily = uniform\nN = 2\n")
+        assert cli.main(["converge", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and reason in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", ["../../escape.csv", "sub/run.csv", "ABS", ".."])
+    def test_csv_name_must_be_bare(self, tmp_path, capsys, name):
+        if name == "ABS":
+            name = str(tmp_path / "abs.csv")
+        cfg = tmp_path / "esc.cfg"
+        cfg.write_text(TINY_CFG + f"csv = {name}\n")
+        out = tmp_path / "a" / "b"
+        assert cli.main(["converge", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert [p.name for p in tmp_path.rglob("*")] == ["esc.cfg"]
+
+    def test_csv_bare_name_written_in_out(self, tmp_path):
+        cfg = tmp_path / "named.cfg"
+        cfg.write_text(TINY_CFG + "csv = run.csv\n")
+        assert cli.main(["converge", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "run.csv").exists()
+        assert (tmp_path / "out" / "run.json").exists()
+
     def test_assert_rates_pass_and_fail(self, tmp_path, capsys):
         cfg = tmp_path / "tiny.cfg"
         cfg.write_text(TINY_CFG)

@@ -2,7 +2,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import permutations, product
-from math import comb
+from math import comb, gcd, lcm
 
 import numpy as np
 import pytest
@@ -27,7 +27,7 @@ from cubeforms.mapping import (
     pullback_polynomial,
 )
 from cubeforms import verify
-from cubeforms.meshlab import target_from_reference
+from cubeforms.meshlab import build_mesh, target_from_reference
 from cubeforms.spaces import build_P, build_Qminus, in_span
 from cubeforms.verify import random_rational_affine, random_rational_multilinear
 
@@ -123,6 +123,75 @@ class TestMapFromVertices:
         fmap = map_from_vertices(verts)
         for alpha, v in verts.items():
             assert fmap.eval_exact(alpha) == v
+
+
+def assert_lowest_terms(fmap):
+    """ints are Python ints over denom with gcd(all ints, denom) = 1, so
+    denom is the lcm of the reduced denominators of coeffs."""
+    ints = [c for vec in fmap.ints.values() for c in vec]
+    assert all(type(c) is int for c in ints)
+    assert gcd(fmap.denom, *ints) == 1
+    assert fmap.denom == lcm(*(c.denominator for vec in fmap.coeffs.values() for c in vec))
+
+
+class TestRepresentation:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @given(data=st.data())
+    def test_vertex_maps_in_lowest_terms(self, n, data):
+        fmap = map_from_vertices(data.draw(vertex_strategy(n, spread=4, max_denominator=30)))
+        assert_lowest_terms(fmap)
+
+    @pytest.mark.parametrize(
+        "family, n, kw",
+        [
+            ("uniform", 1, {}),
+            ("uniform", 2, {}),
+            ("uniform", 3, {}),
+            ("parallelotope", 2, {"shear": [[0, Fraction(1, 2)], [Fraction(-1, 3), 0]]}),
+            (
+                "parallelotope",
+                3,
+                {"shear": [[0, Fraction(1, 4), 0], [0, 0, Fraction(2, 5)], [0, 0, 0]]},
+            ),
+            ("trapezoidal", 2, {"d": Fraction(3, 10)}),
+            ("trapezoidal", 2, {"d": 0.5}),
+            ("trapezoidal", 2, {"d": Fraction(2, 5)}),
+            ("trilinear3d", 3, {"d": Fraction(3, 10)}),
+        ],
+    )
+    def test_mesh_cells_in_lowest_terms(self, family, n, kw):
+        for el in build_mesh(family, n, 4, **kw).elements:
+            assert_lowest_terms(el)
+
+    def test_float_arrays_round_correctly(self):
+        # float(c) / float(denom) rounds twice and misses on this coordinate.
+        big = Fraction(2**54 + 1, 3)
+        fmap = map_from_vertices(
+            {
+                a: (big + a[0], Fraction(a[1], 7) + Fraction(a[0] * a[1], 5))
+                for a in product((0, 1), repeat=2)
+            }
+        )
+        coeffs, alphas = fmap.float_arrays()
+        for row, alpha in zip(coeffs, alphas):
+            assert list(row) == [float(c) for c in fmap.coeffs[tuple(alpha)]]
+        assert coeffs[0, 0] == float(big)
+
+    def test_constructor_reduces(self):
+        fmap = MultilinearMap(2, {(0, 0): (2, -8), (1, 0): (6, 0), (0, 1): [0, 4]}, 10)
+        assert fmap.denom == 5
+        assert fmap.ints == {(0, 0): (1, -4), (1, 0): (3, 0), (0, 1): (0, 2), (1, 1): (0, 0)}
+        assert fmap.coeffs[(1, 0)] == (Fraction(3, 5), 0)
+        assert MultilinearMap(1, {}, 7).denom == 1
+        assert MultilinearMap.dilation(2, Fraction(4, 6)).ints[(1, 0)] == (2, 0)
+
+    def test_constructor_rejects_bad_input(self):
+        with pytest.raises(TypeError):
+            MultilinearMap(1, {(1,): (Fraction(1, 2),)}, 1)
+        with pytest.raises(ValueError):
+            MultilinearMap(1, {(1,): (1,)}, 0)
+        with pytest.raises(ValueError):
+            MultilinearMap(2, {(1, 0): (1,)}, 1)
 
 
 class TestJacobian:

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -7,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cubeforms
 from cubeforms.cli import bundled_config_names, bundled_config_path, parse_config
 from cubeforms.forms import DiffForm, Polynomial, l2_inner_reference
 from cubeforms.mapping import jacobian, map_from_vertices
@@ -353,3 +357,37 @@ class TestGoldenErrors:
         )
         for (big_n, want), got in zip(golden, rep.errors):
             assert abs(got - want) <= GOLDEN_RTOL * abs(want), (big_n, got, want)
+
+
+# Prints the error reprs of the first two levels of one affine, one 2D
+# curvilinear and one 3D trilinear config.
+_THREAD_SCRIPT = """
+from cubeforms.cli import bundled_config_path, parse_config
+from cubeforms.meshlab import convergence_study
+for name in ("q2k2_trilinear3d", "s3k0_uniform", "q2k2_trapezoid"):
+    cfg = parse_config(bundled_config_path(name).read_text())
+    rep = convergence_study(cfg.build_space(), cfg.build_target(), cfg.family,
+                            cfg.subdivision_list[:2], d=cfg.d, shear=cfg.shear,
+                            quad_order=cfg.quad)
+    print(name, [repr(e) for e in rep.errors])
+"""
+
+
+def test_errors_do_not_depend_on_blas_threads():
+    """The convergence errors are bit-identical with one and two OpenBLAS
+    threads."""
+    src = str(Path(cubeforms.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        run = subprocess.run(
+            [sys.executable, "-c", _THREAD_SCRIPT],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        outs.append(run.stdout)
+    assert outs[0].count("\n") == 3
+    assert outs[0] == outs[1]
