@@ -1,5 +1,8 @@
 """Hot numeric kernels for the element projection pipeline, vectorized numpy.
 
+Corner-monomial tables depend only on the points: a caller that evaluates
+many maps at the same points makes them once and applies each map to them.
+
 Shapes used throughout:
     points   (P, n)   quadrature points on the reference cube
     exps     (T, n)   monomial exponent rows
@@ -15,6 +18,9 @@ import numpy as np
 __all__ = [
     "BACKEND",
     "eval_monomials",
+    "corner_monomials",
+    "jacobian_tables",
+    "jacobian_from_tables",
     "multilinear_values",
     "multilinear_jacobian",
     "jacobian_det_inv",
@@ -30,30 +36,43 @@ def eval_monomials(points: np.ndarray, exps: np.ndarray) -> np.ndarray:
     return np.prod(points[:, None, :] ** exps[None, :, :], axis=2)
 
 
+def corner_monomials(alphas: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Values of each corner monomial prod_i x_i^alpha_i at each point, (P, C)."""
+    return np.prod(np.where(alphas[None, :, :] == 1, points[:, None, :], 1.0), axis=2)
+
+
+def jacobian_tables(alphas: np.ndarray, points: np.ndarray) -> tuple:
+    """For each column j of DF, (rows, table): rows (C_j,) are the corners
+    whose monomial has x_j, and table (P, C_j) holds d/dx_j of those
+    monomials at each point."""
+    tables = []
+    for j in range(alphas.shape[1]):
+        rows = np.flatnonzero(alphas[:, j] == 1)
+        sub_alpha = alphas[rows]
+        sub_alpha[:, j] = 0
+        tables.append((rows, corner_monomials(sub_alpha, points)))
+    return tuple(tables)
+
+
+def jacobian_from_tables(coeffs: np.ndarray, tables: tuple) -> np.ndarray:
+    """DF (P, n, n) at the points the tables were made for."""
+    n = len(tables)
+    jac = np.empty((tables[0][1].shape[0], n, n))
+    for j, (rows, table) in enumerate(tables):
+        jac[:, :, j] = table @ coeffs[rows]
+    return jac
+
+
 def multilinear_values(
     coeffs: np.ndarray, alphas: np.ndarray, points: np.ndarray
 ) -> np.ndarray:
-    mono = np.prod(np.where(alphas[None, :, :] == 1, points[:, None, :], 1.0), axis=2)
-    return mono @ coeffs
+    return corner_monomials(alphas, points) @ coeffs
 
 
 def multilinear_jacobian(
     coeffs: np.ndarray, alphas: np.ndarray, points: np.ndarray
 ) -> np.ndarray:
-    p, n = points.shape
-    jac = np.empty((p, n, n))
-    for j in range(n):
-        mask = alphas[:, j] == 1
-        if not mask.any():
-            jac[:, :, j] = 0.0
-            continue
-        sub_alpha = alphas[mask].copy()
-        sub_alpha[:, j] = 0
-        mono = np.prod(
-            np.where(sub_alpha[None, :, :] == 1, points[:, None, :], 1.0), axis=2
-        )
-        jac[:, :, j] = mono @ coeffs[mask]
-    return jac
+    return jacobian_from_tables(coeffs, jacobian_tables(alphas, points))
 
 
 def jacobian_det_inv(jacs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

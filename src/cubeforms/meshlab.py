@@ -6,23 +6,31 @@ mesh denominator; cell c is the multilinear map through the points
 c + {0,1}^n, built from those integers with no Fraction per vertex or
 coefficient, so neighbouring cells share vertices and hence faces.  A mesh
 is returned only once det DF > 0 is proved on every cell and the exact
-cell volumes sum to the domain's.
+cell volumes sum to the domain's.  det DF does not see a cell's
+translation, so cells whose non-constant coefficients agree in lowest
+terms share one proof and one volume: one per uniform or parallelotope
+mesh, six per trapezoidal and 24 per trilinear3d mesh for N >= 4.
 
 The measured quantity is the elementwise best approximation of a smooth
 target form by the mapped reference space, which lower-bounds the
 conforming infimum; fitted h-rates from it are compared against the
 inclusion-based predictions.  Polynomial forms enter the float path
 through one view (index maps, monomial exponents, coefficients) and one
-pushforward through DF^-1.  Element computations run through the numpy
-kernels module, one element at a time in mesh order.
+pushforward through DF^-1.  Every shape function on a cell is the
+pullback of one reference form, so the reference element (corner-monomial
+tables and basis values at the quadrature points) is tabulated once per
+(space, quadrature rule) and cached on the space.  Elements run one at a
+time in mesh order, each computing only its geometry (x, DF, det DF,
+DF^-1 and its minors) and its least-squares fit.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm, log
+from math import gcd, lcm, log
 from typing import Callable, Sequence
 
 import numpy as np
@@ -66,10 +74,11 @@ class NumericalError(RuntimeError):
     """Numeric failure in the projection pipeline (singular or rank-deficient)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
     """Tensor Gauss-Legendre rule on [0,1]^n, exact for per-variable degree
-    up to 2q-1."""
+    up to 2q-1.  Compared and hashed by identity, as the key of a space's
+    tabulations."""
 
     n: int
     order: int
@@ -149,12 +158,13 @@ def target_from_reference(fmap: MultilinearMap, what: DiffForm, label: str = "ma
     """The pushforward of a reference form through a fixed element map,
     evaluated via the reference points.  Only meaningful on that element."""
     coeffs_f, alphas = fmap.float_arrays()
-    view = _float_view([what], fmap.n, what.k)
+    sig_idx, exps, coeffs = _float_view([what], fmap.n, what.k)
 
     def fn(_xphys, xref):
         jacs = _kernels.multilinear_jacobian(coeffs_f, alphas, xref)
         _, invs = _kernels.jacobian_det_inv(jacs)
-        return _pushforward(view, xref, invs)[:, :, 0]
+        hat = _reference_values(exps, coeffs, xref)
+        return _pushforward(hat, sig_idx, invs)[:, :, 0]
 
     return TargetForm(fmap.n, what.k, label, fn)
 
@@ -183,14 +193,48 @@ def _float_view(forms: Sequence[DiffForm], n: int, k: int):
     return sig_idx.reshape(len(sigmas), k), exps_arr, coeffs
 
 
-def _pushforward(view, xref: np.ndarray, invs: np.ndarray) -> np.ndarray:
-    """Values (P, M, J) of the pushforward (F^-1)* of each form of the view
-    at the images of the reference points xref, given DF^-1 there."""
-    sig_idx, exps, coeffs = view
+def _reference_values(exps: np.ndarray, coeffs: np.ndarray, xref: np.ndarray) -> np.ndarray:
+    """Values hat (J, M, P) of each form of a float view at the reference
+    points xref."""
+    return np.einsum("jmt,pt->jmp", coeffs, _kernels.eval_monomials(xref, exps))
+
+
+def _pushforward(hat: np.ndarray, sig_idx: np.ndarray, invs: np.ndarray) -> np.ndarray:
+    """Values (P, M, J) of the pushforward (F^-1)* of the forms with
+    reference values hat, given DF^-1 at the same points."""
     minors = _kernels.inverse_minors(invs, sig_idx, sig_idx)
-    mono = _kernels.eval_monomials(xref, exps)
-    hat = np.einsum("jmt,pt->jmp", coeffs, mono)
     return np.einsum("jtp,pts->psj", hat, minors)
+
+
+@dataclass(frozen=True)
+class _Tabulation:
+    """What element_l2_error needs of one (space, quadrature rule) pair that
+    is the same on every cell: the corner tables behind x = F(xref) and DF
+    (see _corner_tables), and the reference basis values hat (J, M, P)."""
+
+    corner_tables: tuple
+    sig_idx: np.ndarray
+    hat: np.ndarray
+
+
+def _corner_tables(n: int, xref: np.ndarray) -> tuple:
+    """The corner-monomial tables of maps on [0,1]^n at xref: values (P, C)
+    behind x = F(xref) and the per-column tables behind DF."""
+    alphas = np.array(_corners(n), dtype=np.int64)
+    return _kernels.corner_monomials(alphas, xref), _kernels.jacobian_tables(alphas, xref)
+
+
+def _tabulation(vhat: FormSpace, quad: QuadratureRule) -> _Tabulation:
+    """The tabulation of vhat on quad, cached on the space per rule."""
+    cache = vhat.__dict__.setdefault("_tabulations", {})
+    if quad not in cache:
+        sig_idx, exps, coeffs = _float_view(vhat.basis, vhat.n, vhat.k)
+        cache[quad] = _Tabulation(
+            _corner_tables(vhat.n, quad.points),
+            sig_idx,
+            _reference_values(exps, coeffs, quad.points),
+        )
+    return cache[quad]
 
 
 # ---------------------------------------------------------------------------
@@ -208,16 +252,30 @@ class Mesh:
         return len(self.elements)
 
 
+def _jacobian_key(fmap: MultilinearMap) -> tuple[int, ...]:
+    """The coefficients of every non-constant corner monomial, with their
+    denominator last, in lowest terms: DF, and so det DF, as a key."""
+    ints = [c for vec in list(fmap.ints.values())[1:] for c in vec]
+    g = gcd(fmap.denom, *ints)
+    return (*(c // g for c in ints), fmap.denom // g)
+
+
 def _validate_mesh(mesh: Mesh, expected_volume: Fraction) -> Mesh:
     """Prove every element orientation preserving (as check_diffeo does) and
-    check that the exact element volumes add up to the domain's."""
+    check that the exact element volumes add up to the domain's.  det DF
+    does not depend on a cell's constant coefficient, so cells that differ
+    by a translation share one proof and one volume.  Keys are proved in
+    the order of their first cell, so the first bad cell is the one named."""
+    keys = [_jacobian_key(el) for el in mesh.elements]
     total = Fraction(0)
-    for idx, el in enumerate(mesh.elements):
+    for key, count in Counter(keys).items():
+        idx = keys.index(key)
+        el = mesh.elements[idx]
         coeffs, scale = _det_bernstein(el)
         if not _bernstein_positive(coeffs, el.n):
             raise ValueError(f"element {idx} of {mesh.family} mesh is not orientation preserving")
         # Each tensor Bernstein polynomial integrates to 1 / (d+1)^n.
-        total += Fraction(sum(coeffs.values()), len(coeffs) * scale)
+        total += Fraction(count * sum(coeffs.values()), len(coeffs) * scale)
     if total != expected_volume:
         raise ValueError(f"{mesh.family} mesh does not tile: volume {float(total)}")
     return mesh
@@ -352,15 +410,21 @@ def default_quad_order(space: FormSpace, n: int) -> int:
     return deg + (4 if n >= 3 else 6)
 
 
-def _element_data(fmap: MultilinearMap, quad: QuadratureRule):
-    coeffs_f, alphas = fmap.float_arrays()
-    xref = quad.points
-    jacs = _kernels.multilinear_jacobian(coeffs_f, alphas, xref)
+def _check_rule(fmap: MultilinearMap, quad: QuadratureRule) -> None:
+    if quad.n != fmap.n:
+        raise ValueError(f"quadrature rule is {quad.n}D but the element map is {fmap.n}D")
+
+
+def _element_data(fmap: MultilinearMap, corner_tables: tuple):
+    """x = F(xref), det DF and DF^-1 at the points xref the corner tables
+    were made for."""
+    values, columns = corner_tables
+    coeffs_f, _ = fmap.float_arrays()
+    jacs = _kernels.jacobian_from_tables(coeffs_f, columns)
     dets, invs = _kernels.jacobian_det_inv(jacs)
     if not np.all(np.isfinite(dets)) or np.any(dets <= 0):
         raise NumericalError("Jacobian determinant not positive at quadrature points")
-    xphys = _kernels.multilinear_values(coeffs_f, alphas, xref)
-    return xref, xphys, dets, invs
+    return values @ coeffs_f, dets, invs
 
 
 def element_l2_error(
@@ -370,25 +434,26 @@ def element_l2_error(
     quad: QuadratureRule,
 ) -> float:
     """Broken L2 distance from the target to the mapped reference space on
-    one element, via weighted least squares over the quadrature points."""
+    one element, via weighted least squares over the quadrature points.
+    Only the geometry is computed per element; the reference tables come
+    from the space's tabulation on quad."""
     n, k = vhat.n, vhat.k
     if (target.n, target.k) != (n, k):
         raise ValueError("target and space live on different (n, k)")
     if fmap.n != n:
         raise ValueError("element map dimension mismatch")
+    _check_rule(fmap, quad)
     if k > 3:
         raise NumericalError("numeric pipeline supports form degree k <= 3")
-    xref, xphys, dets, invs = _element_data(fmap, quad)
+    tab = _tabulation(vhat, quad)
+    xphys, dets, invs = _element_data(fmap, tab.corner_tables)
     mu = quad.weights * dets
     scale = np.sqrt(mu)
-    uvals = target.values(xphys, xref)
+    uvals = target.values(xphys, quad.points)
     nbasis = len(vhat.basis)
     if nbasis == 0:
         return float(np.linalg.norm(uvals * scale[:, None]))
-    view = getattr(vhat, "_float_view", None)
-    if view is None:
-        view = vhat._float_view = _float_view(vhat.basis, n, k)
-    a = (_pushforward(view, xref, invs) * scale[:, None, None]).reshape(-1, nbasis)
+    a = (_pushforward(tab.hat, tab.sig_idx, invs) * scale[:, None, None]).reshape(-1, nbasis)
     y = (uvals * scale[:, None]).reshape(-1)
     sol, _, rank, sv = np.linalg.lstsq(a, y, rcond=None)
     if rank < nbasis:
@@ -407,7 +472,9 @@ def discrete_l2_pairing(
     forms given in physical coordinates."""
     if f.n != g.n or f.k != g.k:
         raise ValueError("form shape mismatch")
-    xref, xphys, dets, _ = _element_data(fmap, quad)
+    _check_rule(fmap, quad)
+    xref = quad.points
+    xphys, dets, _ = _element_data(fmap, _corner_tables(fmap.n, xref))
     fv = target_from_form(f).values(xphys, xref)
     gv = target_from_form(g).values(xphys, xref)
     return float(np.sum(quad.weights * dets * np.sum(fv * gv, axis=1)))
@@ -497,6 +564,8 @@ def convergence_study(
 ) -> ConvergenceReport:
     """Run the h-refinement study of the broken L2 projection error."""
     subdivision_list = list(subdivision_list)
+    if not subdivision_list:
+        raise ValueError("need at least one subdivision level")
     if subdivision_list != sorted(subdivision_list) or len(set(subdivision_list)) != len(
         subdivision_list
     ):

@@ -9,14 +9,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 import cubeforms
+from conftest import vertex_strategy
+from cubeforms import _kernels, meshlab
 from cubeforms.cli import bundled_config_names, bundled_config_path, parse_config
 from cubeforms.forms import DiffForm, Polynomial, l2_inner_reference
-from cubeforms.mapping import jacobian, map_from_vertices
+from cubeforms.mapping import check_diffeo, jacobian, map_from_vertices
 from cubeforms.meshlab import (
     Mesh,
     NumericalError,
+    _float_view,
     _validate_mesh,
     build_mesh,
     convergence_study,
@@ -254,6 +258,91 @@ class TestConformity:
                         assert xi == Fraction(i, big_n)
 
 
+class TestSharedProof:
+    """_validate_mesh proves det DF > 0 once per distinct Jacobian: cells
+    whose non-constant corner coefficients agree in lowest terms."""
+
+    @pytest.fixture
+    def proofs(self, monkeypatch):
+        calls = []
+        original = meshlab._det_bernstein
+
+        def counted(fmap):
+            calls.append(fmap)
+            return original(fmap)
+
+        monkeypatch.setattr(meshlab, "_det_bernstein", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "family,n,kw,levels,want",
+        [
+            ("uniform", 2, {}, (4, 8), 1),
+            ("uniform", 3, {}, (2, 4), 1),
+            ("parallelotope", 2, {"shear": SHEAR_2D}, (4, 8), 1),
+            ("parallelotope", 3, {"shear": SHEAR_3D}, (2, 4), 1),
+            ("trapezoidal", 2, {"d": Fraction(3, 10)}, (4, 8), 6),
+            ("trilinear3d", 3, {"d": Fraction(3, 10)}, (4, 6), 24),
+        ],
+        ids=["uniform-2d", "uniform-3d", "parallelotope-2d", "parallelotope-3d",
+             "trapezoidal", "trilinear3d"],
+    )
+    def test_one_proof_per_distinct_jacobian(self, proofs, family, n, kw, levels, want):
+        for big_n in levels:
+            proofs.clear()
+            build_mesh(family, n, big_n, **kw)
+            assert len(proofs) == want, big_n
+
+    @staticmethod
+    def _one_coefficient_changed(el, alpha, i):
+        """el with coefficient i of corner monomial alpha set to the first
+        value c in -8..8 that makes the map fail check_diffeo."""
+        for c in sorted(range(-8, 9), key=abs):
+            ints = {a: list(vec) for a, vec in el.ints.items()}
+            ints[alpha][i] = c * el.denom
+            bad = MultilinearMap(el.n, ints, el.denom)
+            if not check_diffeo(bad):
+                return bad
+        raise AssertionError("no folding value found")
+
+    @pytest.mark.parametrize(
+        "n,alpha,i",
+        [(n, alpha, i) for n in (2, 3) for alpha in list(product((0, 1), repeat=n))[1:]
+         for i in range(n)],
+        ids=lambda v: "".join(map(str, v)) if isinstance(v, tuple) else str(v),
+    )
+    def test_folded_cell_with_one_changed_coefficient_rejected(self, n, alpha, i):
+        base = mesh_parallelotope(n, 2, SHEAR_2D if n == 2 else SHEAR_3D)
+        bad_idx = 2 ** n - 2
+        bad = self._one_coefficient_changed(base.elements[bad_idx - 1], alpha, i)
+        elements = list(base.elements)
+        elements[bad_idx] = bad
+        mesh = Mesh(n, elements, "parallelotope")
+        with pytest.raises(
+            ValueError, match=f"^element {bad_idx} of parallelotope mesh is not orientation preserving$"
+        ):
+            _validate_mesh(mesh, Fraction(1))
+
+    def test_graded_tiling_keys_by_reduced_coefficients(self, proofs):
+        # Three 1/2-cells and four 1/4-cells: the 1/2-cells at (0, 0) and
+        # (1/2, 0) are stored over 2, the one at (1/4, 1/2) over 4, yet all
+        # three share one Jacobian.  The 1/4-cells have the same integer
+        # coefficients as the 1/2-cells over another denominator.
+        def square(x, y, h):
+            return map_from_vertices(
+                {a: (x + h * a[0], y + h * a[1]) for a in product((0, 1), repeat=2)}
+            )
+
+        half, quarter = Fraction(1, 2), Fraction(1, 4)
+        cells = [square(0, 0, half), square(half, 0, half), square(quarter, half, half)]
+        cells += [square(x, y, quarter) for x in (0, 3 * quarter) for y in (half, 3 * quarter)]
+        assert [el.denom for el in cells[:3]] == [2, 2, 4]
+        _validate_mesh(Mesh(2, cells, "graded"), Fraction(1))
+        assert len(proofs) == 2
+        with pytest.raises(ValueError, match="does not tile: volume 0.9375"):
+            _validate_mesh(Mesh(2, cells[:-1], "graded"), Fraction(1))
+
+
 class TestElementError:
     def test_member_of_space_has_zero_error(self, rng):
         fmap = random_rational_multilinear(2, rng)
@@ -280,11 +369,69 @@ class TestElementError:
         assert err == pytest.approx(math.sqrt(1 - 1 / math.log(3)), abs=1e-11)
         assert err > 0
 
+    def test_rule_of_other_dimension_rejected(self):
+        space = build_Qminus(1, 0, 2)
+        with pytest.raises(ValueError, match="rule is 3D but the element map is 2D"):
+            element_l2_error(MultilinearMap.identity(2), space, target_trig(2, 0), gauss_rule(3, 3))
+        f = DiffForm.monomial_form(2, (), (1, 0))
+        with pytest.raises(ValueError, match="rule is 3D but the element map is 2D"):
+            discrete_l2_pairing(MultilinearMap.identity(2), f, f, gauss_rule(3, 3))
+
     def test_rank_deficient_quadrature_reported(self):
         space = build_Qminus(1, 0, 2)
         u = target_trig(2, 0)
         with pytest.raises(NumericalError, match="rank"):
             element_l2_error(MultilinearMap.identity(2), space, u, gauss_rule(2, 1))
+
+
+def _kernel_chain_error(fmap, vhat, target, quad):
+    """element_l2_error recomputed at every step from the numpy kernels, with
+    nothing tabulated: the reference for the tabulated path."""
+    coeffs_f, alphas = fmap.float_arrays()
+    xref = quad.points
+    jacs = _kernels.multilinear_jacobian(coeffs_f, alphas, xref)
+    dets, invs = _kernels.jacobian_det_inv(jacs)
+    xphys = _kernels.multilinear_values(coeffs_f, alphas, xref)
+    scale = np.sqrt(quad.weights * dets)
+    uvals = target.values(xphys, xref)
+    nbasis = len(vhat.basis)
+    if nbasis == 0:
+        return float(np.linalg.norm(uvals * scale[:, None]))
+    sig_idx, exps, coeffs = _float_view(vhat.basis, vhat.n, vhat.k)
+    minors = _kernels.inverse_minors(invs, sig_idx, sig_idx)
+    hat = np.einsum("jmt,pt->jmp", coeffs, _kernels.eval_monomials(xref, exps))
+    a = (np.einsum("jtp,pts->psj", hat, minors) * scale[:, None, None]).reshape(-1, nbasis)
+    y = (uvals * scale[:, None]).reshape(-1)
+    sol = np.linalg.lstsq(a, y, rcond=None)[0]
+    return float(np.linalg.norm(y - a @ sol))
+
+
+class TestTabulation:
+    """element_l2_error tabulates the reference element once per (space,
+    rule) and must give exactly what the untabulated kernel chain gives."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @given(data=st.data())
+    def test_equals_kernel_chain(self, n, data):
+        fmap = map_from_vertices(data.draw(vertex_strategy(n)))
+        assume(check_diffeo(fmap))
+        quad = gauss_rule(n, 4)
+        for k in range(n + 1):
+            for space in (build_Qminus(1, k, n), build_P(1, k, n)):
+                target = target_trig(n, k)
+                got = element_l2_error(fmap, space, target, quad)
+                assert got == _kernel_chain_error(fmap, space, target, quad), (k, space.label)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_one_space_two_rules(self, n, rng):
+        fmap = random_rational_multilinear(n, rng)
+        space = build_Qminus(2, 1, n)
+        target = target_trig(n, 1)
+        rules = [gauss_rule(n, 3), gauss_rule(n, 5), gauss_rule(n, 3)]
+        got = [element_l2_error(fmap, space, target, quad) for quad in rules]
+        want = [_kernel_chain_error(fmap, space, target, quad) for quad in rules]
+        assert got == want
+        assert got[0] != got[1]
 
 
 class TestQuadratureConsistency:
@@ -332,6 +479,10 @@ class TestConvergenceStudy:
             convergence_study(
                 build_Qminus(1, 0, 2), target_trig(2, 0), "uniform", [4, 2]
             )
+
+    def test_empty_subdivision_list_rejected(self):
+        with pytest.raises(ValueError, match="at least one"):
+            convergence_study(build_Qminus(1, 0, 2), target_trig(2, 0), "uniform", [])
 
     def test_default_quad_orders(self):
         assert default_quad_order(build_Qminus(2, 0, 2), 2) == 8
