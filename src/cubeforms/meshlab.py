@@ -19,15 +19,20 @@ through one view (index maps, monomial exponents, coefficients) and one
 pushforward through DF^-1.  Every shape function on a cell is the
 pullback of one reference form, so the reference element (corner-monomial
 tables and basis values at the quadrature points) is tabulated once per
-(space, quadrature rule) and cached on the space.  Elements run one at a
-time in mesh order, each computing only its geometry (x, DF, det DF,
-DF^-1 and its minors) and its least-squares fit.
+(space, quadrature rule) and cached on the space.  The weighted design
+matrix of a cell depends only on DF, which does not see a translation:
+it is computed once per geometry key (the cell's non-constant float
+coefficients) and kept as the tabulation's one geometry entry.  A mesh
+is visited key by key, so each of its distinct Jacobians is computed
+once: one per uniform or parallelotope mesh, six per trapezoidal and 24
+per trilinear3d mesh for N >= 4.  Per cell only x = F(xref), the target
+values and one least-squares fit remain.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm, log
@@ -208,13 +213,17 @@ def _pushforward(hat: np.ndarray, sig_idx: np.ndarray, invs: np.ndarray) -> np.n
 
 @dataclass(frozen=True)
 class _Tabulation:
-    """What element_l2_error needs of one (space, quadrature rule) pair that
-    is the same on every cell: the corner tables behind x = F(xref) and DF
-    (see _corner_tables), and the reference basis values hat (J, M, P)."""
+    """What element_l2_error needs of one (space, quadrature rule) pair: the
+    corner tables behind x = F(xref) and DF (see _corner_tables) and the
+    reference basis values hat (J, M, P), the same on every cell; and one
+    geometry entry, geometry key -> (scale, a) (see _geometry), replaced
+    whenever a cell of another key comes, so at most one design matrix is
+    held however many maps a caller passes."""
 
     corner_tables: tuple
     sig_idx: np.ndarray
     hat: np.ndarray
+    geometry: dict = field(default_factory=dict)
 
 
 def _corner_tables(n: int, xref: np.ndarray) -> tuple:
@@ -415,16 +424,42 @@ def _check_rule(fmap: MultilinearMap, quad: QuadratureRule) -> None:
         raise ValueError(f"quadrature rule is {quad.n}D but the element map is {fmap.n}D")
 
 
-def _element_data(fmap: MultilinearMap, corner_tables: tuple):
-    """x = F(xref), det DF and DF^-1 at the points xref the corner tables
-    were made for."""
-    values, columns = corner_tables
-    coeffs_f, _ = fmap.float_arrays()
+def _det_inv(coeffs_f: np.ndarray, columns: tuple):
+    """det DF and DF^-1 of the map with float corner coefficients coeffs_f
+    at the points the column tables were made for."""
     jacs = _kernels.jacobian_from_tables(coeffs_f, columns)
     dets, invs = _kernels.jacobian_det_inv(jacs)
     if not np.all(np.isfinite(dets)) or np.any(dets <= 0):
         raise NumericalError("Jacobian determinant not positive at quadrature points")
-    return values @ coeffs_f, dets, invs
+    return dets, invs
+
+
+def _geometry_key(fmap: MultilinearMap) -> bytes:
+    """The float coefficients of every non-constant corner monomial, as
+    bytes: all that DF is computed from.  Cells with equal _jacobian_key
+    have equal geometry keys, since float_arrays rounds each c / denom
+    correctly."""
+    return fmap.float_arrays()[0][1:].tobytes()
+
+
+def _geometry(fmap: MultilinearMap, tab: _Tabulation, weights: np.ndarray) -> tuple:
+    """(scale, a) of a cell: scale (P,) = sqrt(w det DF) at the quadrature
+    points and a (P M, J) the pushed-forward basis weighted by scale.  Both
+    are read-only and come from the tabulation's geometry entry, computed
+    anew only when the cell's geometry key differs from the entry's."""
+    key = _geometry_key(fmap)
+    entry = tab.geometry.get(key)
+    if entry is None:
+        dets, invs = _det_inv(fmap.float_arrays()[0], tab.corner_tables[1])
+        scale = np.sqrt(weights * dets)
+        pushed = _pushforward(tab.hat, tab.sig_idx, invs) * scale[:, None, None]
+        p, m, j = pushed.shape
+        entry = (scale, pushed.reshape(p * m, j))
+        for arr in entry:
+            arr.flags.writeable = False
+        tab.geometry.clear()
+        tab.geometry[key] = entry
+    return entry
 
 
 def element_l2_error(
@@ -435,8 +470,10 @@ def element_l2_error(
 ) -> float:
     """Broken L2 distance from the target to the mapped reference space on
     one element, via weighted least squares over the quadrature points.
-    Only the geometry is computed per element; the reference tables come
-    from the space's tabulation on quad."""
+    The reference tables and the design matrix come from the space's
+    tabulation on quad (the matrix is recomputed when the cell's Jacobian
+    differs from the last one's); per element only x = F(xref), the
+    target values and the fit are computed."""
     n, k = vhat.n, vhat.k
     if (target.n, target.k) != (n, k):
         raise ValueError("target and space live on different (n, k)")
@@ -446,14 +483,12 @@ def element_l2_error(
     if k > 3:
         raise NumericalError("numeric pipeline supports form degree k <= 3")
     tab = _tabulation(vhat, quad)
-    xphys, dets, invs = _element_data(fmap, tab.corner_tables)
-    mu = quad.weights * dets
-    scale = np.sqrt(mu)
+    scale, a = _geometry(fmap, tab, quad.weights)
+    xphys = tab.corner_tables[0] @ fmap.float_arrays()[0]
     uvals = target.values(xphys, quad.points)
     nbasis = len(vhat.basis)
     if nbasis == 0:
         return float(np.linalg.norm(uvals * scale[:, None]))
-    a = (_pushforward(tab.hat, tab.sig_idx, invs) * scale[:, None, None]).reshape(-1, nbasis)
     y = (uvals * scale[:, None]).reshape(-1)
     sol, _, rank, sv = np.linalg.lstsq(a, y, rcond=None)
     if rank < nbasis:
@@ -472,9 +507,14 @@ def discrete_l2_pairing(
     forms given in physical coordinates."""
     if f.n != g.n or f.k != g.k:
         raise ValueError("form shape mismatch")
+    if f.n != fmap.n:
+        raise ValueError(f"forms are {f.n}D but the element map is {fmap.n}D")
     _check_rule(fmap, quad)
     xref = quad.points
-    xphys, dets, _ = _element_data(fmap, _corner_tables(fmap.n, xref))
+    values, columns = _corner_tables(fmap.n, xref)
+    coeffs_f, _ = fmap.float_arrays()
+    dets, _ = _det_inv(coeffs_f, columns)
+    xphys = values @ coeffs_f
     fv = target_from_form(f).values(xphys, xref)
     gv = target_from_form(g).values(xphys, xref)
     return float(np.sum(quad.weights * dets * np.sum(fv * gv, axis=1)))
@@ -543,14 +583,23 @@ class ConvergenceReport:
 
 
 def _mesh_error(mesh: Mesh, vhat: FormSpace, target: TargetForm, quad: QuadratureRule) -> float:
-    errs = []
+    """Root sum of squares of the element errors, summed in mesh order.
+    Cells are visited grouped by geometry key, the groups in the order of
+    their first cell and the cells of a group in mesh order, so each group's
+    design matrix is computed once and only one is held at a time.  Every
+    NumericalError depends on the geometry alone, so it is raised at the
+    first cell of a group and names the first bad element in mesh order."""
+    groups: dict[bytes, list[int]] = {}
     for idx, el in enumerate(mesh.elements):
-        try:
-            errs.append(element_l2_error(el, vhat, target, quad))
-        except NumericalError as exc:
-            raise NumericalError(f"element {idx}: {exc}") from exc
-    sq = np.array(errs, dtype=np.float64)
-    return float(np.sqrt(np.sum(sq * sq)))
+        groups.setdefault(_geometry_key(el), []).append(idx)
+    errs = np.empty(mesh.size)
+    for idxs in groups.values():
+        for idx in idxs:
+            try:
+                errs[idx] = element_l2_error(mesh.elements[idx], vhat, target, quad)
+            except NumericalError as exc:
+                raise NumericalError(f"element {idx}: {exc}") from exc
+    return float(np.sqrt(np.sum(errs * errs)))
 
 
 def convergence_study(

@@ -376,6 +376,9 @@ class TestElementError:
         f = DiffForm.monomial_form(2, (), (1, 0))
         with pytest.raises(ValueError, match="rule is 3D but the element map is 2D"):
             discrete_l2_pairing(MultilinearMap.identity(2), f, f, gauss_rule(3, 3))
+        g = DiffForm.monomial_form(3, (), (1, 0, 0))
+        with pytest.raises(ValueError, match="forms are 3D but the element map is 2D"):
+            discrete_l2_pairing(MultilinearMap.identity(2), g, g, gauss_rule(2, 3))
 
     def test_rank_deficient_quadrature_reported(self):
         space = build_Qminus(1, 0, 2)
@@ -432,6 +435,105 @@ class TestTabulation:
         want = [_kernel_chain_error(fmap, space, target, quad) for quad in rules]
         assert got == want
         assert got[0] != got[1]
+
+
+def _translated(el, shift):
+    """el moved by the rational shift in every coordinate, its integers
+    stored over denom * shift.denominator."""
+    origin = (0,) * el.n
+    ints = {a: [c * shift.denominator for c in vec] for a, vec in el.ints.items()}
+    ints[origin] = [c + shift.numerator * el.denom for c in ints[origin]]
+    return MultilinearMap(el.n, ints, el.denom * shift.denominator)
+
+
+class TestGeometrySharing:
+    """element_l2_error computes the weighted design matrix once per
+    geometry key, and _mesh_error visits a mesh key by key."""
+
+    @pytest.mark.parametrize(
+        "family,n,big_n,want",
+        [("trapezoidal", 2, 4, 6), ("trapezoidal", 2, 8, 6), ("trilinear3d", 3, 4, 24)],
+    )
+    def test_equal_jacobian_keys_give_equal_float_rows(self, family, n, big_n, want):
+        cells = build_mesh(family, n, big_n, d=Fraction(3, 10)).elements
+        # A translated copy of an interior cell, stored over 7x the denominator.
+        cells = cells + [_translated(cells[-1], Fraction(1, 7))]
+        assert cells[-1].denom != cells[-2].denom
+        assert meshlab._jacobian_key(cells[-1]) == meshlab._jacobian_key(cells[-2])
+        groups = {}
+        for el in cells:
+            groups.setdefault(meshlab._jacobian_key(el), []).append(el)
+        for group in groups.values():
+            rows = group[0].float_arrays()[0][1:]
+            for el in group[1:]:
+                assert np.array_equal(el.float_arrays()[0][1:], rows)
+        assert len(groups) == len({meshlab._geometry_key(el) for el in cells}) == want
+
+    @pytest.mark.parametrize(
+        "family,n,big_n,kw,want",
+        [
+            ("uniform", 2, 4, {}, 1),
+            ("parallelotope", 3, 2, {"shear": SHEAR_3D}, 1),
+            ("trapezoidal", 2, 4, {"d": Fraction(3, 10)}, 6),
+            ("trilinear3d", 3, 4, {"d": Fraction(3, 10)}, 24),
+        ],
+        ids=["uniform", "parallelotope", "trapezoidal", "trilinear3d"],
+    )
+    def test_grouped_loop_equals_mesh_order_oracle(self, monkeypatch, family, n, big_n, kw, want):
+        mesh = build_mesh(family, n, big_n, **kw)
+        # With k = n - 1, summing the trilinear3d errors in visit order
+        # instead of mesh order changes the last bit.
+        space, target = build_Qminus(1, n - 1, n), target_trig(n, n - 1)
+        quad = gauss_rule(n, 3)
+        errs = np.array([_kernel_chain_error(el, space, target, quad) for el in mesh.elements])
+        calls = []
+        original = _kernels.jacobian_det_inv
+
+        def counted(jacs):
+            calls.append(jacs)
+            return original(jacs)
+
+        monkeypatch.setattr(_kernels, "jacobian_det_inv", counted)
+        assert meshlab._mesh_error(mesh, space, target, quad) == float(np.sqrt(np.sum(errs * errs)))
+        assert len(calls) == want
+
+    def test_one_geometry_entry_per_tabulation(self, rng):
+        space, target = build_Qminus(1, 1, 2), target_trig(2, 1)
+        convergence_study(space, target, "trapezoidal", [2, 4], d=Fraction(3, 10))
+        quad = gauss_rule(2, 4)
+        for _ in range(20):
+            element_l2_error(random_rational_multilinear(2, rng), space, target, quad)
+        tabs = space.__dict__["_tabulations"]
+        assert [len(tab.geometry) for tab in tabs.values()] == [1, 1]
+
+    def test_first_bad_element_named(self):
+        # The identity cells 0 and 2 form the first group, so cell 2 is
+        # visited before the reflected cell 1.
+        ident = MultilinearMap.identity(2)
+        reflected = map_from_vertices({a: (1 - a[0], a[1]) for a in product((0, 1), repeat=2)})
+        mesh = Mesh(2, [ident, reflected, ident], "unvalidated")
+        with pytest.raises(NumericalError, match="^element 1: Jacobian determinant not positive"):
+            meshlab._mesh_error(mesh, build_Qminus(1, 0, 2), target_trig(2, 0), gauss_rule(2, 3))
+
+    def test_one_element_call_and_one_lstsq_per_element(self, monkeypatch):
+        # The invariants perfbench/selftest.py asserts of a traced pass.
+        counts = {"element_l2_error": 0, "lstsq": 0}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        counting(meshlab, "element_l2_error")
+        counting(np.linalg, "lstsq")
+        convergence_study(build_Qminus(1, 1, 2), target_trig(2, 1), "trapezoidal", [2, 4], d=0.3)
+        convergence_study(build_Qminus(1, 0, 3), target_trig(3, 0), "uniform", [1, 2])
+        elements = 2**2 + 4**2 + 1**3 + 2**3
+        assert counts == {"element_l2_error": elements, "lstsq": elements}
 
 
 class TestQuadratureConsistency:
