@@ -89,7 +89,7 @@ def parse_monomial_form(text: str, n: int) -> DiffForm:
             sigma = idx
             continue
         if _COEF_RE.match(tok):
-            coef *= Fraction(tok)
+            coef *= _parse_fraction(tok, f"coefficient in form {text!r}")
             continue
         raise ConfigError(f"cannot parse factor {tok!r} in form {text!r}")
     return DiffForm.monomial_form(n, sigma or (), tuple(exps), coef)
@@ -102,7 +102,10 @@ def parse_custom_space(text: str, n: int) -> FormSpace:
     k = forms[0].k
     if any(f.k != k for f in forms):
         raise ConfigError("custom space mixes form degrees")
-    return FormSpace(n, k, forms, label="custom")
+    space = FormSpace(n, k, forms, label="custom")
+    if space.rank() < space.dim:
+        raise ConfigError("custom forms are linearly dependent")
+    return space
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +459,17 @@ def cmd_converge(args) -> int:
     return 0
 
 
+def _int_at_least(low: int):
+    """An argparse type: an int no smaller than low (argparse names the flag)."""
+
+    def integer(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cubeforms",
@@ -464,9 +478,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser("check", help="run the exact verification suites")
-    p_check.add_argument("--max-n", type=int, default=3, dest="max_n")
-    p_check.add_argument("--max-r", type=int, default=3, dest="max_r")
-    p_check.add_argument("--pullback-maps", type=int, default=5, dest="pullback_maps")
+    p_check.add_argument("--max-n", type=_int_at_least(1), default=3, dest="max_n")
+    p_check.add_argument("--max-r", type=_int_at_least(1), default=3, dest="max_r")
+    p_check.add_argument("--pullback-maps", type=_int_at_least(0), default=5, dest="pullback_maps")
     p_check.set_defaults(func=cmd_check)
 
     p_rates = sub.add_parser("rates", help="predicted approximation rates for a space")

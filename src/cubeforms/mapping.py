@@ -15,9 +15,9 @@ its components as integer polynomials D F^i, the entries of D DF, and memos
 of the minors det((D DF)[sigma, tau]) and of the monomial images D^|e| F^e
 (built from cached powers of each D F^i).  A pullback sums c F^e times a
 minor over each tau in integers over one denominator and makes one Fraction
-per output coefficient; ``jacobian`` reads its entries and determinant from
-the same cache.  A map is never changed after construction, so the cache
-never goes stale.
+per output coefficient.  ``jacobian`` and the validity proof read D DF and
+det(D DF), its top minor, from the same cache.  A map is never changed
+after construction, so the cache never goes stale.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .exactla import invert
 from .forms import (
     DiffForm,
     IndexMap,
@@ -277,78 +276,37 @@ def check_diffeo(fmap: MultilinearMap) -> bool:
     return _bernstein_positive(coeffs, fmap.n)
 
 
-def _int_det(m: list[list[int]]) -> int:
-    k = len(m)
-    if k == 1:
-        return m[0][0]
-    if k == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    if k == 3:
-        (a, b, c), (d, e, f), (g, h, i) = m
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    return sum(
-        (-1) ** j * m[0][j] * _int_det([row[:j] + row[j + 1 :] for row in m[1:]])
-        for j in range(k)
-        if m[0][j]
-    )
-
-
 @lru_cache(maxsize=None)
-def _bernstein_inverse(d: int) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """(K, s) with K / s the inverse of M[t][i] = C(d,i) (t/d)^i (1-t/d)^(d-i),
-    which maps Bernstein coefficients of degree d to values at t/d."""
-    m = [
-        [Fraction(comb(d, i) * t**i * (d - t) ** (d - i), d**d) for i in range(d + 1)]
-        for t in range(d + 1)
-    ]
-    inv = invert(m)
-    s = lcm(*(x.denominator for row in inv for x in row))
-    return tuple(tuple(int(x * s) for x in row) for row in inv), s
-
-
-@lru_cache(maxsize=None)
-def _jacobian_weights(n: int) -> tuple:
-    """For each t in {0..d}^n (d = n - 1), the nonzero (alpha, j, w) with
-    d^(n-1) dF/dx_j(t/d) = sum_(alpha, j, w) w c_alpha."""
-    d = n - 1
-    table = []
-    for t in product(range(d + 1), repeat=n):
-        terms = []
-        for alpha in _corners(n):
-            for j in range(n):
-                if alpha[j]:
-                    w = prod(t[m] if alpha[m] else d for m in range(n) if m != j)
-                    if w:
-                        terms.append((alpha, j, w))
-        table.append((t, tuple(terms)))
-    return tuple(table)
+def _bernstein_table(d: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(K, L) with L x^i = sum_t K[t][i] B_t(x) in the Bernstein basis of
+    degree d: K[t][i] = L C(t,i) / C(d,i), L the least integer clearing it."""
+    ratios = [[Fraction(comb(t, i), comb(d, i)) for i in range(d + 1)] for t in range(d + 1)]
+    big_l = lcm(*(r.denominator for row in ratios for r in row))
+    return tuple(tuple(int(r * big_l) for r in row) for row in ratios), big_l
 
 
 def _det_bernstein(fmap: MultilinearMap) -> tuple[_Bernstein, int]:
     """Integer tensor Bernstein coefficients b_t of det DF, with
     det DF = sum_t b_t B_t / scale and B_t of degree d = n - 1 per variable
-    (column j of DF does not depend on x_j)."""
+    (column j of DF does not depend on x_j).  det(D DF) is the top minor of
+    the pullback cache; its monomial coefficients are changed to Bernstein
+    ones with the table (K, L) of _bernstein_table, one axis at a time, so
+    scale = (D L)^n."""
     n = fmap.n
     d = n - 1
-    # Values of det(denom * d^(n-1) * DF) at the points t/d.
-    coeffs = {}
-    for t, terms in _jacobian_weights(n):
-        rows = [[0] * n for _ in range(n)]
-        for alpha, j, w in terms:
-            for i, c in enumerate(fmap.ints[alpha]):
-                rows[i][j] += c * w
-        coeffs[t] = _int_det(rows)
-    grid = list(coeffs)
-    inv, s = _bernstein_inverse(d)
+    full = tuple(range(1, n + 1))
+    det = fmap._int_data().minor(full, full)
+    grid = list(product(range(d + 1), repeat=n))
+    vals = [det.get(t, 0) for t in grid]
+    table, big_l = _bernstein_table(d)
     for axis in range(n):
-        coeffs = {
-            t: sum(
-                k * coeffs[t[:axis] + (i,) + t[axis + 1 :]]
-                for i, k in enumerate(inv[t[axis]])
-            )
-            for t in grid
-        }
-    return coeffs, (fmap.denom * d ** (n - 1) * s) ** n
+        # Moving t[axis] to i moves the flat grid position by (i - t[axis]) * step.
+        step = (d + 1) ** (n - 1 - axis)
+        vals = [
+            sum(k * vals[p + (i - t[axis]) * step] for i, k in enumerate(table[t[axis]]) if k)
+            for p, t in enumerate(grid)
+        ]
+    return dict(zip(grid, vals)), (fmap.denom * big_l) ** n
 
 
 def _halve(coeffs: _Bernstein, axis: int, d: int) -> tuple[_Bernstein, _Bernstein]:

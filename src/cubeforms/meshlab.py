@@ -48,7 +48,7 @@ from .mapping import (
     _corners,
     _det_bernstein,
     _from_corners,
-    _int_det,
+    jacobian,
     pullback_polynomial,
 )
 from .spaces import FormSpace, RatePrediction, predict_rates
@@ -326,15 +326,16 @@ def mesh_parallelotope(n: int, subdivisions: int, shear: Sequence[Sequence[Scala
     if len(s) != n or any(len(r) != n for r in s):
         raise ValueError("shear matrix must be n x n")
     a = [[s[i][j] + (1 if i == j else 0) for j in range(n)] for i in range(n)]
-    det = _int_det(a)
-    if det <= 0:
-        raise ValueError("I + shear must have positive determinant")
     big_d = lcm(*(x.denominator for row in a for x in row))
     a_int = [[int(x * big_d) for x in row] for row in a]
 
     def vertex(idx):
         return tuple(sum(aij * i for aij, i in zip(row, idx)) for row in a_int)
 
+    global_map = _from_corners(n, [vertex(alpha) for alpha in _corners(n)], big_d)
+    det = jacobian(global_map).det_poly.eval_exact((0,) * n)
+    if det <= 0:
+        raise ValueError("I + shear must have positive determinant")
     return _lattice_mesh(n, subdivisions, vertex, big_d * subdivisions, "parallelotope", det)
 
 

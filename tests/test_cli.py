@@ -54,7 +54,18 @@ class TestCustomSpaceGrammar:
         assert space.dim == 4 and space.k == 1
 
     @pytest.mark.parametrize(
-        "bad", ["x0*dx(1)", "dx(2,1)", "x1**2", "dx(1)*dx(2)", "y1", ""]
+        "bad",
+        [
+            "x0*dx(1)",
+            "dx(2,1)",
+            "x1**2",
+            "dx(1)*dx(2)",
+            "y1",
+            "",
+            "1/0*dx(1)",
+            "0*dx(1); dx(2)",
+            "dx(1); 2*dx(1)",
+        ],
     )
     def test_rejects_garbage(self, bad):
         with pytest.raises(ConfigError):
@@ -114,6 +125,17 @@ class TestCheckCommand:
         assert rc == 0
         assert got == want
 
+    @pytest.mark.parametrize(
+        "flag, value, low",
+        [("--max-n", "0", 1), ("--max-r", "0", 1), ("--pullback-maps", "-1", 0)],
+    )
+    def test_bounds_below_minimum_rejected(self, capsys, flag, value, low):
+        rc = cli.main(["check", flag, value])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert f"argument {flag}: must be at least {low}, got {value}" in captured.err
+
     def test_corrupted_check_named_on_failure(self, capsys, monkeypatch):
         from cubeforms import verify
 
@@ -152,6 +174,12 @@ class TestRatesCommand:
     def test_bad_space_args_usage_error(self, capsys):
         rc = cli.main(["rates", "--kind", "SLambda1_2d", "--r", "2", "--k", "0", "--n", "3"])
         assert rc == 2
+
+    def test_zero_denominator_usage_error(self, capsys):
+        rc = cli.main(["rates", "--kind", "custom", "--n", "2", "--k", "1", "--forms", "1/0*dx(1)"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error: bad coefficient in form '1/0*dx(1)'")
 
     def test_descending_range_usage_error(self, capsys):
         rc = cli.main(["rates", "--kind", "Qminus", "--r", "3..1", "--k", "1", "--n", "2"])
@@ -202,6 +230,29 @@ class TestConvergeCommand:
     def test_invalid_space_is_config_error(self, tmp_path, capsys, space, reason):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"[space]\n{space}\n\n[mesh]\nfamily = uniform\nN = 2\n")
+        assert cli.main(["converge", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and reason in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            (
+                TINY_CFG + "\n[target]\nkind = poly\nform = 1/0*x1\n",
+                "bad coefficient in form '1/0*x1'",
+            ),
+            (
+                "[space]\nkind = custom\nforms = 0*dx(1); dx(2)\nk = 1\nn = 2\n\n"
+                "[mesh]\nfamily = uniform\nN = 2\n",
+                "custom forms are linearly dependent",
+            ),
+        ],
+        ids=["zero-denominator", "dependent-basis"],
+    )
+    def test_bad_form_is_config_error(self, tmp_path, capsys, text, reason):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
         assert cli.main(["converge", str(cfg), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and reason in err

@@ -19,6 +19,7 @@ from cubeforms.forms import (
 from cubeforms.mapping import (
     MultilinearMap,
     _bernstein_positive,
+    _bernstein_table,
     _det_bernstein,
     _halve,
     check_diffeo,
@@ -236,6 +237,31 @@ def bernstein_eval(coeffs, scale, n, point):
     return total / scale
 
 
+def pointwise_det(fmap, point):
+    """det DF at a point from the corner coefficients alone, independent of
+    the map's cached minors: dF_i/dx_j sums c_alpha[i] prod_(m != j) x_m^alpha_m
+    over alpha with alpha_j = 1, and the determinant is the Leibniz sum."""
+    n = fmap.n
+    df = [[Fraction(0)] * n for _ in range(n)]
+    for alpha, vec in fmap.ints.items():
+        for j in range(n):
+            if alpha[j]:
+                w = Fraction(1, fmap.denom)
+                for m in range(n):
+                    if m != j and alpha[m]:
+                        w *= point[m]
+                for i in range(n):
+                    df[i][j] += vec[i] * w
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :])
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term *= df[i][j]
+        total += term
+    return total
+
+
 # Valid, but two of its 27 Bernstein coefficients are negative, so the
 # proof needs one subdivision.
 SUBDIVIDED_VERTICES = {
@@ -263,8 +289,35 @@ class TestDetBernstein:
             assert bernstein_eval(coeffs, scale, n, point) == det.eval_exact(point)
         assert Fraction(sum(coeffs.values()), n**n * scale) == det.integral_box(1)
 
+    @pytest.mark.parametrize("d", range(5))
+    def test_table_reproduces_monomials(self, d):
+        # A degree-d identity that holds at d + 1 points holds everywhere.
+        table, big_l = _bernstein_table(d)
+        for x in (Fraction(0), Fraction(1), Fraction(1, 3), Fraction(-3, 7), Fraction(5, 2)):
+            for i in range(d + 1):
+                got = sum(
+                    table[t][i] * comb(d, t) * x**t * (1 - x) ** (d - t) for t in range(d + 1)
+                )
+                assert got == big_l * x**i
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @given(data=st.data())
+    def test_matches_pointwise_det(self, n, data):
+        fmap = map_from_vertices(data.draw(vertex_strategy(n, spread=4)))
+        coeffs, scale = _det_bernstein(fmap)
+        assert len(coeffs) == n**n
+        coord = st.fractions(min_value=-1, max_value=2, max_denominator=20)
+        for point in data.draw(st.lists(st.tuples(*([coord] * n)), min_size=1, max_size=3)):
+            assert bernstein_eval(coeffs, scale, n, point) == pointwise_det(fmap, point)
+
+    def test_collapsed_map(self):
+        fmap = map_from_vertices({alpha: (1, 2, 3) for alpha in product((0, 1), repeat=3)})
+        coeffs, _ = _det_bernstein(fmap)
+        assert coeffs == dict.fromkeys(product(range(3), repeat=3), 0)
+        assert not check_diffeo(fmap)
+
     def test_four_dimensions(self, rng):
-        # n >= 4 takes the cofactor branch of the integer determinant.
+        # n = 4: the top minor expands four rows deep and the table has d = 3.
         fmap = map_from_vertices(
             {
                 alpha: tuple(a + Fraction(rng.randint(-1, 1), 16) for a in alpha)
@@ -275,6 +328,7 @@ class TestDetBernstein:
         coeffs, scale = _det_bernstein(fmap)
         point = (Fraction(1, 3), Fraction(-1, 2), Fraction(5, 7), 2)
         assert bernstein_eval(coeffs, scale, 4, point) == det.eval_exact(point)
+        assert det.eval_exact(point) == pointwise_det(fmap, point)
         assert Fraction(sum(coeffs.values()), 4**4 * scale) == det.integral_box(1)
         assert check_diffeo(fmap)
 

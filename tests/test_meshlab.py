@@ -137,8 +137,21 @@ class TestMeshes:
                 assert el.eval_exact(alpha) == want
 
     def test_parallelotope_invalid_shear(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"I \+ shear must have positive determinant"):
             mesh_parallelotope(2, 2, [[-1, 0], [0, -1]])
+
+    @pytest.mark.parametrize(
+        "shear",
+        [[[-2, 0], [0, 0]], [[-1, 1], [1, 0]], [[0, 0, 0], [0, 0, 0], [0, 0, Fraction(-3, 2)]]],
+    )
+    def test_parallelotope_reflecting_shear(self, shear):
+        with pytest.raises(ValueError, match=r"I \+ shear must have positive determinant"):
+            mesh_parallelotope(len(shear), 2, shear)
+
+    @pytest.mark.parametrize("shear", [[[0, 1]], [[0, 0], [0]], [[0, 0, 0], [0, 0, 0]]])
+    def test_parallelotope_shear_not_square(self, shear):
+        with pytest.raises(ValueError, match="shear matrix must be n x n"):
+            mesh_parallelotope(2, 2, shear)
 
     def test_validate_rejects_folded_element(self, screen_counterexample):
         base = mesh_uniform(3, 2)
