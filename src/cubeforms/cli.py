@@ -487,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rates.add_argument("--kind", choices=SPACE_KINDS, required=True)
     p_rates.add_argument("--r", default="1", help="single value or range like 1..6")
     p_rates.add_argument("--k", type=int, default=0)
-    p_rates.add_argument("--n", type=int, required=True)
+    p_rates.add_argument("--n", type=_int_at_least(1), required=True)
     p_rates.add_argument("--forms", default=None, help="custom space grammar")
     p_rates.set_defaults(func=cmd_rates)
 

@@ -6,16 +6,23 @@ are computed without rounding.  Floating point enters only through
 ``evaluate``.  Variables are numbered 1..n to match the usual dx^i
 notation; a 0-form in zero variables (n = 0) is a plain constant, which
 keeps vertex traces on the same code path as everything else.
+
+Products run on integer polynomials (``IntPoly``, exponents to ints) by
+Kronecker substitution: ``_pack`` evaluates one at x_i = 2^(W s_i), s the
+strides of a mixed-radix layout, ``_int_mul`` multiplies two such ints, and
+``_unpack`` reads the product's coefficients back slot by slot.  Terms
+that cancel are dropped, never kept as zeros.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, product
 from math import lcm
-from operator import add
-from typing import Mapping, Sequence
+from operator import mul
+from typing import Iterable, Iterator, Mapping, Sequence
 
 Monomial = tuple[int, ...]
 IndexMap = tuple[int, ...]
@@ -153,7 +160,7 @@ class Polynomial:
             raise ValueError("polynomial arity mismatch")
         a, da = _cleared(self.terms)
         b, db = _cleared(other.terms)
-        return _from_ints(self.nvars, _int_mul(a, b), da * db)
+        return _from_ints(self.nvars, _int_mul(a, b).items(), da * db)
 
     __rmul__ = __mul__
 
@@ -271,24 +278,83 @@ def _cleared(terms: Mapping[Monomial, Fraction]) -> tuple[IntPoly, int]:
 
 def _int_mul(a: IntPoly, b: IntPoly, out: IntPoly | None = None) -> IntPoly:
     """Adds the product of two integer polynomials into ``out`` (a new dict
-    when None) and returns it.  Terms that cancel stay as zeros; _from_ints
-    drops them."""
+    when None) and returns it, dropping every term that cancels to zero.
+
+    The product is one product of Python ints by Kronecker substitution:
+    both operands are packed in the layout whose radix per variable is the
+    product's degree in it plus one, with slots wide enough for every output
+    coefficient (see _width)."""
     if out is None:
         out = {}
-    get = out.get
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            key = tuple(map(add, ea, eb))
-            out[key] = get(key, 0) + ca * cb
+    if a and b:
+        layout = tuple(x + y + 1 for x, y in zip(map(max, zip(*a)), map(max, zip(*b))))
+        bound = min(len(a), len(b)) * max(map(abs, a.values())) * max(map(abs, b.values()))
+        width = _width(bound)
+        get = out.get
+        for e, c in _unpack(_pack(a, layout, width) * _pack(b, layout, width), layout, width):
+            c += get(e, 0)
+            if c:
+                out[e] = c
+            else:
+                del out[e]
     return out
 
 
-def _from_ints(nvars: int, ints: IntPoly, denom: int) -> Polynomial:
-    """The Polynomial ints / denom, with one normalised Fraction per nonzero
-    term."""
+def _width(bound: int) -> int:
+    """Slot width in bits for coefficients of absolute value at most
+    ``bound``: W > bitlen(bound), so -2^(W-1) < c < 2^(W-1), rounded up to
+    whole bytes, which _unpack reads."""
+    return (bound.bit_length() + 8) // 8 * 8
+
+
+@lru_cache(maxsize=128)
+def _strides(layout: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[Monomial, ...]]:
+    """(strides, exponents) of a mixed-radix layout: exponent tuple e sits
+    in slot sum_i e_i strides[i], the last variable varying fastest, and
+    exponents lists the tuples slot by slot."""
+    strides = []
+    step = 1
+    for r in reversed(layout):
+        strides.append(step)
+        step *= r
+    return tuple(reversed(strides)), tuple(product(*map(range, layout)))
+
+
+@lru_cache(maxsize=128)
+def _bias(width: int, slots: int) -> int:
+    """2^(width-1) in each of ``slots`` slots of ``width`` bits."""
+    return ((1 << width * slots) - 1) // ((1 << width) - 1) << (width - 1)
+
+
+def _pack(a: IntPoly, layout: tuple[int, ...], width: int) -> int:
+    """The value of ``a`` at x_i = 2^(width strides[i]): each coefficient
+    shifted to its slot.  Exact for coefficients of any size."""
+    strides = _strides(layout)[0]
+    return sum(c << width * sum(map(mul, e, strides)) for e, c in a.items())
+
+
+def _unpack(x: int, layout: tuple[int, ...], width: int) -> Iterator[tuple[Monomial, int]]:
+    """The nonzero (exponents, coefficient) pairs of a packed polynomial
+    whose coefficients c satisfy -2^(width-1) <= c < 2^(width-1).  Adding
+    2^(width-1) to every slot makes each one a digit in [0, 2^width), read
+    from the bytes of the sum; a digit of 2^(width-1) is a zero term."""
+    size = width // 8
+    exponents = _strides(layout)[1]
+    half = 1 << (width - 1)
+    zero = half.to_bytes(size, "little")
+    raw = (x + _bias(width, len(exponents))).to_bytes(size * len(exponents), "little")
+    for e, i in zip(exponents, range(0, len(raw), size)):
+        digit = raw[i : i + size]
+        if digit != zero:
+            yield e, int.from_bytes(digit, "little") - half
+
+
+def _from_ints(nvars: int, ints: Iterable[tuple[Monomial, int]], denom: int) -> Polynomial:
+    """The Polynomial sum c x^e / denom over (e, c) pairs with distinct
+    exponents and nonzero c, with one normalised Fraction per term."""
     p = Polynomial.__new__(Polynomial)
     p.nvars = nvars
-    p.terms = {e: Fraction(c, denom) for e, c in ints.items() if c}
+    p.terms = {e: Fraction(c, denom) for e, c in ints}
     return p
 
 

@@ -11,13 +11,16 @@ points through the numpy kernels (``meshlab.target_from_reference``).
 
 Pullback of polynomial forms is fully symbolic and exact, and runs on
 Python ints.  On first use a map builds one cache, kept for its lifetime:
-its components as integer polynomials D F^i, the entries of D DF, and memos
-of the minors det((D DF)[sigma, tau]) and of the monomial images D^|e| F^e
-(built from cached powers of each D F^i).  A pullback sums c F^e times a
-minor over each tau in integers over one denominator and makes one Fraction
-per output coefficient.  ``jacobian`` and the validity proof read D DF and
-det(D DF), its top minor, from the same cache.  A map is never changed
-after construction, so the cache never goes stale.
+its components as integer polynomials D F^i, the entries of D DF, memos of
+the minors det((D DF)[sigma, tau]) and of the monomial images D^|e| F^e
+(built from cached powers of each D F^i), the l1 norm of each image and
+the max norm of each minor, and the images and minors packed by
+``forms._pack`` in each layout asked for.  A pullback sums c F^e times a
+minor over each tau as one sum of packed int products over one
+denominator, unpacked once into one Fraction per nonzero output
+coefficient.  ``jacobian`` and the validity proof read D DF and det(D DF),
+its top minor, from the same cache.  A map is never changed after
+construction, so the cache never goes stale.
 """
 
 from __future__ import annotations
@@ -40,6 +43,9 @@ from .forms import (
     Scalar,
     _from_ints,
     _int_mul,
+    _pack,
+    _unpack,
+    _width,
     enumerate_sigma,
 )
 
@@ -150,7 +156,7 @@ class _ClearedMap:
     """The pullback cache of one map F (see the module docstring), with
     entries[i][j] = D dF^(i+1)/dx^(j+1) as an integer polynomial."""
 
-    __slots__ = ("n", "denom", "entries", "_powers", "_images", "_minors")
+    __slots__ = ("n", "denom", "entries", "_powers", "_images", "_minors", "_norms", "_packed")
 
     def __init__(self, fmap: MultilinearMap):
         n = fmap.n
@@ -166,6 +172,10 @@ class _ClearedMap:
         self._powers = [[{(0,) * n: 1}, comp] for comp in comps]
         self._images: dict[tuple[int, ...], IntPoly] = {}
         self._minors: dict[tuple[IndexMap, IndexMap], IntPoly] = {}
+        # The l1 norm of each image and the max norm of each minor, by key.
+        self._norms: dict[tuple, int] = {}
+        # Packed images and minors, by (key, layout, width).
+        self._packed: dict[tuple, int] = {}
 
     def minor(self, sigma: IndexMap, tau: IndexMap) -> IntPoly:
         """det((D DF)[sigma, tau]) for 1-based rows sigma and columns tau,
@@ -184,6 +194,7 @@ class _ClearedMap:
                         entry = {e: -c for e, c in entry.items()}
                     _int_mul(entry, self.minor(sigma[1:], tau[:j] + tau[j + 1 :]), got)
             self._minors[key] = got
+            self._norms[key] = max(map(abs, got.values()), default=0)
         return got
 
     def image(self, exps: tuple[int, ...]) -> IntPoly:
@@ -197,6 +208,35 @@ class _ClearedMap:
                 if e:
                     got = _int_mul(got, powers[e])
             self._images[exps] = got
+            self._norms[exps] = sum(map(abs, got.values()))
+        return got
+
+    def image_l1(self, exps: tuple[int, ...]) -> int:
+        """The l1 norm of image(exps)."""
+        self.image(exps)
+        return self._norms[exps]
+
+    def minor_max(self, sigma: IndexMap, tau: IndexMap) -> int:
+        """The max norm of minor(sigma, tau)."""
+        self.minor(sigma, tau)
+        return self._norms[sigma, tau]
+
+    def packed_image(self, exps: tuple[int, ...], layout: tuple[int, ...], width: int) -> int:
+        """image(exps) packed by forms._pack."""
+        key = (exps, layout, width)
+        got = self._packed.get(key)
+        if got is None:
+            got = self._packed[key] = _pack(self.image(exps), layout, width)
+        return got
+
+    def packed_minor(
+        self, sigma: IndexMap, tau: IndexMap, layout: tuple[int, ...], width: int
+    ) -> int:
+        """minor(sigma, tau) packed by forms._pack."""
+        key = ((sigma, tau), layout, width)
+        got = self._packed.get(key)
+        if got is None:
+            got = self._packed[key] = _pack(self.minor(sigma, tau), layout, width)
         return got
 
 
@@ -249,9 +289,9 @@ def jacobian(fmap: MultilinearMap) -> JacobianPoly:
     n = fmap.n
     cleared = fmap._int_data()
     d = cleared.denom
-    entries = [[_from_ints(n, entry, d) for entry in row] for row in cleared.entries]
+    entries = [[_from_ints(n, entry.items(), d) for entry in row] for row in cleared.entries]
     full = tuple(range(1, n + 1))
-    return JacobianPoly(n, entries, _from_ints(n, cleared.minor(full, full), d**n))
+    return JacobianPoly(n, entries, _from_ints(n, cleared.minor(full, full).items(), d**n))
 
 
 # Halvings per axis the validity proof may make before it gives up.
@@ -346,7 +386,12 @@ def pullback_polynomial(fmap: MultilinearMap, v: DiffForm) -> DiffForm:
     the component form of the coordinate pullback formula.  With L the
     common denominator of v's coefficients and m its top degree, each
     c_e x^e of v_sigma contributes c_e L D^(m-|e|) (D^|e| F^e) in integers,
-    so component tau is an integer polynomial over L D^(m+k).
+    so component tau is an integer polynomial over L D^(m+k).  Its degree
+    in each variable is at most m + k, so every product runs in the packed
+    layout of radix m + k + 1 per variable (forms._pack): component tau is
+    sum_sigma (sum_e scale_e image_e) minor(sigma, tau) in packed ints,
+    unpacked once into its Fractions.  The slot width bounds each output
+    coefficient by sum_sigma (sum_e |scale_e| l1(image_e)) max|minor|.
     """
     n = fmap.n
     k = v.k
@@ -358,19 +403,31 @@ def pullback_polynomial(fmap: MultilinearMap, v: DiffForm) -> DiffForm:
     d = cleared.denom
     big_l = lcm(*(c.denominator for p in v.components.values() for c in p.terms.values()))
     m = v.max_degree()
-    one = (0,) * n
-    pulled = []
-    for sigma, poly in v.components.items():
-        acc: IntPoly = {}
-        for exps, c in poly.terms.items():
-            scale = c.numerator * (big_l // c.denominator) * d ** (m - sum(exps))
-            _int_mul({one: scale}, cleared.image(exps), acc)
-        pulled.append((sigma, acc))
+    layout = (m + k + 1,) * n
+    taus = enumerate_sigma(k, n)
+    scaled = {
+        sigma: [
+            (exps, c.numerator * (big_l // c.denominator) * d ** (m - sum(exps)))
+            for exps, c in poly.terms.items()
+        ]
+        for sigma, poly in v.components.items()
+    }
+    l1 = {
+        sigma: sum(abs(s) * cleared.image_l1(exps) for exps, s in terms)
+        for sigma, terms in scaled.items()
+    }
+    width = _width(
+        max(sum(l1[sigma] * cleared.minor_max(sigma, tau) for sigma in scaled) for tau in taus)
+    )
+    packed = {
+        sigma: sum(s * cleared.packed_image(exps, layout, width) for exps, s in terms)
+        for sigma, terms in scaled.items()
+    }
+    denom = big_l * d ** (m + k)
     parts = {}
-    for tau in enumerate_sigma(k, n):
-        acc = {}
-        for sigma, coeff in pulled:
-            _int_mul(coeff, cleared.minor(sigma, tau), acc)
-        parts[tau] = _from_ints(n, acc, big_l * d ** (m + k))
+    for tau in taus:
+        total = sum(
+            x * cleared.packed_minor(sigma, tau, layout, width) for sigma, x in packed.items()
+        )
+        parts[tau] = _from_ints(n, _unpack(total, layout, width), denom)
     return DiffForm(n, k, parts)
-

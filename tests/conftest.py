@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import HealthCheck, settings, strategies as st
+from hypothesis import HealthCheck, Phase, settings, strategies as st
 
 from cubeforms.forms import DiffForm, enumerate_sigma
 from cubeforms.mapping import map_from_vertices
@@ -13,6 +13,14 @@ settings.register_profile(
     deadline=None,
     max_examples=30,
     suppress_health_check=[HealthCheck.too_slow],
+)
+# The same settings without shrinking, for mutation checks, where a failing
+# example is expected and its shrinking can take minutes:
+#     pytest --hypothesis-profile=cubeforms-noshrink
+settings.register_profile(
+    "cubeforms-noshrink",
+    settings.get_profile("cubeforms"),
+    phases=[phase for phase in Phase if phase is not Phase.shrink],
 )
 settings.load_profile("cubeforms")
 

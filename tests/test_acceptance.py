@@ -212,6 +212,16 @@ def test_criterion_09_three_dimensional_rates():
         f"fitted {r_scalar:.3f} / {r_uni:.3f} / {r_tri:.3f}")
 
 
+def test_criterion_09_trilinear_rate_one_refinement_deeper():
+    # The N = 8 -> 16 pair, one level past the bundled q2k2_trilinear3d levels.
+    r_tri, _ = _rates(
+        build_Qminus(2, 2, 3), target_trig(3, 2, SCALE_3D), "trilinear3d", [8, 16],
+        d=Fraction(3, 10),
+    )
+    assert abs(r_tri - 1) <= 0.35, r_tri
+    _ok("criterion 9: 3D trilinear Q2- faces rate 1 at N = 8 -> 16", f"fitted {r_tri:.3f}")
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_criterion_10_quadrature_vs_exact(n):
     rng = random.Random(808 + n)

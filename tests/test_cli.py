@@ -181,6 +181,13 @@ class TestRatesCommand:
         assert rc == 2
         assert captured.err.startswith("error: bad coefficient in form '1/0*dx(1)'")
 
+    def test_zero_dimension_usage_error(self, capsys):
+        rc = cli.main(["rates", "--kind", "Qminus", "--n", "0", "--k", "0"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "argument --n: must be at least 1, got 0" in captured.err
+
     def test_descending_range_usage_error(self, capsys):
         rc = cli.main(["rates", "--kind", "Qminus", "--r", "3..1", "--k", "1", "--n", "2"])
         captured = capsys.readouterr()

@@ -9,6 +9,7 @@ from cubeforms.forms import (
     DiffForm,
     Face,
     Polynomial,
+    _int_mul,
     enumerate_sigma,
     evaluate,
     exterior_derivative,
@@ -232,3 +233,79 @@ class TestPolynomialProduct:
         assert (c * p).terms == want
         assert (p * 3).terms == {e: 3 * v for e, v in p.terms.items()}
         assert (p * 0).is_zero
+
+
+def double_loop_mul(a, b, out=None):
+    """The term-pair double loop that Kronecker substitution replaced in
+    _int_mul, kept as its oracle.  Terms that cancel stay as zeros."""
+    if out is None:
+        out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            key = tuple(x + y for x, y in zip(ea, eb))
+            out[key] = out.get(key, 0) + ca * cb
+    return out
+
+
+def nonzero(terms):
+    return {e: c for e, c in terms.items() if c}
+
+
+def int_poly_strategy(nvars: int, max_terms: int = 6):
+    """Integer polynomials whose coefficients run from 0 (kept as explicit
+    zero terms) to beyond +-2^200."""
+    coeff = st.one_of(st.integers(-3, 3), st.integers(-(2**210), 2**210))
+    term = st.tuples(st.tuples(*([st.integers(0, 3)] * nvars)), coeff)
+    return st.lists(term, max_size=max_terms).map(dict)
+
+
+class TestIntMul:
+    @pytest.mark.parametrize("nvars", [0, 1, 2, 3, 4])
+    @given(data=st.data())
+    def test_matches_double_loop(self, nvars, data):
+        a = data.draw(int_poly_strategy(nvars))
+        b = data.draw(int_poly_strategy(nvars))
+        assert _int_mul(a, b) == nonzero(double_loop_mul(a, b))
+        assert _int_mul(b, a) == nonzero(double_loop_mul(b, a))
+
+    @pytest.mark.parametrize("nvars", [0, 1, 2, 3, 4])
+    @given(data=st.data())
+    def test_accumulates_into_out(self, nvars, data):
+        a = data.draw(int_poly_strategy(nvars))
+        b = data.draw(int_poly_strategy(nvars))
+        extra = data.draw(int_poly_strategy(nvars))
+        # Part of out cancels the product exactly, the rest is unrelated.
+        cancel = {e: -c for e, c in nonzero(double_loop_mul(a, b)).items() if e[:1] != (1,)}
+        start = nonzero({**extra, **cancel})
+        out = dict(start)
+        assert _int_mul(a, b, out) is out
+        assert out == nonzero(double_loop_mul(a, b, dict(start)))
+
+    @pytest.mark.parametrize("nvars", [0, 1, 3])
+    def test_empty_operands(self, nvars):
+        a = {(1,) * nvars: 5}
+        out = {(0,) * nvars: 7}
+        assert _int_mul({}, a) == _int_mul(a, {}) == _int_mul({}, {}) == {}
+        assert _int_mul({}, a, out) is out and out == {(0,) * nvars: 7}
+
+    def test_all_terms_cancel(self):
+        a = {(1, 0): 3, (0, 1): -2**205}
+        b = {(2, 1): 2**201 + 1, (0, 0): -7}
+        out = {e: -c for e, c in double_loop_mul(a, b).items()}
+        assert _int_mul(a, b, out) == {}
+        # (x + y)(x - y): the mixed term cancels inside one product.
+        assert _int_mul({(1, 0): 1, (0, 1): 1}, {(1, 0): 1, (0, 1): -1}) == {(2, 0): 1, (0, 2): -1}
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_coefficient_at_power_of_two_bound(self, sign):
+        """Products whose bound min(|a|,|b|) max|a| max|b| is exactly 2^s
+        and is reached by an output coefficient, for every s up to 300."""
+        for s in range(301):
+            # A single pair: bound 2^s, product coefficient sign 2^s.
+            assert _int_mul({(2, 0): sign * 2**s}, {(0, 1): 1}) == {(2, 1): sign * 2**s}
+            if s:
+                # Two terms each: the middle coefficient is 2 * 2^(s-1).
+                a = {(0,): 2 ** (s - 1), (1,): 2 ** (s - 1)}
+                b = {(0,): sign, (1,): sign}
+                want = {(0,): sign * 2 ** (s - 1), (1,): sign * 2**s, (2,): sign * 2 ** (s - 1)}
+                assert _int_mul(a, b) == want

@@ -471,6 +471,28 @@ class TestPullback:
             assert jac.entries == entries
             assert jac.det_poly == det(entries)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @given(data=st.data())
+    def test_wide_slots_match_textbook_formula(self, n, data):
+        # Corner offsets over the primes 2^61 - 1 and 2^89 - 1 give a map
+        # denominator above 2^64, so D^(m+k) and the packed slots span
+        # several 64-bit limbs.
+        offset = st.builds(
+            Fraction,
+            st.integers(-(2**85), 2**85),
+            st.sampled_from([2**61 - 1, 2**89 - 1]),
+        )
+        verts = {
+            alpha: tuple(a + data.draw(offset) for a in alpha)
+            for alpha in product((0, 1), repeat=n)
+        }
+        verts[(0,) * n] = (Fraction(1, 2**89 - 1),) * n
+        fmap = map_from_vertices(verts)
+        assert fmap.denom > 2**64
+        for _ in range(2):
+            v = data.draw(form_strategy(n, data.draw(st.integers(0, n)), max_terms=3))
+            assert pullback_polynomial(fmap, v) == reference_pullback(fmap, v)
+
     def test_dilation_l2_scaling(self):
         for n in (1, 2, 3):
             for h in (Fraction(1, 2), Fraction(1, 3), Fraction(2)):
