@@ -5,13 +5,14 @@ weight from the matching tensor-product space one degree down; vertex
 functionals degenerate to point evaluation through the same code path.
 All verdicts (counts, matrix invertibility, dual bases) are exact.
 
-One private routine pairs a trace with a weight.  Both arrive cleared to
-integer polynomials over one denominator each, and the integral of their
+One private routine pairs a trace with a weight.  Both arrive as integer
+polynomials over one denominator each, the components' own format
+(``forms.Polynomial``) brought to their lcm, and the integral of their
 wedge over the face is an integer sum over term pairs, with a common
 moment denominator M for the face: the sign of the complementary index
 maps, times the two coefficients, times M / prod(a_i + b_i + 1).  One
 Fraction is made per entry.  The unisolvence matrix traces each basis
-form onto each face once and clears each weight once, then pairs the
+form onto each face once and converts each weight once, then pairs the
 cached integer forms; ``apply_dof`` runs the same pairing on one form.
 """
 
@@ -84,18 +85,18 @@ _ZERO: _Cleared = ({}, 1, 0)
 
 
 def _cleared_form(f: DiffForm) -> _Cleared:
-    """The components of f over one common denominator, with the largest
-    exponent of any variable in any term.  Zero forms share _ZERO: most
+    """The components of f over one denominator, the lcm of theirs, with
+    the largest exponent of any variable in any term.  Zero forms share _ZERO: most
     traces of a basis form onto a face vanish."""
     if f.is_zero:
         return _ZERO
     polys = f.components.values()
-    d = lcm(*(c.denominator for p in polys for c in p.terms.values()))
+    d = lcm(*(p.denom for p in polys))
     ints = {
-        sigma: tuple((e, c.numerator * (d // c.denominator)) for e, c in p.terms.items())
+        sigma: tuple((e, c * (d // p.denom)) for e, c in p.ints.items())
         for sigma, p in f.components.items()
     }
-    top = max((x for p in polys for e in p.terms for x in e), default=0)
+    top = max((x for p in polys for e in p.ints for x in e), default=0)
     return ints, d, top
 
 
@@ -185,7 +186,7 @@ def dof_count_by_faces(r: int, k: int, n: int) -> int:
 def unisolvence_matrix(r: int, k: int, n: int) -> tuple[list[list[Fraction]], bool]:
     """Matrix of all functionals applied to the monomial basis, plus the
     exact invertibility verdict.  Each basis form is traced onto each face
-    once and each weight cleared once."""
+    once and each weight put over one denominator once."""
     space = build_Qminus(r, k, n)
     dofs = build_dofs(r, k, n)
     traces: dict[Face, list[_Cleared]] = {}

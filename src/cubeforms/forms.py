@@ -7,11 +7,15 @@ are computed without rounding.  Floating point enters only through
 notation; a 0-form in zero variables (n = 0) is a plain constant, which
 keeps vertex traces on the same code path as everything else.
 
-Products run on integer polynomials (``IntPoly``, exponents to ints) by
-Kronecker substitution: ``_pack`` evaluates one at x_i = 2^(W s_i), s the
-strides of a mixed-radix layout, ``_int_mul`` multiplies two such ints, and
-``_unpack`` reads the product's coefficients back slot by slot.  Terms
-that cancel are dropped, never kept as zeros.
+A Polynomial is an integer polynomial (``IntPoly``, exponents to nonzero
+ints) over one positive denominator, in lowest terms: the one exact
+format that maps, pullbacks and DOF pairings also use.  ``_from_ints``
+makes every Polynomial; it drops zero terms and divides by one gcd.
+Products run on the integer parts by Kronecker substitution: ``_pack``
+evaluates one at x_i = 2^(W s_i), s the strides of a mixed-radix layout,
+``_int_mul`` multiplies two such ints, and ``_unpack`` reads the product's
+coefficients back slot by slot.  Terms that cancel are dropped, never kept
+as zeros.
 """
 
 from __future__ import annotations
@@ -20,13 +24,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import lcm
+from math import gcd, lcm, prod
 from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 Monomial = tuple[int, ...]
 IndexMap = tuple[int, ...]
 Scalar = Fraction | int
+IntPoly = dict[Monomial, int]
 
 __all__ = [
     "Monomial",
@@ -66,30 +71,26 @@ def permutation_sign(left: IndexMap, right: IndexMap) -> int:
 class Polynomial:
     """Polynomial in ``nvars`` variables with exact rational coefficients.
 
-    Stored as a map from exponent tuples to nonzero Fractions (canonical
-    form).  Instances are treated as immutable.
+    Stored as integer coefficients ``ints`` (exponent tuple -> nonzero int)
+    over one positive denominator ``denom`` in lowest terms, that is with
+    gcd(denom, all ints) = 1: the format of ``mapping.MultilinearMap``.  The
+    form is canonical, so equal polynomials store equal ints and denom.
+    ``terms`` is a derived view as Fractions.  Instances are treated as
+    immutable.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "ints", "denom")
 
     def __init__(self, nvars: int, terms: Mapping[Monomial, Scalar] | None = None):
-        self.nvars = nvars
-        clean: dict[Monomial, Fraction] = {}
-        if terms:
-            for exps, c in terms.items():
-                c = Fraction(c)
-                if c == 0:
-                    continue
-                if len(exps) != nvars or any(e < 0 for e in exps):
-                    raise ValueError(f"bad exponent tuple {exps} for nvars={nvars}")
-                exps = tuple(int(e) for e in exps)
-                acc = clean.get(exps)
-                val = c if acc is None else acc + c
-                if val == 0:
-                    clean.pop(exps, None)
-                else:
-                    clean[exps] = val
-        self.terms = clean
+        merged: dict[Monomial, Fraction] = {}
+        for exps, c in (terms or {}).items():
+            if len(exps) != nvars or any(e < 0 for e in exps):
+                raise ValueError(f"bad exponent tuple {exps} for nvars={nvars}")
+            exps = tuple(int(e) for e in exps)
+            merged[exps] = merged.get(exps, 0) + Fraction(c)
+        denom = lcm(*(c.denominator for c in merged.values()))
+        ints = ((e, c.numerator * (denom // c.denominator)) for e, c in merged.items())
+        _from_ints(nvars, ints, denom, self)
 
     @classmethod
     def zero(cls, nvars: int) -> "Polynomial":
@@ -102,8 +103,7 @@ class Polynomial:
     @classmethod
     def variable(cls, nvars: int, i: int) -> "Polynomial":
         """The coordinate polynomial x_i (1-based i)."""
-        if not 1 <= i <= nvars:
-            raise ValueError(f"variable index {i} out of range 1..{nvars}")
+        _check_index(i, nvars)
         exps = tuple(1 if j == i - 1 else 0 for j in range(nvars))
         return cls(nvars, {exps: 1})
 
@@ -112,37 +112,35 @@ class Polynomial:
         return cls(nvars, {tuple(exps): c})
 
     @property
+    def terms(self) -> dict[Monomial, Fraction]:
+        """The coefficients as exact rationals (a derived view)."""
+        return {e: Fraction(c, self.denom) for e, c in self.ints.items()}
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.ints
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
+        return max((sum(e) for e in self.ints), default=-1)
 
     def degree_in(self, i: int) -> int:
         """Degree in variable x_i (1-based); -1 for the zero polynomial."""
-        return max((e[i - 1] for e in self.terms), default=-1)
+        return max((e[i - 1] for e in self.ints), default=-1)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         if self.nvars != other.nvars:
             raise ValueError("polynomial arity mismatch")
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            val = out.get(exps, Fraction(0)) + c
-            if val == 0:
-                out.pop(exps, None)
-            else:
-                out[exps] = val
-        p = Polynomial.__new__(Polynomial)
-        p.nvars = self.nvars
-        p.terms = out
-        return p
+        denom = lcm(self.denom, other.denom)
+        sa, sb = denom // self.denom, denom // other.denom
+        out = {e: c * sa for e, c in self.ints.items()}
+        get = out.get
+        for e, c in other.ints.items():
+            out[e] = get(e, 0) + c * sb
+        return _from_ints(self.nvars, out.items(), denom)
 
     def __neg__(self) -> "Polynomial":
-        p = Polynomial.__new__(Polynomial)
-        p.nvars = self.nvars
-        p.terms = {e: -c for e, c in self.terms.items()}
-        return p
+        return _from_ints(self.nvars, ((e, -c) for e, c in self.ints.items()), self.denom)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -150,17 +148,13 @@ class Polynomial:
     def __mul__(self, other: "Polynomial | Scalar") -> "Polynomial":
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
-            if c == 0:
-                return Polynomial.zero(self.nvars)
-            p = Polynomial.__new__(Polynomial)
-            p.nvars = self.nvars
-            p.terms = {e: v * c for e, v in self.terms.items()}
-            return p
+            ints = ((e, v * c.numerator) for e, v in self.ints.items())
+            return _from_ints(self.nvars, ints, self.denom * c.denominator)
         if self.nvars != other.nvars:
             raise ValueError("polynomial arity mismatch")
-        a, da = _cleared(self.terms)
-        b, db = _cleared(other.terms)
-        return _from_ints(self.nvars, _int_mul(a, b).items(), da * db)
+        return _from_ints(
+            self.nvars, _int_mul(self.ints, other.ints).items(), self.denom * other.denom
+        )
 
     __rmul__ = __mul__
 
@@ -168,72 +162,69 @@ class Polynomial:
         return (
             isinstance(other, Polynomial)
             and self.nvars == other.nvars
-            and self.terms == other.terms
+            and self.denom == other.denom
+            and self.ints == other.ints
         )
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, self.denom, frozenset(self.ints.items())))
 
     def partial(self, i: int) -> "Polynomial":
         """Exact partial derivative with respect to x_i (1-based)."""
-        out: dict[Monomial, Fraction] = {}
+        _check_index(i, self.nvars)
         pos = i - 1
-        for exps, c in self.terms.items():
-            e = exps[pos]
-            if e == 0:
-                continue
-            key = exps[:pos] + (e - 1,) + exps[pos + 1 :]
-            out[key] = out.get(key, Fraction(0)) + c * e
-        return Polynomial(self.nvars, out)
+        ints = (
+            (exps[:pos] + (exps[pos] - 1,) + exps[pos + 1 :], c * exps[pos])
+            for exps, c in self.ints.items()
+            if exps[pos]
+        )
+        return _from_ints(self.nvars, ints, self.denom)
 
     def restrict(self, fixed: Mapping[int, Scalar], keep: Sequence[int]) -> "Polynomial":
         """Substitute values for the ``fixed`` variables, keep the rest.
 
         ``keep`` lists the surviving variable indices (1-based, increasing);
         the result is a polynomial in ``len(keep)`` variables, reindexed in
-        that order.
+        that order.  A fixed value p/q raised to the power e enters term e as
+        p^e q^(top - e) over q^top, top the degree in that variable.
         """
         keep = tuple(keep)
-        out: dict[Monomial, Fraction] = {}
-        for exps, c in self.terms.items():
-            coeff = c
-            dead = False
-            for i, val in fixed.items():
-                e = exps[i - 1]
-                if e == 0:
-                    continue
-                v = Fraction(val)
-                if v == 0:
-                    dead = True
-                    break
-                coeff *= v**e
-            if dead:
-                continue
-            key = tuple(exps[i - 1] for i in keep)
-            val2 = out.get(key, Fraction(0)) + coeff
-            if val2 == 0:
-                out.pop(key, None)
-            else:
-                out[key] = val2
-        return Polynomial(len(keep), out)
+        for i in (*fixed, *keep):
+            _check_index(i, self.nvars)
+        if not fixed.keys().isdisjoint(keep):
+            raise ValueError("a variable cannot be both fixed and kept")
+        subs = []
+        denom = self.denom
+        for i, val in fixed.items():
+            v = Fraction(val)
+            top = max((e[i - 1] for e in self.ints), default=0)
+            subs.append((i - 1, v.numerator, v.denominator, top))
+            denom *= v.denominator**top
+        out: IntPoly = {}
+        for exps, c in self.ints.items():
+            for pos, p, q, top in subs:
+                e = exps[pos]
+                c *= p**e * q ** (top - e)
+            if c:
+                key = tuple(exps[i - 1] for i in keep)
+                out[key] = out.get(key, 0) + c
+        return _from_ints(len(keep), out.items(), denom)
 
     def eval_exact(self, point: Sequence[Scalar]) -> Fraction:
         if len(point) != self.nvars:
             raise ValueError("point arity mismatch")
         vals = [Fraction(x) for x in point]
-        total = Fraction(0)
-        for exps, c in self.terms.items():
-            term = c
-            for x, e in zip(vals, exps):
-                if e:
-                    term *= x**e
-            total += term
-        return total
+        total = sum(c * prod(x**e for x, e in zip(vals, exps)) for exps, c in self.ints.items())
+        return Fraction(total) / self.denom
 
     def eval_float(self, point: Sequence[float]) -> float:
+        """The value at a float point; each coefficient is the int true
+        division c / denom, which Python rounds correctly."""
+        if len(point) != self.nvars:
+            raise ValueError("point arity mismatch")
         total = 0.0
-        for exps, c in self.terms.items():
-            term = float(c)
+        for exps, c in self.ints.items():
+            term = c / self.denom
             for x, e in zip(point, exps):
                 if e:
                     term *= float(x) ** e
@@ -244,19 +235,18 @@ class Polynomial:
         """Exact integral over the box [0, edge]^nvars."""
         h = Fraction(edge)
         total = Fraction(0)
-        for exps, c in self.terms.items():
-            term = c
+        for exps, c in self.ints.items():
+            term = Fraction(c)
             for e in exps:
                 term *= h ** (e + 1) / (e + 1)
             total += term
-        return total
+        return total / self.denom
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self.ints:
             return "0"
         parts = []
-        for exps in sorted(self.terms):
-            c = self.terms[exps]
+        for exps, c in sorted(self.terms.items()):
             mono = "*".join(
                 f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
                 for i, e in enumerate(exps)
@@ -266,14 +256,32 @@ class Polynomial:
         return " + ".join(parts)
 
 
-IntPoly = dict[Monomial, int]
+def _check_index(i: int, nvars: int) -> None:
+    if not 1 <= i <= nvars:
+        raise ValueError(f"variable index {i} out of range 1..{nvars}")
 
 
-def _cleared(terms: Mapping[Monomial, Fraction]) -> tuple[IntPoly, int]:
-    """(integer terms, d) with terms = integer terms / d, d the least common
-    denominator."""
-    d = lcm(*(c.denominator for c in terms.values()))
-    return {e: c.numerator * (d // c.denominator) for e, c in terms.items()}, d
+def _from_ints(
+    nvars: int,
+    ints: Iterable[tuple[Monomial, int]],
+    denom: int,
+    out: Polynomial | None = None,
+) -> Polynomial:
+    """The Polynomial sum c x^e / denom over (e, c) pairs with distinct
+    exponents, denom > 0: zero terms are dropped and the rest reduced to
+    lowest terms by one gcd.  Fills ``out`` (a new Polynomial when None).
+    Every Polynomial is made here."""
+    if out is None:
+        out = Polynomial.__new__(Polynomial)
+    clean = {e: c for e, c in ints if c}
+    g = gcd(denom, *clean.values())
+    if g > 1:
+        clean = {e: c // g for e, c in clean.items()}
+        denom //= g
+    out.nvars = nvars
+    out.ints = clean
+    out.denom = denom
+    return out
 
 
 def _int_mul(a: IntPoly, b: IntPoly, out: IntPoly | None = None) -> IntPoly:
@@ -349,15 +357,6 @@ def _unpack(x: int, layout: tuple[int, ...], width: int) -> Iterator[tuple[Monom
             yield e, int.from_bytes(digit, "little") - half
 
 
-def _from_ints(nvars: int, ints: Iterable[tuple[Monomial, int]], denom: int) -> Polynomial:
-    """The Polynomial sum c x^e / denom over (e, c) pairs with distinct
-    exponents and nonzero c, with one normalised Fraction per term."""
-    p = Polynomial.__new__(Polynomial)
-    p.nvars = nvars
-    p.terms = {e: Fraction(c, denom) for e, c in ints}
-    return p
-
-
 @dataclass(frozen=True)
 class Face:
     """A face of the unit n-cube: some coordinates fixed at 0 or 1.
@@ -423,13 +422,7 @@ class DiffForm:
                     raise ValueError(f"index map {sigma} not strictly increasing in 1..{n}")
                 if poly.nvars != n:
                     raise ValueError("component polynomial arity mismatch")
-                if not poly.is_zero:
-                    prev = clean.get(sigma)
-                    merged = poly if prev is None else prev + poly
-                    if merged.is_zero:
-                        clean.pop(sigma, None)
-                    else:
-                        clean[sigma] = merged
+                _accumulate(clean, sigma, poly)
         self.components = clean
 
     @classmethod
@@ -459,11 +452,7 @@ class DiffForm:
             raise ValueError("form shape mismatch in addition")
         out = dict(self.components)
         for sigma, poly in other.components.items():
-            merged = out[sigma] + poly if sigma in out else poly
-            if merged.is_zero:
-                out.pop(sigma, None)
-            else:
-                out[sigma] = merged
+            _accumulate(out, sigma, poly)
         f = DiffForm.__new__(DiffForm)
         f.n, f.k, f.components = self.n, self.k, out
         return f
@@ -510,11 +499,7 @@ class DiffForm:
                     term = ps * pt
                     if sign < 0:
                         term = -term
-                    merged = out[key] + term if key in out else term
-                    if merged.is_zero:
-                        out.pop(key, None)
-                    else:
-                        out[key] = merged
+                    _accumulate(out, key, term)
         f = DiffForm.__new__(DiffForm)
         f.n, f.k, f.components = n, deg, out
         return f
@@ -529,17 +514,10 @@ class DiffForm:
                 if i in sset:
                     continue
                 dp = poly.partial(i)
-                if dp.is_zero:
-                    continue
                 below = sum(1 for s in sigma if s < i)
                 if below % 2:
                     dp = -dp
-                key = tuple(sorted(sigma + (i,)))
-                merged = out[key] + dp if key in out else dp
-                if merged.is_zero:
-                    out.pop(key, None)
-                else:
-                    out[key] = merged
+                _accumulate(out, tuple(sorted(sigma + (i,))), dp)
         f = DiffForm.__new__(DiffForm)
         f.n, f.k, f.components = n, self.k + 1, out
         return f
@@ -551,15 +529,11 @@ class DiffForm:
             raise ValueError("face does not belong to this form's cube")
         free = face.free
         local = {i: pos + 1 for pos, i in enumerate(free)}
-        out: dict[IndexMap, Polynomial] = {}
-        for sigma, poly in self.components.items():
-            if any(s in face.fixed for s in sigma):
-                continue
-            p = poly.restrict(face.fixed, free)
-            if p.is_zero:
-                continue
-            key = tuple(local[s] for s in sigma)
-            out[key] = out[key] + p if key in out else p
+        out = {
+            tuple(local[s] for s in sigma): poly.restrict(face.fixed, free)
+            for sigma, poly in self.components.items()
+            if not any(s in face.fixed for s in sigma)
+        }
         return DiffForm(len(free), self.k, out)
 
     def evaluate(self, point: Sequence[float]) -> dict[IndexMap, float]:
@@ -579,6 +553,15 @@ class DiffForm:
             dx = "^".join(f"dx{s}" for s in sigma) or "1"
             parts.append(f"({self.components[sigma]}) {dx}".strip())
         return " + ".join(parts)
+
+
+def _accumulate(out: dict[IndexMap, Polynomial], key: IndexMap, poly: Polynomial) -> None:
+    """Adds poly into out[key]; an entry whose sum is zero is removed."""
+    merged = out[key] + poly if key in out else poly
+    if merged.is_zero:
+        out.pop(key, None)
+    else:
+        out[key] = merged
 
 
 def wedge(f: DiffForm, g: DiffForm) -> DiffForm:

@@ -1,13 +1,14 @@
 """Affine and multilinear maps of the unit cube and exact form pullback.
 
 A multilinear map is stored by its monomial corner coefficients as Python
-ints over one positive denominator D, in lowest terms; ``coeffs`` is a
-derived view of them as rationals and ``float_arrays`` a correctly rounded
-float one.  Validity (det DF > 0 on the closed cube) is proved in integer
-arithmetic from the Bernstein coefficients of det DF.  The pushforward
-(F^-1)* of reference shape functions is not polynomial, since the inverse
-of a multilinear map is not; the numeric lab evaluates it at quadrature
-points through the numpy kernels (``meshlab.target_from_reference``).
+ints over one positive denominator D, in lowest terms, the format of
+``forms.Polynomial``; ``coeffs`` is a derived view of them as rationals
+and ``float_arrays`` a correctly rounded float one.  Validity (det DF > 0
+on the closed cube) is proved in integer arithmetic from the Bernstein
+coefficients of det DF.  The pushforward (F^-1)* of reference shape
+functions is not polynomial, since the inverse of a multilinear map is
+not; the numeric lab evaluates it at quadrature points through the numpy
+kernels (``meshlab.target_from_reference``).
 
 Pullback of polynomial forms is fully symbolic and exact, and runs on
 Python ints.  On first use a map builds one cache, kept for its lifetime:
@@ -15,10 +16,11 @@ its components as integer polynomials D F^i, the entries of D DF, memos of
 the minors det((D DF)[sigma, tau]) and of the monomial images D^|e| F^e
 (built from cached powers of each D F^i), the l1 norm of each image and
 the max norm of each minor, and the images and minors packed by
-``forms._pack`` in each layout asked for.  A pullback sums c F^e times a
-minor over each tau as one sum of packed int products over one
-denominator, unpacked once into one Fraction per nonzero output
-coefficient.  ``jacobian`` and the validity proof read D DF and det(D DF),
+``forms._pack`` in each layout asked for.  A pullback reads each
+component's ints and denominator, sums c F^e times a minor over each tau
+as one sum of packed int products over one denominator, and unpacks it
+once into the ints of a Polynomial over that denominator, reduced by one
+gcd.  ``jacobian`` and the validity proof read D DF and det(D DF),
 its top minor, from the same cache.  A map is never changed after
 construction, so the cache never goes stale.
 """
@@ -114,6 +116,8 @@ class MultilinearMap:
         return not any(any(vec) for alpha, vec in self.ints.items() if sum(alpha) >= 2)
 
     def eval_exact(self, point: Sequence[Scalar]) -> tuple[Fraction, ...]:
+        if len(point) != self.n:
+            raise ValueError("point arity mismatch")
         pt = [Fraction(x) for x in point]
         out = [0] * self.n
         for alpha, vec in self.ints.items():
@@ -383,15 +387,17 @@ def pullback_polynomial(fmap: MultilinearMap, v: DiffForm) -> DiffForm:
     """Exact pullback F*v of a polynomial k-form through a multilinear map.
 
     Expands (v_sigma o F) det(DF[sigma, tau]) over increasing tau, which is
-    the component form of the coordinate pullback formula.  With L the
-    common denominator of v's coefficients and m its top degree, each
-    c_e x^e of v_sigma contributes c_e L D^(m-|e|) (D^|e| F^e) in integers,
+    the component form of the coordinate pullback formula.  With L the lcm
+    of the denominators of v's components and m its top degree, each term
+    c_e x^e of v_sigma, c_e = a_e / L_sigma, contributes
+    a_e (L / L_sigma) D^(m-|e|) (D^|e| F^e) in integers,
     so component tau is an integer polynomial over L D^(m+k).  Its degree
     in each variable is at most m + k, so every product runs in the packed
     layout of radix m + k + 1 per variable (forms._pack): component tau is
     sum_sigma (sum_e scale_e image_e) minor(sigma, tau) in packed ints,
-    unpacked once into its Fractions.  The slot width bounds each output
-    coefficient by sum_sigma (sum_e |scale_e| l1(image_e)) max|minor|.
+    unpacked once into its integer coefficients.  The slot width bounds
+    each output coefficient by sum_sigma (sum_e |scale_e| l1(image_e))
+    max|minor|.
     """
     n = fmap.n
     k = v.k
@@ -401,14 +407,14 @@ def pullback_polynomial(fmap: MultilinearMap, v: DiffForm) -> DiffForm:
         return DiffForm.zero(n, k)
     cleared = fmap._int_data()
     d = cleared.denom
-    big_l = lcm(*(c.denominator for p in v.components.values() for c in p.terms.values()))
+    big_l = lcm(*(p.denom for p in v.components.values()))
     m = v.max_degree()
     layout = (m + k + 1,) * n
     taus = enumerate_sigma(k, n)
     scaled = {
         sigma: [
-            (exps, c.numerator * (big_l // c.denominator) * d ** (m - sum(exps)))
-            for exps, c in poly.terms.items()
+            (exps, c * (big_l // poly.denom) * d ** (m - sum(exps)))
+            for exps, c in poly.ints.items()
         ]
         for sigma, poly in v.components.items()
     }

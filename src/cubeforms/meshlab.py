@@ -162,6 +162,8 @@ def target_from_form(form: DiffForm, label: str = "poly") -> TargetForm:
 def target_from_reference(fmap: MultilinearMap, what: DiffForm, label: str = "mapped") -> TargetForm:
     """The pushforward of a reference form through a fixed element map,
     evaluated via the reference points.  Only meaningful on that element."""
+    if what.n != fmap.n:
+        raise ValueError(f"a {what.n}D form cannot be pushed forward by a {fmap.n}D map")
     coeffs_f, alphas = fmap.float_arrays()
     sig_idx, exps, coeffs = _float_view([what], fmap.n, what.k)
 
@@ -183,7 +185,7 @@ def _float_view(forms: Sequence[DiffForm], n: int, k: int):
     0-based index maps; exps (T,n), the monomials any form uses; coeffs
     (J,M,T), the coefficient of monomial t in component m of form j)."""
     sigmas = enumerate_sigma(k, n)
-    monos = sorted({e for f in forms for p in f.components.values() for e in p.terms})
+    monos = sorted({e for f in forms for p in f.components.values() for e in p.ints})
     if not monos:
         monos = [(0,) * n]
     index = {e: t for t, e in enumerate(monos)}
@@ -191,8 +193,8 @@ def _float_view(forms: Sequence[DiffForm], n: int, k: int):
     coeffs = np.zeros((len(forms), len(sigmas), len(monos)))
     for j, f in enumerate(forms):
         for sig, poly in f.components.items():
-            for exps, c in poly.terms.items():
-                coeffs[j, sig_pos[sig], index[exps]] = float(c)
+            for exps, c in poly.ints.items():
+                coeffs[j, sig_pos[sig], index[exps]] = c / poly.denom
     sig_idx = np.array([[s - 1 for s in sig] for sig in sigmas], dtype=np.int64)
     exps_arr = np.array(monos, dtype=np.int64).reshape(len(monos), n)
     return sig_idx.reshape(len(sigmas), k), exps_arr, coeffs
@@ -415,7 +417,7 @@ def default_quad_order(space: FormSpace, n: int) -> int:
     deg = 0
     for f in space.basis:
         for poly in f.components.values():
-            for exps in poly.terms:
+            for exps in poly.ints:
                 deg = max(deg, max(exps, default=0))
     return deg + (4 if n >= 3 else 6)
 

@@ -68,7 +68,7 @@ class FormSpace:
         coords = set()
         for f in self.basis:
             for sigma, poly in f.components.items():
-                for exps in poly.terms:
+                for exps in poly.ints:
                     coords.add((sigma, exps))
         return sorted(coords)
 
@@ -199,7 +199,7 @@ def in_span(space: FormSpace, f: DiffForm) -> bool:
         return all(
             (sigma, exps) in space.monomial_coords
             for sigma, poly in f.components.items()
-            for exps in poly.terms
+            for exps in poly.ints
         )
     index, echelon, pivots = _echelon_of(space)
     vec = [Fraction(0)] * len(index)

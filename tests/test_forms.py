@@ -1,5 +1,6 @@
 from fractions import Fraction
-from math import comb
+from itertools import permutations
+from math import comb, gcd
 
 import pytest
 from hypothesis import given
@@ -17,8 +18,9 @@ from cubeforms.forms import (
     trace,
     wedge,
 )
+from cubeforms.mapping import jacobian, map_from_vertices, pullback_polynomial
 
-from conftest import form_strategy, naive_product, nk_pairs
+from conftest import form_strategy, naive_product, nk_pairs, vertex_strategy
 
 
 def mono(n, sigma, exps, c=1):
@@ -188,6 +190,44 @@ class TestPolynomial:
         assert p.integral_box() == Fraction(1, 6)
         assert p.integral_box(Fraction(1, 2)) == Fraction(1, 8) * Fraction(1, 24)
 
+    def test_storage_is_integers_over_one_denominator(self):
+        p = Polynomial(2, {(1, 0): Fraction(2, 3), (0, 1): Fraction(-1, 6), (0, 0): 0})
+        assert (p.ints, p.denom) == ({(1, 0): 4, (0, 1): -1}, 6)
+        assert p.terms == {(1, 0): Fraction(2, 3), (0, 1): Fraction(-1, 6)}
+        assert (Polynomial.zero(3).ints, Polynomial.zero(3).denom) == ({}, 1)
+        # Scaling by 3/2 cancels the denominator entirely.
+        q = p * Fraction(6)
+        assert (q.ints, q.denom) == ({(1, 0): 4, (0, 1): -1}, 1)
+
+    @pytest.mark.parametrize("exps", [(1,), (1, 0, 0), (-1, 0)])
+    def test_rejects_bad_exponents_with_zero_coefficient(self, exps):
+        with pytest.raises(ValueError, match="bad exponent tuple"):
+            Polynomial(2, {exps: 0})
+
+    @pytest.mark.parametrize("i", [0, 3, -1])
+    def test_partial_index_out_of_range(self, i):
+        with pytest.raises(ValueError, match="out of range"):
+            Polynomial.monomial(2, (1, 1)).partial(i)
+
+    @pytest.mark.parametrize(
+        "fixed, keep", [({3: 0}, [1, 2]), ({0: 1}, [1, 2]), ({1: 0}, [2, 3]), ({1: 0}, [0])]
+    )
+    def test_restrict_index_out_of_range(self, fixed, keep):
+        with pytest.raises(ValueError, match="out of range"):
+            Polynomial.monomial(2, (1, 1)).restrict(fixed, keep)
+
+    def test_restrict_fixed_and_kept_overlap(self):
+        with pytest.raises(ValueError, match="both fixed and kept"):
+            Polynomial.monomial(2, (1, 1)).restrict({1: 2}, [1, 2])
+
+    def test_eval_float_arity(self):
+        p = Polynomial(2, {(1, 1): 1})
+        with pytest.raises(ValueError, match="point arity mismatch"):
+            p.eval_float([1])
+        with pytest.raises(ValueError, match="point arity mismatch"):
+            p.eval_float([1, 2, 3])
+        assert p.eval_float([0.5, 3]) == 1.5
+
 
 def poly_strategy(nvars: int, max_terms: int = 4):
     """Polynomials with mixed-denominator coefficients of both signs."""
@@ -309,3 +349,181 @@ class TestIntMul:
                 b = {(0,): sign, (1,): sign}
                 want = {(0,): sign * 2 ** (s - 1), (1,): sign * 2**s, (2,): sign * 2 ** (s - 1)}
                 assert _int_mul(a, b) == want
+
+
+# A Fraction-dict oracle: polynomials as {exponents: nonzero Fraction}, one
+# Fraction per term, with no shared code with Polynomial.
+
+
+def o_clean(terms):
+    return {e: Fraction(c) for e, c in terms.items() if c}
+
+
+def o_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return o_clean(out)
+
+
+def o_mul(a, b):
+    return nonzero(double_loop_mul(a, b))
+
+
+def o_partial(a, i):
+    out = {}
+    for e, c in a.items():
+        if e[i - 1]:
+            out[e[: i - 1] + (e[i - 1] - 1,) + e[i:]] = c * e[i - 1]
+    return out
+
+
+def o_restrict(a, fixed, keep):
+    out = {}
+    for e, c in a.items():
+        for i, v in fixed.items():
+            c *= Fraction(v) ** e[i - 1]
+        key = tuple(e[i - 1] for i in keep)
+        out[key] = out.get(key, 0) + c
+    return o_clean(out)
+
+
+def o_det(rows, nvars):
+    total = {}
+    for perm in permutations(range(len(rows))):
+        inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :])
+        term = {(0,) * nvars: Fraction(-1 if inversions % 2 else 1)}
+        for row, j in zip(rows, perm):
+            term = o_mul(term, row[j])
+        total = o_add(total, term)
+    return total
+
+
+def o_jacobian(fmap):
+    """(components F^i, entries dF^i/dx^j) of the map."""
+    n = fmap.n
+    comps = [o_clean({a: vec[i] for a, vec in fmap.coeffs.items()}) for i in range(n)]
+    return comps, [[o_partial(c, j) for j in range(1, n + 1)] for c in comps]
+
+
+def o_pullback(fmap, v):
+    """{tau: terms} of sum over sigma, tau of (v_sigma o F) det DF[sigma, tau]."""
+    n = fmap.n
+    comps, entries = o_jacobian(fmap)
+    out = {}
+    for sigma, poly in v.components.items():
+        pulled = {}
+        for exps, c in poly.terms.items():
+            term = {(0,) * n: c}
+            for comp, e in zip(comps, exps):
+                for _ in range(e):
+                    term = o_mul(term, comp)
+            pulled = o_add(pulled, term)
+        for tau in enumerate_sigma(v.k, n):
+            minor = o_det([[entries[s - 1][t - 1] for t in tau] for s in sigma], n)
+            out[tau] = o_add(out.get(tau, {}), o_mul(pulled, minor))
+    return {tau: t for tau, t in out.items() if t}
+
+
+def assert_canonical(p, want=None):
+    """p's storage is ints over a positive denominator in lowest terms with
+    no zero coefficient, and its Fraction view equals want (when given)."""
+    assert p.denom > 0
+    assert gcd(p.denom, *p.ints.values()) == 1
+    assert all(p.ints.values())
+    assert all(len(e) == p.nvars for e in p.ints)
+    if want is not None:
+        assert p.terms == want
+    # The same terms given to the public constructor store the same way.
+    again = Polynomial(p.nvars, p.terms)
+    assert (again.ints, again.denom) == (p.ints, p.denom)
+    assert again == p and hash(again) == hash(p)
+
+
+def assert_form_canonical(f, want):
+    assert set(f.components) == set(want)
+    for sigma, p in f.components.items():
+        assert_canonical(p, want[sigma])
+
+
+fraction = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+
+
+def raw_terms(nvars, max_terms=5):
+    """Exponents to coefficients, zeros and mixed denominators included."""
+    term = st.tuples(st.tuples(*([st.integers(0, 3)] * nvars)), st.one_of(st.just(0), fraction))
+    return st.lists(term, max_size=max_terms).map(dict)
+
+
+class TestCanonicalStorage:
+    """Every operation keeps Polynomial's storage canonical and matches the
+    Fraction-dict oracle above; equal polynomials hash equal."""
+
+    @pytest.mark.parametrize("nvars", [0, 1, 2, 3])
+    @given(data=st.data())
+    def test_arithmetic(self, nvars, data):
+        ta = data.draw(raw_terms(nvars))
+        tb = data.draw(raw_terms(nvars))
+        c = data.draw(st.one_of(st.integers(-3, 3), fraction))
+        a, b = Polynomial(nvars, ta), Polynomial(nvars, tb)
+        wa, wb = o_clean(ta), o_clean(tb)
+        assert_canonical(a, wa)
+        assert_canonical(b, wb)
+        neg_b = {e: -x for e, x in wb.items()}
+        assert_canonical(a + b, o_add(wa, wb))
+        assert_canonical(a - b, o_add(wa, neg_b))
+        assert_canonical(-b, neg_b)
+        assert_canonical(a * c, o_clean({e: x * c for e, x in wa.items()}))
+        assert_canonical(c * a, o_clean({e: x * c for e, x in wa.items()}))
+        assert_canonical(a * b, o_mul(wa, wb))
+        assert_canonical((a + b) * (a - b), o_mul(o_add(wa, wb), o_add(wa, neg_b)))
+        assert a + b == b + a and hash(a + b) == hash(b + a)
+        assert a * b == b * a and hash(a * b) == hash(b * a)
+        assert a - a == Polynomial.zero(nvars) and hash(a - a) == hash(Polynomial.zero(nvars))
+        for i in range(1, nvars + 1):
+            assert_canonical(a.partial(i), o_partial(wa, i))
+
+    @pytest.mark.parametrize("nvars", [1, 2, 3])
+    @given(data=st.data())
+    def test_restrict(self, nvars, data):
+        terms = data.draw(raw_terms(nvars))
+        order = data.draw(st.permutations(range(1, nvars + 1)))
+        count = data.draw(st.integers(0, nvars))
+        fixed_vars = order[:count]
+        values = [data.draw(st.one_of(st.sampled_from([0, 1]), fraction)) for _ in fixed_vars]
+        fixed = dict(zip(fixed_vars, values))
+        keep = sorted(order[count:])
+        got = Polynomial(nvars, terms).restrict(fixed, keep)
+        assert got.nvars == len(keep)
+        assert_canonical(got, o_restrict(o_clean(terms), fixed, keep))
+
+    @pytest.mark.parametrize("n,k", nk_pairs(3))
+    @given(data=st.data())
+    def test_trace(self, n, k, data):
+        f = data.draw(form_strategy(n, k))
+        order = data.draw(st.permutations(range(1, n + 1)))
+        count = data.draw(st.integers(0, n))
+        values = data.draw(st.tuples(*([st.sampled_from([0, 1])] * count)))
+        face = Face(n, dict(zip(order[:count], values)))
+        local = {i: pos + 1 for pos, i in enumerate(face.free)}
+        want = {}
+        for sigma, p in f.components.items():
+            if any(s in face.fixed for s in sigma):
+                continue
+            key = tuple(local[s] for s in sigma)
+            want[key] = o_add(want.get(key, {}), o_restrict(p.terms, face.fixed, face.free))
+        assert_form_canonical(trace(f, face), {s: t for s, t in want.items() if t})
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @given(data=st.data())
+    def test_pullback_and_jacobian(self, n, data):
+        fmap = map_from_vertices(data.draw(vertex_strategy(n, spread=4)))
+        k = data.draw(st.integers(0, n))
+        v = data.draw(form_strategy(n, k, max_exp=1 if n == 3 else 2))
+        assert_form_canonical(pullback_polynomial(fmap, v), o_pullback(fmap, v))
+        comps, entries = o_jacobian(fmap)
+        jac = jacobian(fmap)
+        for row, want_row in zip(jac.entries, entries):
+            for entry, want in zip(row, want_row):
+                assert_canonical(entry, want)
+        assert_canonical(jac.det_poly, o_det(entries, n))

@@ -186,6 +186,13 @@ class TestRepresentation:
         assert MultilinearMap(1, {}, 7).denom == 1
         assert MultilinearMap.dilation(2, Fraction(4, 6)).ints[(1, 0)] == (2, 0)
 
+    def test_eval_exact_arity(self):
+        fmap = MultilinearMap.identity(2)
+        for point in ([1], [1, 2, 3]):
+            with pytest.raises(ValueError, match="point arity mismatch"):
+                fmap.eval_exact(point)
+        assert fmap.eval_exact([1, Fraction(1, 2)]) == (1, Fraction(1, 2))
+
     def test_constructor_rejects_bad_input(self):
         with pytest.raises(TypeError):
             MultilinearMap(1, {(1,): (Fraction(1, 2),)}, 1)
@@ -526,6 +533,12 @@ class TestPushforward:
         xref = np.array(xrefs, dtype=np.float64)
         xphys = np.array([fmap(x) for x in xref])
         return target_from_reference(fmap, w).values(xphys, xref)
+
+    def test_form_and_map_dimensions_must_match(self):
+        with pytest.raises(ValueError, match="3D form cannot be pushed forward by a 2D map"):
+            target_from_reference(MultilinearMap.identity(2), DiffForm.basis_form(3, (1,)))
+        with pytest.raises(ValueError, match="1D form cannot be pushed forward by a 2D map"):
+            target_from_reference(MultilinearMap.identity(2), DiffForm.basis_form(1, ()))
 
     def test_identity(self):
         w = DiffForm.monomial_form(2, (1,), (1, 1), Fraction(1, 2))
