@@ -470,6 +470,14 @@ def _int_at_least(low: int):
     return integer
 
 
+def _tolerance(text: str) -> float:
+    """An argparse type: a finite float no smaller than 0."""
+    tol = float(text)
+    if not 0 <= tol < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be finite and at least 0, got {text}")
+    return tol
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cubeforms",
@@ -497,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--quad", type=int, default=None, help="per-axis quadrature order")
     p_conv.add_argument(
         "--assert-rates",
-        type=float,
+        type=_tolerance,
         default=None,
         dest="assert_rates",
         metavar="TOL",

@@ -126,6 +126,7 @@ class Polynomial:
 
     def degree_in(self, i: int) -> int:
         """Degree in variable x_i (1-based); -1 for the zero polynomial."""
+        _check_index(i, self.nvars)
         return max((e[i - 1] for e in self.ints), default=-1)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
@@ -183,9 +184,10 @@ class Polynomial:
     def restrict(self, fixed: Mapping[int, Scalar], keep: Sequence[int]) -> "Polynomial":
         """Substitute values for the ``fixed`` variables, keep the rest.
 
-        ``keep`` lists the surviving variable indices (1-based, increasing);
-        the result is a polynomial in ``len(keep)`` variables, reindexed in
-        that order.  A fixed value p/q raised to the power e enters term e as
+        ``keep`` lists the surviving variable indices (1-based, strictly
+        increasing), and every variable is either fixed or kept; the result
+        is a polynomial in ``len(keep)`` variables, reindexed in that order.
+        A fixed value p/q raised to the power e enters term e as
         p^e q^(top - e) over q^top, top the degree in that variable.
         """
         keep = tuple(keep)
@@ -193,6 +195,10 @@ class Polynomial:
             _check_index(i, self.nvars)
         if not fixed.keys().isdisjoint(keep):
             raise ValueError("a variable cannot be both fixed and kept")
+        if any(a >= b for a, b in zip(keep, keep[1:])):
+            raise ValueError("kept variables must be strictly increasing")
+        if len(fixed) + len(keep) != self.nvars:
+            raise ValueError("every variable must be fixed or kept")
         subs = []
         denom = self.denom
         for i, val in fixed.items():

@@ -1,14 +1,16 @@
 """Affine and multilinear maps of the unit cube and exact form pullback.
 
-A multilinear map is stored by its monomial corner coefficients as Python
-ints over one positive denominator D, in lowest terms, the format of
-``forms.Polynomial``; ``coeffs`` is a derived view of them as rationals
-and ``float_arrays`` a correctly rounded float one.  Validity (det DF > 0
-on the closed cube) is proved in integer arithmetic from the Bernstein
-coefficients of det DF.  The pushforward (F^-1)* of reference shape
-functions is not polynomial, since the inverse of a multilinear map is
-not; the numeric lab evaluates it at quadrature points through the numpy
-kernels (``meshlab.target_from_reference``).
+A multilinear map is stored by its monomial corner coefficients as
+Python ints over one positive denominator D, in lowest terms, the format
+of ``forms.Polynomial``; ``coeffs`` is a derived view of them as
+rationals and ``float_arrays`` a correctly rounded float one, built on
+each call.  ``jacobian_key``, made once at construction, is DF as a key:
+the non-constant coefficients in lowest terms, denominator last.
+Validity (det DF > 0 on the closed cube) is proved in integer arithmetic
+from the Bernstein coefficients of det DF.  The pushforward (F^-1)* of
+reference shape functions is not polynomial, since the inverse of a
+multilinear map is not; the numeric lab evaluates it at quadrature
+points through the numpy kernels (``meshlab.target_from_reference``).
 
 Pullback of polynomial forms is fully symbolic and exact, and runs on
 Python ints.  On first use a map builds one cache, kept for its lifetime:
@@ -73,25 +75,28 @@ class MultilinearMap:
     are stored as c_alpha = ints[alpha] / denom in lowest terms, that is with
     gcd(all ints, denom) = 1."""
 
-    __slots__ = ("n", "ints", "denom", "_float_cache", "_int_cache")
+    __slots__ = ("n", "ints", "denom", "jacobian_key", "_int_cache")
 
     def __init__(self, n: int, ints: Mapping[tuple[int, ...], Sequence[int]], denom: int):
         if denom <= 0:
             raise ValueError("the denominator must be positive")
-        full = {}
-        for alpha in _corners(n):
-            vec = tuple(map(index, ints.get(alpha, (0,) * n)))
-            if len(vec) != n:
-                raise ValueError("coefficient vectors must have length n")
-            full[alpha] = vec
-        g = gcd(denom, *(c for vec in full.values() for c in vec))
+        corners = _corners(n)
+        if not ints.keys() <= set(corners):
+            raise ValueError(f"coefficient keys must be corners of {{0,1}}^{n}")
+        vecs = [tuple(map(index, ints.get(alpha, (0,) * n))) for alpha in corners]
+        if any(len(vec) != n for vec in vecs):
+            raise ValueError("coefficient vectors must have length n")
+        # DF, and so the key, does not see the constant coefficients.
+        key = [c for vec in vecs[1:] for c in vec] + [denom]
+        g_df = gcd(*key)
+        self.jacobian_key = tuple(key) if g_df == 1 else tuple([c // g_df for c in key])
+        g = gcd(g_df, *vecs[0])
         if g > 1:
-            full = {alpha: tuple(c // g for c in vec) for alpha, vec in full.items()}
+            vecs = [tuple([c // g for c in vec]) for vec in vecs]
             denom //= g
         self.n = n
-        self.ints = full
+        self.ints = dict(zip(corners, vecs))
         self.denom = denom
-        self._float_cache = None
         self._int_cache = None
 
     @classmethod
@@ -128,16 +133,11 @@ class MultilinearMap:
         return tuple(Fraction(x) / self.denom for x in out)
 
     def float_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(coeff matrix (2^n, n) float64, alpha matrix (2^n, n) int64).
-        Each entry is the int true division c / denom, which Python rounds
-        correctly, so it equals float(Fraction(c, denom))."""
-        if self._float_cache is None:
-            alphas = _corners(self.n)
-            coeffs = np.array(
-                [[c / self.denom for c in self.ints[a]] for a in alphas], dtype=np.float64
-            )
-            self._float_cache = (coeffs, np.array(alphas, dtype=np.int64))
-        return self._float_cache
+        """(coeff matrix (2^n, n) float64, alpha matrix (2^n, n) int64),
+        built on each call.  Each entry is the int true division c / denom,
+        which Python rounds correctly, so it equals float(Fraction(c, denom))."""
+        coeffs = np.array([c / self.denom for vec in self.ints.values() for c in vec])
+        return coeffs.reshape(-1, self.n), np.array(_corners(self.n), dtype=np.int64)
 
     def _int_data(self) -> "_ClearedMap":
         """The integer-cleared exact data of this map, built on first use."""
@@ -146,6 +146,8 @@ class MultilinearMap:
         return self._int_cache
 
     def __call__(self, point: Sequence[float]) -> np.ndarray:
+        if len(point) != self.n:
+            raise ValueError("point arity mismatch")
         pt = np.asarray(point, dtype=np.float64)
         coeffs, alphas = self.float_arrays()
         mono = np.prod(np.where(alphas == 1, pt[None, :], 1.0), axis=1)

@@ -4,12 +4,13 @@ A mesh is the N^n cells of the lattice {0..N}^n.  Each family is a rule
 that places the lattice points, each computed once as integers over one
 mesh denominator; cell c is the multilinear map through the points
 c + {0,1}^n, built from those integers with no Fraction per vertex or
-coefficient, so neighbouring cells share vertices and hence faces.  A mesh
+coefficient, so neighbouring cells share vertices and hence faces.  DF
+does not see a cell's translation, so a mesh's cells are grouped by their
+Jacobian key (``MultilinearMap.jacobian_key``, the non-constant
+coefficients in lowest terms): one group per uniform or parallelotope
+mesh, six per trapezoidal and 24 per trilinear3d mesh for N >= 4.  A mesh
 is returned only once det DF > 0 is proved on every cell and the exact
-cell volumes sum to the domain's.  det DF does not see a cell's
-translation, so cells whose non-constant coefficients agree in lowest
-terms share one proof and one volume: one per uniform or parallelotope
-mesh, six per trapezoidal and 24 per trilinear3d mesh for N >= 4.
+cell volumes sum to the domain's, with one proof and one volume per group.
 
 The measured quantity is the elementwise best approximation of a smooth
 target form by the mapped reference space, which lower-bounds the
@@ -20,22 +21,19 @@ pushforward through DF^-1.  Every shape function on a cell is the
 pullback of one reference form, so the reference element (corner-monomial
 tables and basis values at the quadrature points) is tabulated once per
 (space, quadrature rule) and cached on the space.  The weighted design
-matrix of a cell depends only on DF, which does not see a translation:
-it is computed once per geometry key (the cell's non-constant float
-coefficients) and kept as the tabulation's one geometry entry.  A mesh
-is visited key by key, so each of its distinct Jacobians is computed
-once: one per uniform or parallelotope mesh, six per trapezoidal and 24
-per trilinear3d mesh for N >= 4.  Per cell only x = F(xref), the target
-values and one least-squares fit remain.
+matrix of a cell depends only on DF: it is computed once per Jacobian key
+and kept as the tabulation's one geometry entry.  The element loop visits
+the same groups as the validation, so each distinct Jacobian is computed
+once.  Per cell only x = F(xref), the target values and one least-squares
+fit remain.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm, log
+from math import lcm, log
 from typing import Callable, Sequence
 
 import numpy as np
@@ -164,12 +162,11 @@ def target_from_reference(fmap: MultilinearMap, what: DiffForm, label: str = "ma
     evaluated via the reference points.  Only meaningful on that element."""
     if what.n != fmap.n:
         raise ValueError(f"a {what.n}D form cannot be pushed forward by a {fmap.n}D map")
-    coeffs_f, alphas = fmap.float_arrays()
+    coeffs_f = fmap.float_arrays()[0]
     sig_idx, exps, coeffs = _float_view([what], fmap.n, what.k)
 
     def fn(_xphys, xref):
-        jacs = _kernels.multilinear_jacobian(coeffs_f, alphas, xref)
-        _, invs = _kernels.jacobian_det_inv(jacs)
+        _, invs = _det_inv(coeffs_f, _corner_tables(fmap.n, xref)[1])
         hat = _reference_values(exps, coeffs, xref)
         return _pushforward(hat, sig_idx, invs)[:, :, 0]
 
@@ -218,7 +215,7 @@ class _Tabulation:
     """What element_l2_error needs of one (space, quadrature rule) pair: the
     corner tables behind x = F(xref) and DF (see _corner_tables) and the
     reference basis values hat (J, M, P), the same on every cell; and one
-    geometry entry, geometry key -> (scale, a) (see _geometry), replaced
+    geometry entry, Jacobian key -> (scale, a) (see _geometry), replaced
     whenever a cell of another key comes, so at most one design matrix is
     held however many maps a caller passes."""
 
@@ -263,30 +260,28 @@ class Mesh:
         return len(self.elements)
 
 
-def _jacobian_key(fmap: MultilinearMap) -> tuple[int, ...]:
-    """The coefficients of every non-constant corner monomial, with their
-    denominator last, in lowest terms: DF, and so det DF, as a key."""
-    ints = [c for vec in list(fmap.ints.values())[1:] for c in vec]
-    g = gcd(fmap.denom, *ints)
-    return (*(c // g for c in ints), fmap.denom // g)
+def _groups(mesh: Mesh) -> list[list[int]]:
+    """The cell indices of a mesh grouped by Jacobian key: the groups in the
+    order of their first cell, the cells of a group in mesh order."""
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for idx, el in enumerate(mesh.elements):
+        groups.setdefault(el.jacobian_key, []).append(idx)
+    return list(groups.values())
 
 
 def _validate_mesh(mesh: Mesh, expected_volume: Fraction) -> Mesh:
     """Prove every element orientation preserving (as check_diffeo does) and
-    check that the exact element volumes add up to the domain's.  det DF
-    does not depend on a cell's constant coefficient, so cells that differ
-    by a translation share one proof and one volume.  Keys are proved in
-    the order of their first cell, so the first bad cell is the one named."""
-    keys = [_jacobian_key(el) for el in mesh.elements]
+    check that the exact element volumes add up to the domain's, once per
+    Jacobian key.  Groups are proved in the order of their first cell, so
+    the first bad cell is the one named."""
     total = Fraction(0)
-    for key, count in Counter(keys).items():
-        idx = keys.index(key)
-        el = mesh.elements[idx]
+    for idxs in _groups(mesh):
+        first, el = idxs[0], mesh.elements[idxs[0]]
         coeffs, scale = _det_bernstein(el)
         if not _bernstein_positive(coeffs, el.n):
-            raise ValueError(f"element {idx} of {mesh.family} mesh is not orientation preserving")
+            raise ValueError(f"element {first} of {mesh.family} mesh is not orientation preserving")
         # Each tensor Bernstein polynomial integrates to 1 / (d+1)^n.
-        total += Fraction(count * sum(coeffs.values()), len(coeffs) * scale)
+        total += Fraction(len(idxs) * sum(coeffs.values()), len(coeffs) * scale)
     if total != expected_volume:
         raise ValueError(f"{mesh.family} mesh does not tile: volume {float(total)}")
     return mesh
@@ -437,31 +432,17 @@ def _det_inv(coeffs_f: np.ndarray, columns: tuple):
     return dets, invs
 
 
-def _geometry_key(fmap: MultilinearMap) -> bytes:
-    """The float coefficients of every non-constant corner monomial, as
-    bytes: all that DF is computed from.  Cells with equal _jacobian_key
-    have equal geometry keys, since float_arrays rounds each c / denom
-    correctly."""
-    return fmap.float_arrays()[0][1:].tobytes()
-
-
-def _geometry(fmap: MultilinearMap, tab: _Tabulation, weights: np.ndarray) -> tuple:
-    """(scale, a) of a cell: scale (P,) = sqrt(w det DF) at the quadrature
-    points and a (P M, J) the pushed-forward basis weighted by scale.  Both
-    are read-only and come from the tabulation's geometry entry, computed
-    anew only when the cell's geometry key differs from the entry's."""
-    key = _geometry_key(fmap)
-    entry = tab.geometry.get(key)
-    if entry is None:
-        dets, invs = _det_inv(fmap.float_arrays()[0], tab.corner_tables[1])
-        scale = np.sqrt(weights * dets)
-        pushed = _pushforward(tab.hat, tab.sig_idx, invs) * scale[:, None, None]
-        p, m, j = pushed.shape
-        entry = (scale, pushed.reshape(p * m, j))
-        for arr in entry:
-            arr.flags.writeable = False
-        tab.geometry.clear()
-        tab.geometry[key] = entry
+def _geometry(coeffs_f: np.ndarray, tab: _Tabulation, weights: np.ndarray) -> tuple:
+    """(scale, a), both read-only, of a cell with float corner coefficients
+    coeffs_f: scale (P,) = sqrt(w det DF) at the quadrature points and
+    a (P M, J) the pushed-forward basis weighted by scale."""
+    dets, invs = _det_inv(coeffs_f, tab.corner_tables[1])
+    scale = np.sqrt(weights * dets)
+    pushed = _pushforward(tab.hat, tab.sig_idx, invs) * scale[:, None, None]
+    p, m, j = pushed.shape
+    entry = (scale, pushed.reshape(p * m, j))
+    for arr in entry:
+        arr.flags.writeable = False
     return entry
 
 
@@ -486,8 +467,13 @@ def element_l2_error(
     if k > 3:
         raise NumericalError("numeric pipeline supports form degree k <= 3")
     tab = _tabulation(vhat, quad)
-    scale, a = _geometry(fmap, tab, quad.weights)
-    xphys = tab.corner_tables[0] @ fmap.float_arrays()[0]
+    coeffs_f = fmap.float_arrays()[0]
+    entry = tab.geometry.get(fmap.jacobian_key)
+    if entry is None:
+        tab.geometry.clear()
+        entry = tab.geometry[fmap.jacobian_key] = _geometry(coeffs_f, tab, quad.weights)
+    scale, a = entry
+    xphys = tab.corner_tables[0] @ coeffs_f
     uvals = target.values(xphys, quad.points)
     nbasis = len(vhat.basis)
     if nbasis == 0:
@@ -587,16 +573,12 @@ class ConvergenceReport:
 
 def _mesh_error(mesh: Mesh, vhat: FormSpace, target: TargetForm, quad: QuadratureRule) -> float:
     """Root sum of squares of the element errors, summed in mesh order.
-    Cells are visited grouped by geometry key, the groups in the order of
-    their first cell and the cells of a group in mesh order, so each group's
-    design matrix is computed once and only one is held at a time.  Every
-    NumericalError depends on the geometry alone, so it is raised at the
-    first cell of a group and names the first bad element in mesh order."""
-    groups: dict[bytes, list[int]] = {}
-    for idx, el in enumerate(mesh.elements):
-        groups.setdefault(_geometry_key(el), []).append(idx)
+    Cells are visited by _groups, so each group's design matrix is computed
+    once and only one is held at a time.  Every NumericalError depends on
+    the geometry alone, so it is raised at the first cell of a group and
+    names the first bad element in mesh order."""
     errs = np.empty(mesh.size)
-    for idxs in groups.values():
+    for idxs in _groups(mesh):
         for idx in idxs:
             try:
                 errs[idx] = element_l2_error(mesh.elements[idx], vhat, target, quad)

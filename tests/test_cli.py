@@ -297,6 +297,17 @@ class TestConvergeCommand:
             == 1
         )
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "-0.5"])
+    def test_assert_rates_tolerance_rejected(self, tmp_path, capsys, tol):
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(TINY_CFG)
+        rc = cli.main(["converge", str(cfg), "--out", str(tmp_path), f"--assert-rates={tol}"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert f"argument --assert-rates: must be finite and at least 0, got {tol}" in captured.err
+        assert [p.name for p in tmp_path.iterdir()] == ["tiny.cfg"]
+
     def test_numerical_failure_exit_code(self, tmp_path):
         cfg = tmp_path / "coarse.cfg"
         cfg.write_text(TINY_CFG.replace("quad = 5", "quad = 1"))

@@ -216,6 +216,22 @@ class TestPolynomial:
         with pytest.raises(ValueError, match="out of range"):
             Polynomial.monomial(2, (1, 1)).restrict(fixed, keep)
 
+    @pytest.mark.parametrize("i", [0, 3, -1])
+    def test_degree_in_index_out_of_range(self, i):
+        with pytest.raises(ValueError, match="out of range"):
+            Polynomial.monomial(2, (1, 3)).degree_in(i)
+
+    def test_restrict_keeps_every_free_variable_once(self):
+        p = Polynomial.monomial(2, (1, 1), 3)
+        with pytest.raises(ValueError, match="every variable must be fixed or kept"):
+            p.restrict({}, [1])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            p.restrict({}, [1, 1])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            p.restrict({}, [2, 1])
+        assert p.restrict({}, [1, 2]) == p
+        assert p.restrict({2: 2}, [1]) == Polynomial.monomial(1, (1,), 6)
+
     def test_restrict_fixed_and_kept_overlap(self):
         with pytest.raises(ValueError, match="both fixed and kept"):
             Polynomial.monomial(2, (1, 1)).restrict({1: 2}, [1, 2])

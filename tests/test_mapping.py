@@ -193,6 +193,19 @@ class TestRepresentation:
                 fmap.eval_exact(point)
         assert fmap.eval_exact([1, Fraction(1, 2)]) == (1, Fraction(1, 2))
 
+    def test_call_arity(self):
+        fmap = MultilinearMap.identity(2)
+        for point in ((0.5,), (0.5, 0.5, 0.5)):
+            with pytest.raises(ValueError, match="point arity mismatch"):
+                fmap(point)
+        assert list(fmap((0.5, 0.25))) == [0.5, 0.25]
+
+    def test_constructor_rejects_non_corner_key(self):
+        with pytest.raises(ValueError, match=r"keys must be corners of \{0,1\}\^2"):
+            MultilinearMap(2, {(2, 0): (1, 1), (1, 0): (1, 0)}, 1)
+        with pytest.raises(ValueError, match="keys must be corners"):
+            MultilinearMap(2, {(0, 0, 1): (1, 1)}, 1)
+
     def test_constructor_rejects_bad_input(self):
         with pytest.raises(TypeError):
             MultilinearMap(1, {(1,): (Fraction(1, 2),)}, 1)

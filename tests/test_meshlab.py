@@ -461,7 +461,31 @@ def _translated(el, shift):
 
 class TestGeometrySharing:
     """element_l2_error computes the weighted design matrix once per
-    geometry key, and _mesh_error visits a mesh key by key."""
+    Jacobian key, and _mesh_error visits a mesh key by key."""
+
+    @pytest.mark.parametrize(
+        "family,n,kw,want",
+        [
+            ("uniform", 2, {}, 1),
+            ("parallelotope", 3, {"shear": SHEAR_3D}, 1),
+            ("trapezoidal", 2, {"d": Fraction(3, 10)}, 6),
+            ("trilinear3d", 3, {"d": Fraction(3, 10)}, 24),
+        ],
+        ids=["uniform", "parallelotope", "trapezoidal", "trilinear3d"],
+    )
+    def test_groups_follow_exact_jacobians(self, family, n, kw, want):
+        mesh = build_mesh(family, n, 4, **kw)
+        groups = meshlab._groups(mesh)
+        assert len(groups) == want
+        # Groups in the order of their first cell, cells in mesh order.
+        assert sorted(i for idxs in groups for i in idxs) == list(range(mesh.size))
+        assert [idxs[0] for idxs in groups] == sorted(idxs[0] for idxs in groups)
+        assert all(idxs == sorted(idxs) for idxs in groups)
+        # Oracle: the exact Jacobian matrices, which no key computes.
+        dfs = [jacobian(mesh.elements[idxs[0]]).entries for idxs in groups]
+        assert all(a != b for i, a in enumerate(dfs) for b in dfs[i + 1 :])
+        for idxs, df in zip(groups, dfs):
+            assert all(jacobian(mesh.elements[i]).entries == df for i in idxs[1:])
 
     @pytest.mark.parametrize(
         "family,n,big_n,want",
@@ -472,15 +496,15 @@ class TestGeometrySharing:
         # A translated copy of an interior cell, stored over 7x the denominator.
         cells = cells + [_translated(cells[-1], Fraction(1, 7))]
         assert cells[-1].denom != cells[-2].denom
-        assert meshlab._jacobian_key(cells[-1]) == meshlab._jacobian_key(cells[-2])
+        assert cells[-1].jacobian_key == cells[-2].jacobian_key
         groups = {}
         for el in cells:
-            groups.setdefault(meshlab._jacobian_key(el), []).append(el)
+            groups.setdefault(el.jacobian_key, []).append(el)
         for group in groups.values():
             rows = group[0].float_arrays()[0][1:]
             for el in group[1:]:
                 assert np.array_equal(el.float_arrays()[0][1:], rows)
-        assert len(groups) == len({meshlab._geometry_key(el) for el in cells}) == want
+        assert len(groups) == want
 
     @pytest.mark.parametrize(
         "family,n,big_n,kw,want",
@@ -527,6 +551,14 @@ class TestGeometrySharing:
         mesh = Mesh(2, [ident, reflected, ident], "unvalidated")
         with pytest.raises(NumericalError, match="^element 1: Jacobian determinant not positive"):
             meshlab._mesh_error(mesh, build_Qminus(1, 0, 2), target_trig(2, 0), gauss_rule(2, 3))
+
+    def test_pushforward_through_reflected_map_rejected(self):
+        reflected = map_from_vertices({a: (1 - a[0], a[1]) for a in product((0, 1), repeat=2)})
+        target = target_from_reference(reflected, DiffForm.basis_form(2, (1,)))
+        xref = gauss_rule(2, 3).points
+        xphys = np.array([reflected(x) for x in xref])
+        with pytest.raises(NumericalError, match="^Jacobian determinant not positive"):
+            target.values(xphys, xref)
 
     def test_one_element_call_and_one_lstsq_per_element(self, monkeypatch):
         # The invariants perfbench/selftest.py asserts of a traced pass.
