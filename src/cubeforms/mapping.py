@@ -132,12 +132,12 @@ class MultilinearMap:
                     out[i] += vec[i] * w
         return tuple(Fraction(x) / self.denom for x in out)
 
-    def float_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(coeff matrix (2^n, n) float64, alpha matrix (2^n, n) int64),
+    def float_arrays(self) -> np.ndarray:
+        """The coefficient matrix (2^n, n) float64, rows in _corners(n) order,
         built on each call.  Each entry is the int true division c / denom,
         which Python rounds correctly, so it equals float(Fraction(c, denom))."""
         coeffs = np.array([c / self.denom for vec in self.ints.values() for c in vec])
-        return coeffs.reshape(-1, self.n), np.array(_corners(self.n), dtype=np.int64)
+        return coeffs.reshape(-1, self.n)
 
     def _int_data(self) -> "_ClearedMap":
         """The integer-cleared exact data of this map, built on first use."""
@@ -149,9 +149,9 @@ class MultilinearMap:
         if len(point) != self.n:
             raise ValueError("point arity mismatch")
         pt = np.asarray(point, dtype=np.float64)
-        coeffs, alphas = self.float_arrays()
+        alphas = np.array(_corners(self.n), dtype=np.int64)
         mono = np.prod(np.where(alphas == 1, pt[None, :], 1.0), axis=1)
-        return mono @ coeffs
+        return mono @ self.float_arrays()
 
     def __repr__(self) -> str:
         kind = "affine" if self.is_affine else "multilinear"

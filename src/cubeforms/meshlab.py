@@ -1,31 +1,29 @@
 """Mesh families, tensor Gauss quadrature, and broken L2 projection studies.
 
-A mesh is the N^n cells of the lattice {0..N}^n.  Each family is a rule
-that places the lattice points, each computed once as integers over one
-mesh denominator; cell c is the multilinear map through the points
-c + {0,1}^n, built from those integers with no Fraction per vertex or
-coefficient, so neighbouring cells share vertices and hence faces.  DF
-does not see a cell's translation, so a mesh's cells are grouped by their
-Jacobian key (``MultilinearMap.jacobian_key``, the non-constant
-coefficients in lowest terms): one group per uniform or parallelotope
-mesh, six per trapezoidal and 24 per trilinear3d mesh for N >= 4.  A mesh
-is returned only once det DF > 0 is proved on every cell and the exact
-cell volumes sum to the domain's, with one proof and one volume per group.
+A mesh is the N^n cells of the lattice {0..N}^n, held as arrays.  A
+family's numpy integer rule places all lattice points at once over one
+denominator; every cell's corners are slices of them, so neighbouring
+cells share faces, and one Moebius difference per axis gives the cells'
+coefficients (E, 2^n, n).  DF does not see a translation, so cells are
+grouped by Jacobian key (``MultilinearMap.jacobian_key``): one group per
+uniform or parallelotope mesh, six per trapezoidal and 24 per trilinear3d
+mesh for N >= 4.  Exact maps are made only for exact consumers: a mesh is
+returned once det DF > 0 is proved and the cell volumes sum to the
+domain's, with one exact map, proof and volume per key.
 
 The measured quantity is the elementwise best approximation of a smooth
 target form by the mapped reference space, which lower-bounds the
 conforming infimum; fitted h-rates from it are compared against the
 inclusion-based predictions.  Polynomial forms enter the float path
 through one view (index maps, monomial exponents, coefficients) and one
-pushforward through DF^-1.  Every shape function on a cell is the
-pullback of one reference form, so the reference element (corner-monomial
-tables and basis values at the quadrature points) is tabulated once per
-(space, quadrature rule) and cached on the space.  The weighted design
-matrix of a cell depends only on DF: it is computed once per Jacobian key
-and kept as the tabulation's one geometry entry.  The element loop visits
-the same groups as the validation, so each distinct Jacobian is computed
-once.  Per cell only x = F(xref), the target values and one least-squares
-fit remain.
+pushforward through DF^-1.  The reference element (corner-monomial tables
+and basis values at the quadrature points) is tabulated once per (space,
+quadrature rule) and cached on the space, and the weighted design matrix,
+which depends only on DF, once per Jacobian key.  The element loop takes
+each key's cells in chunks of bounded size: per chunk one broadcast
+product gives x = F(xref), one target call the values and one product the
+weighted right-hand sides.  Per cell only the least-squares fit remains,
+one ``np.linalg.lstsq`` per element, which is the floor of the loop.
 """
 
 from __future__ import annotations
@@ -45,7 +43,6 @@ from .mapping import (
     _bernstein_positive,
     _corners,
     _det_bernstein,
-    _from_corners,
     jacobian,
     pullback_polynomial,
 )
@@ -93,15 +90,8 @@ def gauss_rule(n: int, q: int) -> QuadratureRule:
     if not 1 <= q <= 20:
         raise ValueError("per-axis quadrature order must be in 1..20")
     nodes, wts = np.polynomial.legendre.leggauss(q)
-    nodes = (nodes + 1.0) / 2.0
-    wts = wts / 2.0
-    pts_1d = [(x, w) for x, w in zip(nodes, wts)]
-    points = np.empty((q**n, n))
-    weights = np.empty(q**n)
-    for row, combo in enumerate(product(pts_1d, repeat=n)):
-        points[row] = [c[0] for c in combo]
-        weights[row] = np.prod([c[1] for c in combo])
-    return QuadratureRule(n, q, points, weights)
+    grid = np.array(list(product(range(q), repeat=n)))
+    return QuadratureRule(n, q, ((nodes + 1.0) / 2.0)[grid], np.prod((wts / 2.0)[grid], axis=1))
 
 
 @dataclass(frozen=True)
@@ -109,9 +99,11 @@ class TargetForm:
     """Smooth k-form target: callable giving all component values at once.
 
     The evaluator receives physical points and the matching reference
-    points of the current element; catalog targets only use the physical
-    ones, while mapped-reference targets (used to test projection of
-    elements of the space itself) use the reference points.
+    points, one row each: those of several cells of one Jacobian key at
+    once, with the quadrature points repeated per cell.  Catalog targets
+    only use the physical ones, while mapped-reference targets (used to
+    test projection of elements of the space itself) use the reference
+    points.
     """
 
     n: int
@@ -162,7 +154,7 @@ def target_from_reference(fmap: MultilinearMap, what: DiffForm, label: str = "ma
     evaluated via the reference points.  Only meaningful on that element."""
     if what.n != fmap.n:
         raise ValueError(f"a {what.n}D form cannot be pushed forward by a {fmap.n}D map")
-    coeffs_f = fmap.float_arrays()[0]
+    coeffs_f = fmap.float_arrays()
     sig_idx, exps, coeffs = _float_view([what], fmap.n, what.k)
 
     def fn(_xphys, xref):
@@ -212,12 +204,12 @@ def _pushforward(hat: np.ndarray, sig_idx: np.ndarray, invs: np.ndarray) -> np.n
 
 @dataclass(frozen=True)
 class _Tabulation:
-    """What element_l2_error needs of one (space, quadrature rule) pair: the
+    """What _cell_errors needs of one (space, quadrature rule) pair: the
     corner tables behind x = F(xref) and DF (see _corner_tables) and the
     reference basis values hat (J, M, P), the same on every cell; and one
     geometry entry, Jacobian key -> (scale, a) (see _geometry), replaced
-    whenever a cell of another key comes, so at most one design matrix is
-    held however many maps a caller passes."""
+    whenever cells of another key come, so at most one design matrix is
+    held however many cells a caller passes."""
 
     corner_tables: tuple
     sig_idx: np.ndarray
@@ -237,11 +229,8 @@ def _tabulation(vhat: FormSpace, quad: QuadratureRule) -> _Tabulation:
     cache = vhat.__dict__.setdefault("_tabulations", {})
     if quad not in cache:
         sig_idx, exps, coeffs = _float_view(vhat.basis, vhat.n, vhat.k)
-        cache[quad] = _Tabulation(
-            _corner_tables(vhat.n, quad.points),
-            sig_idx,
-            _reference_values(exps, coeffs, quad.points),
-        )
+        hat = _reference_values(exps, coeffs, quad.points)
+        cache[quad] = _Tabulation(_corner_tables(vhat.n, quad.points), sig_idx, hat)
     return cache[quad]
 
 
@@ -249,37 +238,52 @@ def _tabulation(vhat: FormSpace, quad: QuadratureRule) -> _Tabulation:
 # meshes
 
 
-@dataclass
 class Mesh:
-    n: int
-    elements: list[MultilinearMap]
-    family: str
+    """The E cells of a mesh as arrays: cell e has the corner coefficients
+    ints[e] / denom, ints (E, 2^n, n) int64 if below 2^53, else Python ints,
+    and floats = ints / denom, correctly rounded.  keys are the Jacobian
+    keys (as ``MultilinearMap.jacobian_key``) in the order of their first
+    cell, and group[e] the index of cell e's key."""
+
+    def __init__(self, n: int, family: str, denom: int, ints: np.ndarray):
+        rows = np.full((len(ints), ints[0].size - n + 1), denom, dtype=ints.dtype)
+        rows[:, :-1] = ints[:, 1:].reshape(len(ints), -1)
+        rows //= np.gcd.reduce(rows, axis=1)[:, None]
+        keys: dict[tuple[int, ...], int] = {}
+        self.group = np.array([keys.setdefault(row, len(keys)) for row in map(tuple, rows.tolist())])
+        self.keys = list(keys)
+        self.n, self.family, self.denom, self.ints = n, family, denom, ints
+        self.floats = np.asarray(ints / denom, dtype=np.float64)
 
     @property
     def size(self) -> int:
-        return len(self.elements)
+        return len(self.ints)
+
+    def element(self, e: int) -> MultilinearMap:
+        """The exact map of cell e, made on each call."""
+        return MultilinearMap(self.n, dict(zip(_corners(self.n), self.ints[e].tolist())), self.denom)
+
+    @property
+    def elements(self) -> list[MultilinearMap]:
+        return [self.element(e) for e in range(self.size)]
 
 
 def _groups(mesh: Mesh) -> list[list[int]]:
-    """The cell indices of a mesh grouped by Jacobian key: the groups in the
-    order of their first cell, the cells of a group in mesh order."""
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for idx, el in enumerate(mesh.elements):
-        groups.setdefault(el.jacobian_key, []).append(idx)
-    return list(groups.values())
+    """The cell indices of each group of a mesh, the groups in the order of
+    their first cell, the cells of a group in mesh order."""
+    return [np.flatnonzero(mesh.group == g).tolist() for g in range(len(mesh.keys))]
 
 
 def _validate_mesh(mesh: Mesh, expected_volume: Fraction) -> Mesh:
     """Prove every element orientation preserving (as check_diffeo does) and
-    check that the exact element volumes add up to the domain's, once per
-    Jacobian key.  Groups are proved in the order of their first cell, so
-    the first bad cell is the one named."""
+    check that the exact element volumes add up to the domain's, with one
+    exact map per Jacobian key.  Groups are proved in the order of their
+    first cell, so the first bad cell is the one named."""
     total = Fraction(0)
     for idxs in _groups(mesh):
-        first, el = idxs[0], mesh.elements[idxs[0]]
-        coeffs, scale = _det_bernstein(el)
-        if not _bernstein_positive(coeffs, el.n):
-            raise ValueError(f"element {first} of {mesh.family} mesh is not orientation preserving")
+        coeffs, scale = _det_bernstein(mesh.element(idxs[0]))
+        if not _bernstein_positive(coeffs, mesh.n):
+            raise ValueError(f"element {idxs[0]} of {mesh.family} mesh is not orientation preserving")
         # Each tensor Bernstein polynomial integrates to 1 / (d+1)^n.
         total += Fraction(len(idxs) * sum(coeffs.values()), len(coeffs) * scale)
     if total != expected_volume:
@@ -288,33 +292,31 @@ def _validate_mesh(mesh: Mesh, expected_volume: Fraction) -> Mesh:
 
 
 def _lattice_mesh(
-    n: int,
-    big_n: int,
-    vertex: Callable[[tuple[int, ...]], Sequence[int]],
-    denom: int,
-    family: str,
-    volume: Fraction,
+    n: int, big_n: int, vertex: Callable, top: int, denom: int, family: str, volume: Fraction
 ) -> Mesh:
-    """The N^n cells of the lattice {0..N}^n, cell c being the multilinear
-    map through the images vertex(c + alpha) / denom of its corners, with
-    vertex integer valued.  Each lattice point is placed once and shared by
-    every cell that has it as a corner; the mesh is validated against the
-    domain volume."""
+    """The N^n cells of the lattice {0..N}^n in product(range(N), repeat=n)
+    order, cell c the multilinear map through vertex(c + alpha) / denom.
+    vertex maps np.indices((N+1,)*n) to the integer points, |entries| <=
+    top; cells' corners are slices of them, and one Moebius difference per
+    axis makes coefficients, each at most 2^n top.  int64 converts to float
+    exactly below 2^53; beyond, the same code runs on Python ints."""
     if big_n < 1:
         raise ValueError("need at least one subdivision")
-    points = {idx: vertex(idx) for idx in product(range(big_n + 1), repeat=n)}
-    corners = _corners(n)
-    elements = [
-        _from_corners(
-            n, [points[tuple(c + a for c, a in zip(cell, alpha))] for alpha in corners], denom
-        )
-        for cell in product(range(big_n), repeat=n)
-    ]
-    return _validate_mesh(Mesh(n, elements, family), volume)
+    dtype = np.int64 if top << n < 2**53 and denom < 2**53 else object
+    pts = np.moveaxis(vertex(np.indices((big_n + 1,) * n, dtype=dtype)), 0, -1)
+    ints = np.stack(
+        [pts[tuple(slice(a, a + big_n) for a in alpha)].reshape(-1, n) for alpha in _corners(n)],
+        axis=1,
+    )
+    cube = ints.reshape((len(ints),) + (2,) * n + (n,))
+    for axis in range(1, n + 1):
+        cube[(slice(None),) * axis + (1,)] -= cube[(slice(None),) * axis + (0,)]
+    return _validate_mesh(Mesh(n, family, denom, ints), volume)
 
 
 def mesh_uniform(n: int, subdivisions: int) -> Mesh:
-    return _lattice_mesh(n, subdivisions, lambda idx: idx, subdivisions, "uniform", Fraction(1))
+    big_n = subdivisions
+    return _lattice_mesh(n, big_n, lambda idx: idx, big_n, big_n, "uniform", Fraction(1))
 
 
 def mesh_parallelotope(n: int, subdivisions: int, shear: Sequence[Sequence[Scalar]]) -> Mesh:
@@ -327,13 +329,15 @@ def mesh_parallelotope(n: int, subdivisions: int, shear: Sequence[Sequence[Scala
     a_int = [[int(x * big_d) for x in row] for row in a]
 
     def vertex(idx):
-        return tuple(sum(aij * i for aij, i in zip(row, idx)) for row in a_int)
+        return np.stack([sum(aij * i for aij, i in zip(row, idx)) for row in a_int])
 
-    global_map = _from_corners(n, [vertex(alpha) for alpha in _corners(n)], big_d)
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    global_map = MultilinearMap(n, dict(zip(units, zip(*a_int))), big_d)
     det = jacobian(global_map).det_poly.eval_exact((0,) * n)
     if det <= 0:
         raise ValueError("I + shear must have positive determinant")
-    return _lattice_mesh(n, subdivisions, vertex, big_d * subdivisions, "parallelotope", det)
+    top = subdivisions * max(sum(map(abs, row)) for row in a_int)
+    return _lattice_mesh(n, subdivisions, vertex, top, big_d * subdivisions, "parallelotope", det)
 
 
 def _as_fraction(x: Scalar | float | str) -> Fraction:
@@ -359,13 +363,15 @@ def _distorted_mesh(n: int, subdivisions: int, d: Scalar | float, family: str) -
     p, q = dd.numerator, dd.denominator
 
     def vertex(idx):
-        out = [2 * q * i for i in idx]
-        for a in range(1, n):
-            if idx[a] not in (0, big_n):
-                out[a] += p if sum(idx[: a + 1]) % 2 == 0 else -p
+        out = 2 * q * idx
+        sign = np.where(np.cumsum(idx, axis=0) % 2 == 0, p, -p)
+        moved = (idx != 0) & (idx != big_n)
+        out[1:] += np.where(moved[1:], sign[1:], 0)
         return out
 
-    return _lattice_mesh(n, big_n, vertex, 2 * q * big_n, family, Fraction(1))
+    # Every coordinate is at most 2qN: an interior one, 2qi +- p, as p < q.
+    denom = 2 * q * big_n
+    return _lattice_mesh(n, big_n, vertex, denom, denom, family, Fraction(1))
 
 
 def mesh_trapezoidal(subdivisions: int, d: Scalar | float) -> Mesh:
@@ -409,17 +415,18 @@ def build_mesh(
 
 
 def default_quad_order(space: FormSpace, n: int) -> int:
-    deg = 0
-    for f in space.basis:
-        for poly in f.components.values():
-            for exps in poly.ints:
-                deg = max(deg, max(exps, default=0))
+    polys = [poly for f in space.basis for poly in f.components.values()]
+    deg = max((e for poly in polys for exps in poly.ints for e in exps), default=0)
     return deg + (4 if n >= 3 else 6)
 
 
-def _check_rule(fmap: MultilinearMap, quad: QuadratureRule) -> None:
-    if quad.n != fmap.n:
-        raise ValueError(f"quadrature rule is {quad.n}D but the element map is {fmap.n}D")
+# Target values (points x components) per chunk of the batched element loop.
+_CHUNK_VALUES = 4096
+
+
+def _check_rule(n: int, quad: QuadratureRule) -> None:
+    if quad.n != n:
+        raise ValueError(f"quadrature rule is {quad.n}D but the element map is {n}D")
 
 
 def _det_inv(coeffs_f: np.ndarray, columns: tuple):
@@ -446,47 +453,59 @@ def _geometry(coeffs_f: np.ndarray, tab: _Tabulation, weights: np.ndarray) -> tu
     return entry
 
 
-def element_l2_error(
-    fmap: MultilinearMap,
-    vhat: FormSpace,
-    target: TargetForm,
-    quad: QuadratureRule,
-) -> float:
-    """Broken L2 distance from the target to the mapped reference space on
-    one element, via weighted least squares over the quadrature points.
-    The reference tables and the design matrix come from the space's
-    tabulation on quad (the matrix is recomputed when the cell's Jacobian
-    differs from the last one's); per element only x = F(xref), the
-    target values and the fit are computed."""
+def _cell_errors(
+    floats: np.ndarray, key: tuple, vhat: FormSpace, target: TargetForm, quad: QuadratureRule
+) -> np.ndarray:
+    """Broken L2 distances (E,) from the target to the mapped reference
+    space on E cells of Jacobian key with float corner coefficients floats
+    (E, 2^n, n), by weighted least squares over the quadrature points.  Per
+    chunk of cells, one broadcast matmul (per cell the (P, C) @ (C, n)
+    product of a single cell) gives x = F(xref), and one target call y."""
     n, k = vhat.n, vhat.k
     if (target.n, target.k) != (n, k):
         raise ValueError("target and space live on different (n, k)")
-    if fmap.n != n:
+    if floats.shape[2] != n:
         raise ValueError("element map dimension mismatch")
-    _check_rule(fmap, quad)
+    _check_rule(n, quad)
     if k > 3:
         raise NumericalError("numeric pipeline supports form degree k <= 3")
     tab = _tabulation(vhat, quad)
-    coeffs_f = fmap.float_arrays()[0]
-    entry = tab.geometry.get(fmap.jacobian_key)
+    entry = tab.geometry.get(key)
     if entry is None:
         tab.geometry.clear()
-        entry = tab.geometry[fmap.jacobian_key] = _geometry(coeffs_f, tab, quad.weights)
+        entry = tab.geometry[key] = _geometry(floats[0], tab, quad.weights)
     scale, a = entry
-    xphys = tab.corner_tables[0] @ coeffs_f
-    uvals = target.values(xphys, quad.points)
     nbasis = len(vhat.basis)
-    if nbasis == 0:
-        return float(np.linalg.norm(uvals * scale[:, None]))
-    y = (uvals * scale[:, None]).reshape(-1)
-    sol, _, rank, sv = np.linalg.lstsq(a, y, rcond=None)
-    if rank < nbasis:
-        cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
-        raise NumericalError(
-            f"rank-deficient evaluation matrix (rank {rank} < {nbasis}, cond {cond:.3e}); "
-            "quadrature may be too coarse"
-        )
-    return float(np.linalg.norm(y - a @ sol))
+    npts = len(scale)
+    step = max(1, _CHUNK_VALUES // (npts * len(tab.sig_idx)))
+    errs = np.empty(len(floats))
+    for start in range(0, len(floats), step):
+        xphys = np.matmul(tab.corner_tables[0], floats[start : start + step])
+        cells = len(xphys)
+        uvals = target.values(xphys.reshape(-1, n), np.tile(quad.points, (cells, 1)))
+        y = (uvals.reshape(cells, npts, -1) * scale[:, None]).reshape(cells, -1)
+        for j, row in enumerate(y, start):
+            if nbasis == 0:
+                errs[j] = np.linalg.norm(row)
+                continue
+            sol, _, rank, sv = np.linalg.lstsq(a, row, rcond=None)
+            if rank < nbasis:
+                cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
+                raise NumericalError(
+                    f"rank-deficient evaluation matrix (rank {rank} < {nbasis}, cond {cond:.3e}); "
+                    "quadrature may be too coarse"
+                )
+            errs[j] = np.linalg.norm(row - a @ sol)
+    return errs
+
+
+def element_l2_error(
+    fmap: MultilinearMap, vhat: FormSpace, target: TargetForm, quad: QuadratureRule
+) -> float:
+    """Broken L2 distance from the target to the mapped reference space on
+    one element: the E = 1 case of _cell_errors.  The design matrix is
+    recomputed only when the cell's Jacobian differs from the last one's."""
+    return float(_cell_errors(fmap.float_arrays()[None], fmap.jacobian_key, vhat, target, quad)[0])
 
 
 def discrete_l2_pairing(
@@ -498,10 +517,10 @@ def discrete_l2_pairing(
         raise ValueError("form shape mismatch")
     if f.n != fmap.n:
         raise ValueError(f"forms are {f.n}D but the element map is {fmap.n}D")
-    _check_rule(fmap, quad)
+    _check_rule(fmap.n, quad)
     xref = quad.points
     values, columns = _corner_tables(fmap.n, xref)
-    coeffs_f, _ = fmap.float_arrays()
+    coeffs_f = fmap.float_arrays()
     dets, _ = _det_inv(coeffs_f, columns)
     xphys = values @ coeffs_f
     fv = target_from_form(f).values(xphys, xref)
@@ -542,29 +561,19 @@ class ConvergenceReport:
 
     @property
     def rate_pairs(self) -> list[float | None]:
-        out: list[float | None] = [None]
-        for (n0, e0), (n1, e1) in zip(
-            zip(self.subdivisions, self.errors), zip(self.subdivisions[1:], self.errors[1:])
-        ):
-            if e0 <= 0 or e1 <= 0:
-                out.append(None)
-            else:
-                out.append(log(e0 / e1) / log(n1 / n0))
-        return out
+        levels = list(zip(self.subdivisions, self.errors))
+        return [None] + [
+            None if e0 <= 0 or e1 <= 0 else log(e0 / e1) / log(n1 / n0)
+            for (n0, e0), (n1, e1) in zip(levels, levels[1:])
+        ]
 
     @property
     def rate_lsq(self) -> float | None:
-        pts = [
-            (log(nn), log(e))
-            for nn, e in zip(self.subdivisions, self.errors)
-            if e > 0
-        ][-3:]
+        pts = [(log(nn), log(e)) for nn, e in zip(self.subdivisions, self.errors) if e > 0][-3:]
         if len(pts) < 2:
             return None
-        xs = np.array([p[0] for p in pts])
-        ys = np.array([p[1] for p in pts])
-        slope = np.polyfit(xs, ys, 1)[0]
-        return float(-slope)
+        xs, ys = np.array(pts).T
+        return float(-np.polyfit(xs, ys, 1)[0])
 
     @property
     def last_pair_rate(self) -> float | None:
@@ -573,17 +582,17 @@ class ConvergenceReport:
 
 def _mesh_error(mesh: Mesh, vhat: FormSpace, target: TargetForm, quad: QuadratureRule) -> float:
     """Root sum of squares of the element errors, summed in mesh order.
-    Cells are visited by _groups, so each group's design matrix is computed
-    once and only one is held at a time.  Every NumericalError depends on
-    the geometry alone, so it is raised at the first cell of a group and
-    names the first bad element in mesh order."""
+    The cells of each group go to _cell_errors together, so each group's
+    design matrix is computed once and only one is held at a time.  Every
+    NumericalError depends on the geometry alone, so it is raised at the
+    first cell of a group, and as groups come in the order of their first
+    cell, it names the first bad element in mesh order."""
     errs = np.empty(mesh.size)
-    for idxs in _groups(mesh):
-        for idx in idxs:
-            try:
-                errs[idx] = element_l2_error(mesh.elements[idx], vhat, target, quad)
-            except NumericalError as exc:
-                raise NumericalError(f"element {idx}: {exc}") from exc
+    for key, idxs in zip(mesh.keys, _groups(mesh)):
+        try:
+            errs[idxs] = _cell_errors(mesh.floats[idxs], key, vhat, target, quad)
+        except NumericalError as exc:
+            raise NumericalError(f"element {idxs[0]}: {exc}") from exc
     return float(np.sqrt(np.sum(errs * errs)))
 
 
@@ -600,9 +609,7 @@ def convergence_study(
     subdivision_list = list(subdivision_list)
     if not subdivision_list:
         raise ValueError("need at least one subdivision level")
-    if subdivision_list != sorted(subdivision_list) or len(set(subdivision_list)) != len(
-        subdivision_list
-    ):
+    if subdivision_list != sorted(set(subdivision_list)):
         raise ValueError("subdivision list must be strictly increasing")
     n = vhat.n
     q = quad_order if quad_order is not None else default_quad_order(vhat, n)
@@ -612,13 +619,5 @@ def convergence_study(
         mesh = build_mesh(family, n, big_n, d=d, shear=shear)
         errors.append(_mesh_error(mesh, vhat, target, quad))
     return ConvergenceReport(
-        family=family,
-        space_label=vhat.label,
-        n=n,
-        k=vhat.k,
-        target_label=target.label,
-        quad_order=q,
-        subdivisions=subdivision_list,
-        errors=errors,
-        prediction=predict_rates(vhat),
+        family, vhat.label, n, vhat.k, target.label, q, subdivision_list, errors, predict_rates(vhat)
     )

@@ -5,13 +5,14 @@ import pytest
 
 from cubeforms import _kernels
 from cubeforms.forms import Polynomial
-from cubeforms.mapping import jacobian
+from cubeforms.mapping import _corners, jacobian
 from cubeforms.verify import random_rational_multilinear
 
 
 def _case(n, rng, npts=17):
     fmap = random_rational_multilinear(n, rng)
-    coeffs, alphas = fmap.float_arrays()
+    coeffs = fmap.float_arrays()
+    alphas = np.array(_corners(n), dtype=np.int64)
     pts = np.array([[rng.random() for _ in range(n)] for _ in range(npts)])
     return fmap, coeffs, alphas, pts
 

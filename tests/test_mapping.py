@@ -20,6 +20,7 @@ from cubeforms.mapping import (
     MultilinearMap,
     _bernstein_positive,
     _bernstein_table,
+    _corners,
     _det_bernstein,
     _halve,
     check_diffeo,
@@ -173,8 +174,8 @@ class TestRepresentation:
                 for a in product((0, 1), repeat=2)
             }
         )
-        coeffs, alphas = fmap.float_arrays()
-        for row, alpha in zip(coeffs, alphas):
+        coeffs = fmap.float_arrays()
+        for row, alpha in zip(coeffs, _corners(2)):
             assert list(row) == [float(c) for c in fmap.coeffs[tuple(alpha)]]
         assert coeffs[0, 0] == float(big)
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from conftest import vertex_strategy
 from cubeforms import _kernels, meshlab
 from cubeforms.cli import bundled_config_names, bundled_config_path, parse_config
 from cubeforms.forms import DiffForm, Polynomial, l2_inner_reference
-from cubeforms.mapping import check_diffeo, jacobian, map_from_vertices
+from cubeforms.mapping import _corners, _from_corners, check_diffeo, jacobian, map_from_vertices
 from cubeforms.meshlab import (
     Mesh,
     NumericalError,
@@ -51,6 +52,18 @@ SHEAR_3D = [
     [Fraction(1, 5), 0, Fraction(1, 2)],
     [Fraction(-1, 6), Fraction(1, 7), 0],
 ]
+
+
+def mesh_of(maps, family):
+    """The maps as one Mesh: their ints stacked over the lcm of their
+    denominators, as Python ints."""
+    n = maps[0].n
+    denom = lcm(*(el.denom for el in maps))
+    ints = np.array(
+        [[[c * (denom // el.denom) for c in el.ints[a]] for a in _corners(n)] for el in maps],
+        dtype=object,
+    )
+    return Mesh(n, family, denom, ints)
 
 
 def trapezoid_map(d=Fraction(1, 2)):
@@ -155,13 +168,13 @@ class TestMeshes:
 
     def test_validate_rejects_folded_element(self, screen_counterexample):
         base = mesh_uniform(3, 2)
-        mesh = Mesh(3, [screen_counterexample] + base.elements[1:], "uniform")
+        mesh = mesh_of([screen_counterexample] + base.elements[1:], "uniform")
         with pytest.raises(ValueError, match="element 0 of uniform mesh is not orientation preserving"):
             _validate_mesh(mesh, Fraction(1))
 
     def test_validate_rejects_gap(self):
         base = mesh_uniform(2, 4)
-        mesh = Mesh(2, base.elements[:-1], "uniform")
+        mesh = mesh_of(base.elements[:-1], "uniform")
         with pytest.raises(ValueError, match="does not tile: volume 0.9375"):
             _validate_mesh(mesh, Fraction(1))
 
@@ -177,7 +190,7 @@ class TestMeshes:
                 (1, 1): (1, 1 - Fraction(1, 10**12)),
             }
         )
-        mesh = Mesh(2, base.elements[:-1] + [last], "uniform")
+        mesh = mesh_of(base.elements[:-1] + [last], "uniform")
         with pytest.raises(ValueError, match=r"does not tile: volume 0\.99999999999975$"):
             _validate_mesh(mesh, Fraction(1))
 
@@ -271,6 +284,121 @@ class TestConformity:
                         assert xi == Fraction(i, big_n)
 
 
+def per_cell_oracle(family, n, big_n, d=0, shear=None):
+    """The cells as a per-cell construction makes them: every lattice point
+    placed by the family's rule in Python ints, and each cell's map made by
+    _from_corners from its corners, cells in product(range(N), repeat=n)
+    order."""
+    if family == "parallelotope":
+        a = [[Fraction(x) + (i == j) for j, x in enumerate(row)] for i, row in enumerate(shear)]
+        big_d = lcm(*(x.denominator for row in a for x in row))
+        denom = big_d * big_n
+
+        def vertex(idx):
+            return [sum(int(aij * big_d) * i for aij, i in zip(row, idx)) for row in a]
+
+    elif family in ("trapezoidal", "trilinear3d"):
+        dd = Fraction(d)
+        p, q = dd.numerator, dd.denominator
+        denom = 2 * q * big_n
+
+        def vertex(idx):
+            out = [2 * q * i for i in idx]
+            for ax in range(1, n):
+                if idx[ax] not in (0, big_n):
+                    out[ax] += p if sum(idx[: ax + 1]) % 2 == 0 else -p
+            return out
+
+    else:
+        denom = big_n
+
+        def vertex(idx):
+            return list(idx)
+
+    cells = product(range(big_n), repeat=n)
+    return [
+        _from_corners(n, [vertex([c + a for c, a in zip(cell, al)]) for al in _corners(n)], denom)
+        for cell in cells
+    ]
+
+
+def oracle_groups(cells):
+    groups = {}
+    for idx, el in enumerate(cells):
+        groups.setdefault(el.jacobian_key, []).append(idx)
+    return list(groups.values())
+
+
+def assert_same_cells(mesh, cells):
+    assert mesh.size == len(cells)
+    for el, want in zip(mesh.elements, cells):
+        assert (el.ints, el.denom, el.jacobian_key) == (want.ints, want.denom, want.jacobian_key)
+    assert meshlab._groups(mesh) == oracle_groups(cells)
+
+
+class TestLatticeArrays:
+    """A mesh is built as integer arrays: lattice points by numpy rules,
+    corners by slicing, coefficients by one Moebius difference per axis,
+    keys by one gcd per row.  Its materialised maps and groups must be
+    those of the per-cell construction."""
+
+    # The meshes of the first two levels of the bundled configs, and a 3D shear.
+    @pytest.mark.parametrize(
+        "family,n,levels,kw",
+        [
+            ("uniform", 2, (4, 8), {}),
+            ("uniform", 3, (2, 4), {}),
+            ("parallelotope", 2, (4, 8), {"shear": [[0, Fraction(1, 2)], [0, 0]]}),
+            ("parallelotope", 3, (2, 4), {"shear": SHEAR_3D}),
+            ("trapezoidal", 2, (4, 8), {"d": Fraction(3, 10)}),
+            ("trilinear3d", 3, (2, 4), {"d": Fraction(3, 10)}),
+        ],
+        ids=["uniform-2d", "uniform-3d", "parallelotope-2d", "parallelotope-3d",
+             "trapezoidal", "trilinear3d"],
+    )
+    def test_equals_per_cell_construction(self, family, n, levels, kw):
+        for big_n in levels:
+            mesh = build_mesh(family, n, big_n, **kw)
+            assert mesh.ints.dtype == np.int64
+            assert_same_cells(mesh, per_cell_oracle(family, n, big_n, **kw))
+            assert np.array_equal(mesh.floats, np.array([el.float_arrays() for el in mesh.elements]))
+
+    # Denominators beyond 2^40 whose lcm leaves the int64 range, so the
+    # lattice is built in Python ints (object arrays).
+    @pytest.mark.parametrize(
+        "family,n,kw",
+        [
+            ("parallelotope", 2, {"shear": [[0, Fraction(1, 2**41 + 1)], [Fraction(-1, 2**43 + 3), 0]]}),
+            (
+                "parallelotope",
+                3,
+                {
+                    "shear": [
+                        [0, Fraction(1, 2**41 + 1), 0],
+                        [0, 0, Fraction(3, 2**42 + 5)],
+                        [Fraction(-1, 2**40 + 7), 0, 0],
+                    ]
+                },
+            ),
+            ("trapezoidal", 2, {"d": Fraction(1, 2**61 - 1)}),
+        ],
+        ids=["parallelotope-2d", "parallelotope-3d", "trapezoidal"],
+    )
+    def test_big_integers(self, family, n, kw):
+        big_n = 4
+        mesh = build_mesh(family, n, big_n, **kw)
+        assert mesh.ints.dtype == object and mesh.denom >= 2**53
+        cells = per_cell_oracle(family, n, big_n, **kw)
+        assert_same_cells(mesh, cells)
+        assert np.array_equal(mesh.floats, np.array([el.float_arrays() for el in cells]))
+        space, target = build_Qminus(1, 1, n), target_trig(n, 1)
+        quad = gauss_rule(n, 3)
+        errs = np.array([element_l2_error(el, space, target, quad) for el in cells])
+        got = meshlab._mesh_error(mesh, space, target, quad)
+        assert math.isfinite(got) and got > 0
+        assert got == float(np.sqrt(np.sum(errs * errs)))
+
+
 class TestSharedProof:
     """_validate_mesh proves det DF > 0 once per distinct Jacobian: cells
     whose non-constant corner coefficients agree in lowest terms."""
@@ -330,7 +458,7 @@ class TestSharedProof:
         bad = self._one_coefficient_changed(base.elements[bad_idx - 1], alpha, i)
         elements = list(base.elements)
         elements[bad_idx] = bad
-        mesh = Mesh(n, elements, "parallelotope")
+        mesh = mesh_of(elements, "parallelotope")
         with pytest.raises(
             ValueError, match=f"^element {bad_idx} of parallelotope mesh is not orientation preserving$"
         ):
@@ -350,10 +478,10 @@ class TestSharedProof:
         cells = [square(0, 0, half), square(half, 0, half), square(quarter, half, half)]
         cells += [square(x, y, quarter) for x in (0, 3 * quarter) for y in (half, 3 * quarter)]
         assert [el.denom for el in cells[:3]] == [2, 2, 4]
-        _validate_mesh(Mesh(2, cells, "graded"), Fraction(1))
+        _validate_mesh(mesh_of(cells, "graded"), Fraction(1))
         assert len(proofs) == 2
         with pytest.raises(ValueError, match="does not tile: volume 0.9375"):
-            _validate_mesh(Mesh(2, cells[:-1], "graded"), Fraction(1))
+            _validate_mesh(mesh_of(cells[:-1], "graded"), Fraction(1))
 
 
 class TestElementError:
@@ -403,7 +531,8 @@ class TestElementError:
 def _kernel_chain_error(fmap, vhat, target, quad):
     """element_l2_error recomputed at every step from the numpy kernels, with
     nothing tabulated: the reference for the tabulated path."""
-    coeffs_f, alphas = fmap.float_arrays()
+    coeffs_f = fmap.float_arrays()
+    alphas = np.array(_corners(fmap.n), dtype=np.int64)
     xref = quad.points
     jacs = _kernels.multilinear_jacobian(coeffs_f, alphas, xref)
     dets, invs = _kernels.jacobian_det_inv(jacs)
@@ -501,22 +630,25 @@ class TestGeometrySharing:
         for el in cells:
             groups.setdefault(el.jacobian_key, []).append(el)
         for group in groups.values():
-            rows = group[0].float_arrays()[0][1:]
+            rows = group[0].float_arrays()[1:]
             for el in group[1:]:
-                assert np.array_equal(el.float_arrays()[0][1:], rows)
+                assert np.array_equal(el.float_arrays()[1:], rows)
         assert len(groups) == want
 
     @pytest.mark.parametrize(
-        "family,n,big_n,kw,want",
+        "family,n,big_n,kw,want,spans_chunks",
         [
-            ("uniform", 2, 4, {}, 1),
-            ("parallelotope", 3, 2, {"shear": SHEAR_3D}, 1),
-            ("trapezoidal", 2, 4, {"d": Fraction(3, 10)}, 6),
-            ("trilinear3d", 3, 4, {"d": Fraction(3, 10)}, 24),
+            ("uniform", 2, 4, {}, 1, False),
+            ("parallelotope", 3, 2, {"shear": SHEAR_3D}, 1, False),
+            ("trapezoidal", 2, 4, {"d": Fraction(3, 10)}, 6, False),
+            ("trilinear3d", 3, 4, {"d": Fraction(3, 10)}, 24, False),
+            ("uniform", 3, 6, {}, 1, True),
         ],
-        ids=["uniform", "parallelotope", "trapezoidal", "trilinear3d"],
+        ids=["uniform", "parallelotope", "trapezoidal", "trilinear3d", "uniform3d-chunked"],
     )
-    def test_grouped_loop_equals_mesh_order_oracle(self, monkeypatch, family, n, big_n, kw, want):
+    def test_grouped_loop_equals_mesh_order_oracle(
+        self, monkeypatch, family, n, big_n, kw, want, spans_chunks
+    ):
         mesh = build_mesh(family, n, big_n, **kw)
         # With k = n - 1, summing the trilinear3d errors in visit order
         # instead of mesh order changes the last bit.
@@ -530,9 +662,23 @@ class TestGeometrySharing:
             calls.append(jacs)
             return original(jacs)
 
+        chunk_sizes = []
+
+        def counted_target(xphys, xref):
+            chunk_sizes.append(len(xphys) // len(quad.weights))
+            return target.fn(xphys, xref)
+
+        chunked = meshlab.TargetForm(n, n - 1, target.label, counted_target)
         monkeypatch.setattr(_kernels, "jacobian_det_inv", counted)
-        assert meshlab._mesh_error(mesh, space, target, quad) == float(np.sqrt(np.sum(errs * errs)))
+        assert meshlab._mesh_error(mesh, space, chunked, quad) == float(np.sqrt(np.sum(errs * errs)))
         assert len(calls) == want
+        # Each group in chunks of at most _CHUNK_VALUES target values; an
+        # (n-1)-form has n components.
+        step = meshlab._CHUNK_VALUES // (len(quad.weights) * n)
+        groups = meshlab._groups(mesh)
+        assert len(chunk_sizes) == sum(-(-len(idxs) // step) for idxs in groups)
+        assert sum(chunk_sizes) == mesh.size and max(chunk_sizes) <= step
+        assert (len(chunk_sizes) > len(groups)) == spans_chunks
 
     def test_one_geometry_entry_per_tabulation(self, rng):
         space, target = build_Qminus(1, 1, 2), target_trig(2, 1)
@@ -548,7 +694,7 @@ class TestGeometrySharing:
         # visited before the reflected cell 1.
         ident = MultilinearMap.identity(2)
         reflected = map_from_vertices({a: (1 - a[0], a[1]) for a in product((0, 1), repeat=2)})
-        mesh = Mesh(2, [ident, reflected, ident], "unvalidated")
+        mesh = mesh_of([ident, reflected, ident], "unvalidated")
         with pytest.raises(NumericalError, match="^element 1: Jacobian determinant not positive"):
             meshlab._mesh_error(mesh, build_Qminus(1, 0, 2), target_trig(2, 0), gauss_rule(2, 3))
 
@@ -561,24 +707,24 @@ class TestGeometrySharing:
             target.values(xphys, xref)
 
     def test_one_element_call_and_one_lstsq_per_element(self, monkeypatch):
-        # The invariants perfbench/selftest.py asserts of a traced pass.
-        counts = {"element_l2_error": 0, "lstsq": 0}
+        # Each cell goes to the batched routine once, and each gets one lstsq.
+        counts = {"cells": 0, "lstsq": 0}
+        cell_errors, lstsq = meshlab._cell_errors, np.linalg.lstsq
 
-        def counting(module, name):
-            original = getattr(module, name)
+        def counted_cells(floats, *args):
+            counts["cells"] += len(floats)
+            return cell_errors(floats, *args)
 
-            def counted(*args, **kwargs):
-                counts[name] += 1
-                return original(*args, **kwargs)
+        def counted_lstsq(*args, **kwargs):
+            counts["lstsq"] += 1
+            return lstsq(*args, **kwargs)
 
-            monkeypatch.setattr(module, name, counted)
-
-        counting(meshlab, "element_l2_error")
-        counting(np.linalg, "lstsq")
+        monkeypatch.setattr(meshlab, "_cell_errors", counted_cells)
+        monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
         convergence_study(build_Qminus(1, 1, 2), target_trig(2, 1), "trapezoidal", [2, 4], d=0.3)
         convergence_study(build_Qminus(1, 0, 3), target_trig(3, 0), "uniform", [1, 2])
         elements = 2**2 + 4**2 + 1**3 + 2**3
-        assert counts == {"element_l2_error": elements, "lstsq": elements}
+        assert counts == {"cells": elements, "lstsq": elements}
 
 
 class TestQuadratureConsistency:
@@ -655,6 +801,17 @@ class TestGoldenErrors:
         )
         for (big_n, want), got in zip(golden, rep.errors):
             assert abs(got - want) <= GOLDEN_RTOL * abs(want), (big_n, got, want)
+
+    def test_last_level_of_s3k0_uniform(self):
+        """N = 32 of s3k0_uniform, the level whose error depends most on how
+        the least-squares solve rounds."""
+        big_n, want = json.loads(GOLDEN.read_text())["converge"]["s3k0_uniform"][-1]
+        cfg = parse_config(bundled_config_path("s3k0_uniform").read_text())
+        assert big_n == cfg.subdivision_list[-1] == 32
+        rep = convergence_study(
+            cfg.build_space(), cfg.build_target(), cfg.family, [big_n], quad_order=cfg.quad
+        )
+        assert abs(rep.errors[0] - want) <= GOLDEN_RTOL * abs(want), (rep.errors[0], want)
 
 
 # Prints the error reprs of the first two levels of one affine, one 2D
