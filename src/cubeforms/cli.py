@@ -342,6 +342,7 @@ def run_record(cfg: ExperimentConfig, report: ConvergenceReport) -> dict:
             "quad_order": report.quad_order,
             "subdivisions": report.subdivisions,
             "errors": report.errors,
+            "ls_conds": report.ls_conds,
             "rate_pairs": report.rate_pairs,
             "rate_lsq": report.rate_lsq,
             "prediction": {

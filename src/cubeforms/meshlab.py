@@ -21,20 +21,27 @@ and basis values at the quadrature points) is tabulated once per (space,
 quadrature rule) and cached on the space, and the weighted design matrix,
 which depends only on DF, once per Jacobian key.  The element loop takes
 each key's cells in chunks of bounded size: per chunk one broadcast
-product gives x = F(xref), one target call the values and one product the
-weighted right-hand sides.  Per cell only the least-squares fit remains,
-one ``np.linalg.lstsq`` per element, which is the floor of the loop.
+product gives x = F(xref), one target call the values, one product the
+weighted right-hand sides and one call of the stacked gufunc behind
+``np.linalg.lstsq`` the fits: one LAPACK ``dgelsd`` per cell, with the
+same inputs as ``np.linalg.lstsq``, so the same bits, but no Python call
+per cell.  The loop runs OpenBLAS with one thread, as the solves are too
+small to share between threads.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from math import lcm, log
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
+from numpy.linalg._umath_linalg import lstsq as _gelsd  # numpy >= 2.1
 
 from . import _kernels
 from .forms import DiffForm, Polynomial, Scalar, enumerate_sigma, integrate_unit_box
@@ -453,14 +460,48 @@ def _geometry(coeffs_f: np.ndarray, tab: _Tabulation, weights: np.ndarray) -> tu
     return entry
 
 
+def _lstsq_failed(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+@cache
+def _blas_threads_setter():
+    """openblas_set_num_threads_local (set a count, return the previous
+    one) of the OpenBLAS numpy's linalg extension links, or a no-op."""
+    import ctypes
+
+    setter = getattr(ctypes.CDLL(_umath_linalg.__file__), "openblas_set_num_threads_local", None)
+    if setter is None:
+        return lambda count: count
+    setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+    return setter
+
+
+@contextmanager
+def _serial_blas():
+    """Run the block with one OpenBLAS thread, then restore the count (per
+    thread in OpenMP builds, per process in numpy's pthreads build).  The
+    element solves are too small to share; results do not depend on it."""
+    setter = _blas_threads_setter()
+    previous = setter(1)
+    try:
+        yield
+    finally:
+        setter(previous)
+
+
 def _cell_errors(
     floats: np.ndarray, key: tuple, vhat: FormSpace, target: TargetForm, quad: QuadratureRule
-) -> np.ndarray:
+) -> tuple[np.ndarray, float | None]:
     """Broken L2 distances (E,) from the target to the mapped reference
     space on E cells of Jacobian key with float corner coefficients floats
-    (E, 2^n, n), by weighted least squares over the quadrature points.  Per
-    chunk of cells, one broadcast matmul (per cell the (P, C) @ (C, n)
-    product of a single cell) gives x = F(xref), and one target call y."""
+    (E, 2^n, n), by weighted least squares over the quadrature points, and
+    sv[0]/sv[-1] of the key's design matrix (None if J = 0).  Per chunk of
+    cells, one broadcast matmul (per cell the (P, C) @ (C, n) product of a
+    single cell) gives x = F(xref), one target call y, and one call of the
+    gufunc behind np.linalg.lstsq the fits: one dgelsd per cell, on the
+    inputs np.linalg.lstsq would pass, so with the same bits.  Rank and
+    singular values depend on the design matrix alone."""
     n, k = vhat.n, vhat.k
     if (target.n, target.k) != (n, k):
         raise ValueError("target and space live on different (n, k)")
@@ -479,24 +520,30 @@ def _cell_errors(
     npts = len(scale)
     step = max(1, _CHUNK_VALUES // (npts * len(tab.sig_idx)))
     errs = np.empty(len(floats))
-    for start in range(0, len(floats), step):
-        xphys = np.matmul(tab.corner_tables[0], floats[start : start + step])
-        cells = len(xphys)
-        uvals = target.values(xphys.reshape(-1, n), np.tile(quad.points, (cells, 1)))
-        y = (uvals.reshape(cells, npts, -1) * scale[:, None]).reshape(cells, -1)
-        for j, row in enumerate(y, start):
-            if nbasis == 0:
-                errs[j] = np.linalg.norm(row)
-                continue
-            sol, _, rank, sv = np.linalg.lstsq(a, row, rcond=None)
-            if rank < nbasis:
-                cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
-                raise NumericalError(
-                    f"rank-deficient evaluation matrix (rank {rank} < {nbasis}, cond {cond:.3e}); "
-                    "quadrature may be too coarse"
-                )
-            errs[j] = np.linalg.norm(row - a @ sol)
-    return errs
+    cond = None
+    with _serial_blas():
+        for start in range(0, len(floats), step):
+            xphys = np.matmul(tab.corner_tables[0], floats[start : start + step])
+            cells = len(xphys)
+            uvals = target.values(xphys.reshape(-1, n), np.tile(quad.points, (cells, 1)))
+            y = (uvals.reshape(cells, npts, -1) * scale[:, None]).reshape(cells, -1)
+            if nbasis:
+                with np.errstate(all="ignore", invalid="call", call=_lstsq_failed):
+                    sol, _, rank, sv = _gelsd(
+                        np.broadcast_to(a, (cells,) + a.shape),
+                        y[:, :, None],
+                        np.finfo(np.float64).eps * max(a.shape),
+                        signature="ddd->ddid",
+                    )
+                cond = float(sv[0, 0] / sv[0, -1]) if sv[0, -1] > 0 else np.inf
+                if rank.min() < nbasis:
+                    raise NumericalError(
+                        f"rank-deficient evaluation matrix (rank {rank.min()} < {nbasis}, "
+                        f"cond {cond:.3e}); quadrature may be too coarse"
+                    )
+                y = y - np.matmul(a, sol)[:, :, 0]
+            errs[start : start + cells] = np.sqrt(np.vecdot(y, y))
+    return errs, cond
 
 
 def element_l2_error(
@@ -505,7 +552,8 @@ def element_l2_error(
     """Broken L2 distance from the target to the mapped reference space on
     one element: the E = 1 case of _cell_errors.  The design matrix is
     recomputed only when the cell's Jacobian differs from the last one's."""
-    return float(_cell_errors(fmap.float_arrays()[None], fmap.jacobian_key, vhat, target, quad)[0])
+    errs, _ = _cell_errors(fmap.float_arrays()[None], fmap.jacobian_key, vhat, target, quad)
+    return float(errs[0])
 
 
 def discrete_l2_pairing(
@@ -558,6 +606,8 @@ class ConvergenceReport:
     subdivisions: list[int]
     errors: list[float]
     prediction: RatePrediction
+    # Per level, the worst sv[0]/sv[-1] of a design matrix (None if J = 0).
+    ls_conds: list[float | None]
 
     @property
     def rate_pairs(self) -> list[float | None]:
@@ -580,20 +630,25 @@ class ConvergenceReport:
         return self.rate_pairs[-1] if len(self.subdivisions) > 1 else None
 
 
-def _mesh_error(mesh: Mesh, vhat: FormSpace, target: TargetForm, quad: QuadratureRule) -> float:
-    """Root sum of squares of the element errors, summed in mesh order.
-    The cells of each group go to _cell_errors together, so each group's
-    design matrix is computed once and only one is held at a time.  Every
-    NumericalError depends on the geometry alone, so it is raised at the
-    first cell of a group, and as groups come in the order of their first
-    cell, it names the first bad element in mesh order."""
+def _mesh_error(
+    mesh: Mesh, vhat: FormSpace, target: TargetForm, quad: QuadratureRule
+) -> tuple[float, float | None]:
+    """Root sum of squares of the element errors, summed in mesh order,
+    and the groups' worst sv[0]/sv[-1].  The cells of each group go to
+    _cell_errors together, so each group's design matrix is computed once
+    and only one is held at a time.  Every NumericalError depends on the
+    geometry alone, so it is raised at the first cell of a group, and as
+    groups come in the order of their first cell, it names the first bad
+    element in mesh order."""
     errs = np.empty(mesh.size)
+    conds = []
     for key, idxs in zip(mesh.keys, _groups(mesh)):
         try:
-            errs[idxs] = _cell_errors(mesh.floats[idxs], key, vhat, target, quad)
+            errs[idxs], cond = _cell_errors(mesh.floats[idxs], key, vhat, target, quad)
         except NumericalError as exc:
             raise NumericalError(f"element {idxs[0]}: {exc}") from exc
-    return float(np.sqrt(np.sum(errs * errs)))
+        conds.append(cond)
+    return float(np.sqrt(np.sum(errs * errs))), max(conds) if vhat.basis else None
 
 
 def convergence_study(
@@ -614,10 +669,12 @@ def convergence_study(
     n = vhat.n
     q = quad_order if quad_order is not None else default_quad_order(vhat, n)
     quad = gauss_rule(n, q)
-    errors = []
-    for big_n in subdivision_list:
-        mesh = build_mesh(family, n, big_n, d=d, shear=shear)
-        errors.append(_mesh_error(mesh, vhat, target, quad))
+    levels = [
+        _mesh_error(build_mesh(family, n, big_n, d=d, shear=shear), vhat, target, quad)
+        for big_n in subdivision_list
+    ]
+    errors, conds = map(list, zip(*levels))
     return ConvergenceReport(
-        family, vhat.label, n, vhat.k, target.label, q, subdivision_list, errors, predict_rates(vhat)
+        family, vhat.label, n, vhat.k, target.label, q, subdivision_list, errors,
+        predict_rates(vhat), conds,
     )

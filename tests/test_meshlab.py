@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 import os
@@ -394,7 +395,7 @@ class TestLatticeArrays:
         space, target = build_Qminus(1, 1, n), target_trig(n, 1)
         quad = gauss_rule(n, 3)
         errs = np.array([element_l2_error(el, space, target, quad) for el in cells])
-        got = meshlab._mesh_error(mesh, space, target, quad)
+        got, _ = meshlab._mesh_error(mesh, space, target, quad)
         assert math.isfinite(got) and got > 0
         assert got == float(np.sqrt(np.sum(errs * errs)))
 
@@ -670,7 +671,8 @@ class TestGeometrySharing:
 
         chunked = meshlab.TargetForm(n, n - 1, target.label, counted_target)
         monkeypatch.setattr(_kernels, "jacobian_det_inv", counted)
-        assert meshlab._mesh_error(mesh, space, chunked, quad) == float(np.sqrt(np.sum(errs * errs)))
+        got, _ = meshlab._mesh_error(mesh, space, chunked, quad)
+        assert got == float(np.sqrt(np.sum(errs * errs)))
         assert len(calls) == want
         # Each group in chunks of at most _CHUNK_VALUES target values; an
         # (n-1)-form has n components.
@@ -706,25 +708,110 @@ class TestGeometrySharing:
         with pytest.raises(NumericalError, match="^Jacobian determinant not positive"):
             target.values(xphys, xref)
 
-    def test_one_element_call_and_one_lstsq_per_element(self, monkeypatch):
-        # Each cell goes to the batched routine once, and each gets one lstsq.
-        counts = {"cells": 0, "lstsq": 0}
-        cell_errors, lstsq = meshlab._cell_errors, np.linalg.lstsq
+    def test_each_cell_once_through_the_batched_routine(self, monkeypatch):
+        counts = {"cells": 0}
+        cell_errors = meshlab._cell_errors
 
         def counted_cells(floats, *args):
             counts["cells"] += len(floats)
             return cell_errors(floats, *args)
 
-        def counted_lstsq(*args, **kwargs):
-            counts["lstsq"] += 1
-            return lstsq(*args, **kwargs)
-
         monkeypatch.setattr(meshlab, "_cell_errors", counted_cells)
-        monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
         convergence_study(build_Qminus(1, 1, 2), target_trig(2, 1), "trapezoidal", [2, 4], d=0.3)
         convergence_study(build_Qminus(1, 0, 3), target_trig(3, 0), "uniform", [1, 2])
-        elements = 2**2 + 4**2 + 1**3 + 2**3
-        assert counts == {"cells": elements, "lstsq": elements}
+        assert counts["cells"] == 2**2 + 4**2 + 1**3 + 2**3
+
+
+def _lstsq_oracle(floats, vhat, target, quad):
+    """_cell_errors with one np.linalg.lstsq and np.linalg.norm per cell,
+    from the same design matrix and right-hand sides: the errors and the
+    worst sv[0]/sv[-1] over the cells."""
+    tab = meshlab._tabulation(vhat, quad)
+    scale, a = meshlab._geometry(floats[0], tab, quad.weights)
+    xphys = np.matmul(tab.corner_tables[0], floats)
+    cells = len(floats)
+    uvals = target.values(xphys.reshape(-1, vhat.n), np.tile(quad.points, (cells, 1)))
+    errs, conds = [], []
+    for row in (uvals.reshape(cells, len(scale), -1) * scale[:, None]).reshape(cells, -1):
+        if not vhat.basis:
+            errs.append(np.linalg.norm(row))
+            continue
+        sol, _, _, sv = np.linalg.lstsq(a, row, rcond=None)
+        errs.append(np.linalg.norm(row - a @ sol))
+        conds.append(sv[0] / sv[-1])
+    return np.array(errs), max(conds, default=None)
+
+
+class TestStackedSolve:
+    """_cell_errors solves all cells of a chunk in one stacked dgelsd call,
+    with the same bits as one np.linalg.lstsq per cell."""
+
+    @pytest.mark.parametrize(
+        "family,n,big_n,kw",
+        [
+            ("trapezoidal", 2, 4, {"d": Fraction(3, 10)}),
+            ("parallelotope", 2, 3, {"shear": SHEAR_2D}),
+            ("trilinear3d", 3, 2, {"d": Fraction(3, 10)}),
+            ("parallelotope", 3, 2, {"shear": SHEAR_3D}),
+            # One key of 216 cells, at most 4096 // 27 = 151 per chunk.
+            ("uniform", 3, 6, {}),
+        ],
+        ids=["trapezoidal", "parallelotope2d", "trilinear3d", "parallelotope3d", "uniform3d-chunked"],
+    )
+    def test_equals_per_element_lstsq_oracle(self, family, n, big_n, kw):
+        mesh = build_mesh(family, n, big_n, **kw)
+        quad = gauss_rule(n, 6 if n == 2 else 3)
+        spaces = [build_Qminus(1, k, n) for k in range(n + 1)] + [build_Qminus(0, 1, n)]
+        assert not spaces[-1].basis
+        if n == 2:
+            # Condition numbers near 1e6, where rcond would show.
+            spaces.append(build_Qminus(4, 0, 2))
+        for space in spaces:
+            target = target_trig(n, space.k)
+            for key, idxs in zip(mesh.keys, meshlab._groups(mesh)):
+                floats = mesh.floats[idxs]
+                errs, cond = meshlab._cell_errors(floats, key, space, target, quad)
+                want, want_cond = _lstsq_oracle(floats, space, target, quad)
+                assert np.array_equal(errs, want), (space.label, key)
+                assert cond == want_cond
+
+    @pytest.mark.parametrize(
+        "space,q,want",
+        [
+            # One point for four basis functions.
+            (build_Qminus(1, 0, 2), 1, "rank 1 < 4, cond 1.000e+00"),
+            # P_4 contains L_4(x), which vanishes on the 4 x 4 Gauss points.
+            (build_P(4, 0, 2), 4, "rank 13 < 15, cond 1.104e+17"),
+        ],
+        ids=["fewer-points", "vanishing-polynomial"],
+    )
+    def test_rank_deficiency_message(self, space, q, want):
+        mesh = mesh_uniform(2, 2)
+        with pytest.raises(NumericalError) as exc:
+            meshlab._mesh_error(mesh, space, target_trig(2, 0), gauss_rule(2, q))
+        assert str(exc.value) == (
+            f"element 0: rank-deficient evaluation matrix ({want}); quadrature may be too coarse"
+        )
+
+    def test_worst_condition_per_level(self):
+        """The report's worst LS condition per level equals the per-element
+        oracle's on one bundled curvilinear config."""
+        cfg = parse_config(bundled_config_path("s3k0_trapezoid").read_text())
+        space, target = cfg.build_space(), cfg.build_target()
+        levels = cfg.subdivision_list[:2]
+        rep = convergence_study(space, target, cfg.family, levels, d=cfg.d, quad_order=cfg.quad)
+        quad = gauss_rule(cfg.n, rep.quad_order)
+        want = []
+        for big_n in levels:
+            mesh = build_mesh(cfg.family, cfg.n, big_n, d=cfg.d)
+            want.append(
+                max(
+                    _lstsq_oracle(mesh.floats[idxs], space, target, quad)[1]
+                    for idxs in meshlab._groups(mesh)
+                )
+            )
+        assert rep.ls_conds == want
+        assert all(600 < c < 700 for c in want)
 
 
 class TestQuadratureConsistency:
@@ -846,3 +933,71 @@ def test_errors_do_not_depend_on_blas_threads():
         outs.append(run.stdout)
     assert outs[0].count("\n") == 3
     assert outs[0] == outs[1]
+
+
+@pytest.fixture
+def blas_threads():
+    """numpy's OpenBLAS thread count getter, with the count set to 2 for the
+    test and restored after it; skips where numpy's BLAS lacks the
+    symbols used here or by meshlab._serial_blas."""
+    import ctypes
+
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    try:
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        lib.openblas_set_num_threads_local
+    except AttributeError:
+        pytest.skip("numpy's BLAS lacks scipy-openblas64 or openblas_set_num_threads_local")
+    get.restype, put.argtypes = ctypes.c_int, [ctypes.c_int]
+    before = get()
+    put(2)
+    yield get
+    put(before)
+
+
+class TestSerialBlas:
+    """_cell_errors runs OpenBLAS with one thread and restores the count."""
+
+    def test_one_thread_inside_restored_after(self, blas_threads):
+        seen = []
+        trig = target_trig(2, 1)
+
+        def fn(xphys, xref):
+            seen.append(blas_threads())
+            return trig.fn(xphys, xref)
+
+        target = meshlab.TargetForm(2, 1, "probe", fn)
+        mesh = mesh_trapezoidal(4, Fraction(3, 10))
+        assert blas_threads() == 2
+        meshlab._mesh_error(mesh, build_Qminus(1, 1, 2), target, gauss_rule(2, 3))
+        assert seen and set(seen) == {1}
+        assert blas_threads() == 2
+        with pytest.raises(NumericalError, match="rank-deficient"):
+            meshlab._mesh_error(mesh, build_Qminus(2, 1, 2), target, gauss_rule(2, 1))
+        assert blas_threads() == 2
+
+    def test_errors_do_not_depend_on_the_pin(self, blas_threads, monkeypatch):
+        """The first level of every bundled config gives the same errors
+        with the pin and with it stubbed out, at two OpenBLAS threads."""
+
+        def first_levels():
+            out = []
+            for name in bundled_config_names():
+                cfg = parse_config(bundled_config_path(Path(name).stem).read_text())
+                rep = convergence_study(
+                    cfg.build_space(),
+                    cfg.build_target(),
+                    cfg.family,
+                    cfg.subdivision_list[:1],
+                    d=cfg.d,
+                    shear=cfg.shear,
+                    quad_order=cfg.quad,
+                )
+                out.append((rep.errors, rep.ls_conds))
+            return out
+
+        pinned = first_levels()
+        monkeypatch.setattr(meshlab, "_serial_blas", contextlib.nullcontext)
+        unpinned = first_levels()
+        assert blas_threads() == 2
+        assert len(pinned) == 14 and pinned == unpinned
