@@ -11,9 +11,10 @@ polynomials over one denominator each, the components' own format
 wedge over the face is an integer sum over term pairs, with a common
 moment denominator M for the face: the sign of the complementary index
 maps, times the two coefficients, times M / prod(a_i + b_i + 1).  One
-Fraction is made per entry.  The unisolvence matrix traces each basis
-form onto each face once and converts each weight once, then pairs the
-cached integer forms; ``apply_dof`` runs the same pairing on one form.
+Fraction is made per nonzero entry; the zero entries, most of them, share
+one.  The unisolvence matrix traces each basis form onto each face once
+and converts each weight once, then pairs the cached integer forms;
+``apply_dof`` runs the same pairing on one form.
 """
 
 from __future__ import annotations
@@ -82,6 +83,8 @@ class DofSet:
 # largest exponent)
 _Cleared = tuple[dict[IndexMap, tuple[tuple[Monomial, int], ...]], int, int]
 _ZERO: _Cleared = ({}, 1, 0)
+# The value of every pairing whose integer sum is 0.
+_NIL = Fraction(0)
 
 
 def _cleared_form(f: DiffForm) -> _Cleared:
@@ -121,7 +124,10 @@ def _moment_table(top: int) -> tuple[int, tuple[int, ...]]:
 def _pair(dim: int, k: int, tr: _Cleared, weight: _Cleared) -> Fraction:
     """Integral over [0,1]^dim of tr ^ weight, tr a k-form and weight a
     (dim-k)-form: the integer sum of sign * c_a * c_b * M / prod(a_i + b_i + 1)
-    over M times both denominators."""
+    over M times both denominators.  A sum of 0, which every _ZERO trace
+    gives, returns the shared _NIL."""
+    if tr is _ZERO or weight is _ZERO:
+        return _NIL
     tr_ints, tr_denom, tr_top = tr
     w_ints, w_denom, w_top = weight
     base, moments = _moment_table(tr_top + w_top)
@@ -137,7 +143,7 @@ def _pair(dim: int, k: int, tr: _Cleared, weight: _Cleared) -> Fraction:
             for eb, cb in pb:
                 s += ca * cb * prod(map(at, map(add, ea, eb)))
         total += sign * s
-    return Fraction(total, base**dim * tr_denom * w_denom)
+    return Fraction(total, base**dim * tr_denom * w_denom) if total else _NIL
 
 
 def apply_dof(xi: DofFunctional, v: DiffForm) -> Fraction:
@@ -200,7 +206,8 @@ def unisolvence_matrix(r: int, k: int, n: int) -> tuple[list[list[Fraction]], bo
         weight = weights.get(xi.weight)
         if weight is None:
             weight = weights[xi.weight] = _cleared_form(xi.weight)
-        matrix.append([_pair(face.dim, k, t, weight) for t in row_traces])
+        dim = face.dim
+        matrix.append([_pair(dim, k, t, weight) for t in row_traces])
     return matrix, exactla.is_invertible(matrix)
 
 

@@ -13,9 +13,10 @@ format that maps, pullbacks and DOF pairings also use.  ``_from_ints``
 makes every Polynomial; it drops zero terms and divides by one gcd.
 Products run on the integer parts by Kronecker substitution: ``_pack``
 evaluates one at x_i = 2^(W s_i), s the strides of a mixed-radix layout,
-``_int_mul`` multiplies two such ints, and ``_unpack`` reads the product's
-coefficients back slot by slot.  Terms that cancel are dropped, never kept
-as zeros.
+``_int_mul`` multiplies two such ints, and ``_unpack`` decodes the product's
+bytes with numpy, as one array of W-bit slots when W is 8, 16, 32 or 64,
+and turns only the nonzero slots into (exponents, int) pairs.  Terms that
+cancel are dropped, never kept as zeros.
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import gcd, lcm, prod
 from operator import mul
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 Monomial = tuple[int, ...]
 IndexMap = tuple[int, ...]
@@ -109,7 +112,12 @@ class Polynomial:
 
     @classmethod
     def monomial(cls, nvars: int, exps: Monomial, c: Scalar = 1) -> "Polynomial":
-        return cls(nvars, {tuple(exps): c})
+        exps = tuple(map(int, exps))
+        if len(exps) != nvars or any(e < 0 for e in exps):
+            raise ValueError(f"bad exponent tuple {exps} for nvars={nvars}")
+        if not isinstance(c, int):
+            c = Fraction(c)
+        return _from_ints(nvars, ((exps, c.numerator),), c.denominator)
 
     @property
     def terms(self) -> dict[Monomial, Fraction]:
@@ -130,6 +138,8 @@ class Polynomial:
         return max((e[i - 1] for e in self.ints), default=-1)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         if self.nvars != other.nvars:
             raise ValueError("polynomial arity mismatch")
         denom = lcm(self.denom, other.denom)
@@ -144,13 +154,16 @@ class Polynomial:
         return _from_ints(self.nvars, ((e, -c) for e, c in self.ints.items()), self.denom)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other: "Polynomial | Scalar") -> "Polynomial":
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            ints = ((e, v * c.numerator) for e, v in self.ints.items())
-            return _from_ints(self.nvars, ints, self.denom * c.denominator)
+            ints = ((e, v * other.numerator) for e, v in self.ints.items())
+            return _from_ints(self.nvars, ints, self.denom * other.denominator)
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         if self.nvars != other.nvars:
             raise ValueError("polynomial arity mismatch")
         return _from_ints(
@@ -202,17 +215,20 @@ class Polynomial:
         subs = []
         denom = self.denom
         for i, val in fixed.items():
-            v = Fraction(val)
+            if not isinstance(val, int):
+                val = Fraction(val)
+            p, q = val.numerator, val.denominator
             top = max((e[i - 1] for e in self.ints), default=0)
-            subs.append((i - 1, v.numerator, v.denominator, top))
-            denom *= v.denominator**top
+            subs.append((i - 1, p, q, top))
+            denom *= q**top
+        kept = [i - 1 for i in keep]
         out: IntPoly = {}
         for exps, c in self.ints.items():
             for pos, p, q, top in subs:
                 e = exps[pos]
                 c *= p**e * q ** (top - e)
             if c:
-                key = tuple(exps[i - 1] for i in keep)
+                key = tuple([exps[i] for i in kept])
                 out[key] = out.get(key, 0) + c
         return _from_ints(len(keep), out.items(), denom)
 
@@ -304,8 +320,12 @@ def _int_mul(a: IntPoly, b: IntPoly, out: IntPoly | None = None) -> IntPoly:
         layout = tuple(x + y + 1 for x, y in zip(map(max, zip(*a)), map(max, zip(*b))))
         bound = min(len(a), len(b)) * max(map(abs, a.values())) * max(map(abs, b.values()))
         width = _width(bound)
+        terms = _unpack(_pack(a, layout, width) * _pack(b, layout, width), layout, width)
+        if not out:
+            out.update(terms)
+            return out
         get = out.get
-        for e, c in _unpack(_pack(a, layout, width) * _pack(b, layout, width), layout, width):
+        for e, c in terms:
             c += get(e, 0)
             if c:
                 out[e] = c
@@ -316,9 +336,14 @@ def _int_mul(a: IntPoly, b: IntPoly, out: IntPoly | None = None) -> IntPoly:
 
 def _width(bound: int) -> int:
     """Slot width in bits for coefficients of absolute value at most
-    ``bound``: W > bitlen(bound), so -2^(W-1) < c < 2^(W-1), rounded up to
-    whole bytes, which _unpack reads."""
-    return (bound.bit_length() + 8) // 8 * 8
+    ``bound``: W > bitlen(bound), so -2^(W-1) < c < 2^(W-1).  W is the
+    least of 8, 16, 32 and 64 that allows it, which _unpack decodes as one
+    numpy array, and above 64 bits it is rounded up to whole bytes."""
+    bits = bound.bit_length() + 1
+    for w in (8, 16, 32, 64):
+        if bits <= w:
+            return w
+    return (bits + 7) // 8 * 8
 
 
 @lru_cache(maxsize=128)
@@ -347,20 +372,43 @@ def _pack(a: IntPoly, layout: tuple[int, ...], width: int) -> int:
     return sum(c << width * sum(map(mul, e, strides)) for e, c in a.items())
 
 
-def _unpack(x: int, layout: tuple[int, ...], width: int) -> Iterator[tuple[Monomial, int]]:
+# Slot size in bytes -> (unsigned and signed little-endian dtypes, top bit).
+_SLOT_TYPES = {
+    size: (
+        np.dtype(f"<u{size}"),
+        np.dtype(f"<i{size}"),
+        np.dtype(f"<u{size}").type(1 << (8 * size - 1)),
+    )
+    for size in (1, 2, 4, 8)
+}
+
+
+def _unpack(x: int, layout: tuple[int, ...], width: int) -> Iterable[tuple[Monomial, int]]:
     """The nonzero (exponents, coefficient) pairs of a packed polynomial
-    whose coefficients c satisfy -2^(width-1) <= c < 2^(width-1).  Adding
-    2^(width-1) to every slot makes each one a digit in [0, 2^width), read
-    from the bytes of the sum; a digit of 2^(width-1) is a zero term."""
+    whose coefficients c satisfy -2^(width-1) <= c < 2^(width-1), in slot
+    order.  Adding 2^(width-1) to every slot makes each one a digit
+    c + 2^(width-1) in [0, 2^width), read from the bytes of the sum.  For
+    a width of 8, 16, 32 or 64 the digits are one unsigned array, and
+    flipping their top bit leaves c in two's complement, so viewed as
+    signed the array holds every coefficient.  Wider slots are found nonzero
+    on the bytes (a zero term is the digit 2^(width-1)) and only those are
+    read as ints."""
     size = width // 8
     exponents = _strides(layout)[1]
+    slots = len(exponents)
+    raw = (x + _bias(width, slots)).to_bytes(size * slots, "little")
+    if size in _SLOT_TYPES:
+        unsigned, signed, top = _SLOT_TYPES[size]
+        coeffs = (np.frombuffer(raw, unsigned) ^ top).view(signed)
+        nonzero = coeffs.nonzero()[0]
+        return zip(map(exponents.__getitem__, nonzero.tolist()), coeffs[nonzero].tolist())
+    digits = np.frombuffer(raw, np.uint8).reshape(slots, size)
+    nonzero = ((digits[:, -1] != 0x80) | digits[:, :-1].any(axis=1)).nonzero()[0].tolist()
     half = 1 << (width - 1)
-    zero = half.to_bytes(size, "little")
-    raw = (x + _bias(width, len(exponents))).to_bytes(size * len(exponents), "little")
-    for e, i in zip(exponents, range(0, len(raw), size)):
-        digit = raw[i : i + size]
-        if digit != zero:
-            yield e, int.from_bytes(digit, "little") - half
+    return [
+        (exponents[i], int.from_bytes(raw[i * size : (i + 1) * size], "little") - half)
+        for i in nonzero
+    ]
 
 
 @dataclass(frozen=True)
@@ -459,20 +507,17 @@ class DiffForm:
         out = dict(self.components)
         for sigma, poly in other.components.items():
             _accumulate(out, sigma, poly)
-        f = DiffForm.__new__(DiffForm)
-        f.n, f.k, f.components = self.n, self.k, out
-        return f
+        return _form(self.n, self.k, out)
 
     def __neg__(self) -> "DiffForm":
-        f = DiffForm.__new__(DiffForm)
-        f.n, f.k = self.n, self.k
-        f.components = {s: -p for s, p in self.components.items()}
-        return f
+        return _form(self.n, self.k, {s: -p for s, p in self.components.items()})
 
     def __sub__(self, other: "DiffForm") -> "DiffForm":
         return self + (-other)
 
     def __mul__(self, c: Scalar) -> "DiffForm":
+        if not isinstance(c, (int, Fraction)):
+            return NotImplemented
         return DiffForm(self.n, self.k, {s: p * c for s, p in self.components.items()})
 
     __rmul__ = __mul__
@@ -506,9 +551,7 @@ class DiffForm:
                     if sign < 0:
                         term = -term
                     _accumulate(out, key, term)
-        f = DiffForm.__new__(DiffForm)
-        f.n, f.k, f.components = n, deg, out
-        return f
+        return _form(n, deg, out)
 
     def d(self) -> "DiffForm":
         """Exterior derivative; a (k+1)-form, zero for top-degree forms."""
@@ -524,9 +567,7 @@ class DiffForm:
                 if below % 2:
                     dp = -dp
                 _accumulate(out, tuple(sorted(sigma + (i,))), dp)
-        f = DiffForm.__new__(DiffForm)
-        f.n, f.k, f.components = n, self.k + 1, out
-        return f
+        return _form(n, self.k + 1, out)
 
     def trace(self, face: Face) -> "DiffForm":
         """Restrict to a face: substitute its fixed coordinates and drop
@@ -540,7 +581,7 @@ class DiffForm:
             for sigma, poly in self.components.items()
             if not any(s in face.fixed for s in sigma)
         }
-        return DiffForm(len(free), self.k, out)
+        return _form(len(free), self.k, out)
 
     def evaluate(self, point: Sequence[float]) -> dict[IndexMap, float]:
         if len(point) != self.n:
@@ -559,6 +600,15 @@ class DiffForm:
             dx = "^".join(f"dx{s}" for s in sigma) or "1"
             parts.append(f"({self.components[sigma]}) {dx}".strip())
         return " + ".join(parts)
+
+
+def _form(n: int, k: int, components: Mapping[IndexMap, Polynomial]) -> DiffForm:
+    """The DiffForm of components already valid for (n, k), made without
+    checking them; zero polynomials are dropped."""
+    f = DiffForm.__new__(DiffForm)
+    f.n, f.k = n, k
+    f.components = {s: p for s, p in components.items() if p.ints}
+    return f
 
 
 def _accumulate(out: dict[IndexMap, Polynomial], key: IndexMap, poly: Polynomial) -> None:

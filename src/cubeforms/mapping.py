@@ -20,11 +20,12 @@ the minors det((D DF)[sigma, tau]) and of the monomial images D^|e| F^e
 the max norm of each minor, and the images and minors packed by
 ``forms._pack`` in each layout asked for.  A pullback reads each
 component's ints and denominator, sums c F^e times a minor over each tau
-as one sum of packed int products over one denominator, and unpacks it
-once into the ints of a Polynomial over that denominator, reduced by one
-gcd.  ``jacobian`` and the validity proof read D DF and det(D DF),
-its top minor, from the same cache.  A map is never changed after
-construction, so the cache never goes stale.
+as one sum of packed int products over one denominator, and decodes its
+nonzero slots once, with numpy (``forms._unpack``), into the ints of a
+Polynomial over that denominator, reduced by one gcd; the DiffForm is
+built from those components directly.  ``jacobian`` and the validity
+proof read D DF and det(D DF), its top minor, from the same cache.  A map
+is never changed after construction, so the cache never goes stale.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .forms import (
     IntPoly,
     Polynomial,
     Scalar,
+    _form,
     _from_ints,
     _int_mul,
     _pack,
@@ -397,9 +399,9 @@ def pullback_polynomial(fmap: MultilinearMap, v: DiffForm) -> DiffForm:
     in each variable is at most m + k, so every product runs in the packed
     layout of radix m + k + 1 per variable (forms._pack): component tau is
     sum_sigma (sum_e scale_e image_e) minor(sigma, tau) in packed ints,
-    unpacked once into its integer coefficients.  The slot width bounds
-    each output coefficient by sum_sigma (sum_e |scale_e| l1(image_e))
-    max|minor|.
+    unpacked once into its nonzero integer coefficients.  The slot width
+    bounds each output coefficient by sum_sigma (sum_e |scale_e|
+    l1(image_e)) max|minor|.
     """
     n = fmap.n
     k = v.k
@@ -438,4 +440,4 @@ def pullback_polynomial(fmap: MultilinearMap, v: DiffForm) -> DiffForm:
             x * cleared.packed_minor(sigma, tau, layout, width) for sigma, x in packed.items()
         )
         parts[tau] = _from_ints(n, _unpack(total, layout, width), denom)
-    return DiffForm(n, k, parts)
+    return _form(n, k, parts)

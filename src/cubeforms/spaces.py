@@ -4,8 +4,9 @@ Builders produce explicit monomial-form bases for the tensor-product family
 Q_r^- Lambda^k, the full polynomial family P_r Lambda^k, the scalar
 serendipity family, and the 2D serendipity 1-form family.  Inclusion
 testing is exact: spaces with a pure monomial basis are compared by
-coordinate-set inclusion (equivalent to the rank test and much faster),
-anything else falls back to rational row reduction.
+coordinate-set inclusion, one set test per component (equivalent to the
+rank test and much faster), anything else falls back to rational row
+reduction.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import comb
+from typing import Mapping
 
 from . import exactla
-from .forms import DiffForm, Monomial, enumerate_sigma
+from .forms import DiffForm, IndexMap, Monomial, _form, _from_ints, enumerate_sigma
 
 __all__ = [
     "FormSpace",
@@ -43,9 +45,9 @@ class FormSpace:
     basis: list[DiffForm]
     label: str = ""
     # Set by builders whose basis is unit-coefficient monomial forms: the
-    # set of (sigma, exponents) coordinates spanned.  Enables the fast
-    # membership path in contains().
-    monomial_coords: frozenset[tuple[tuple[int, ...], Monomial]] | None = field(
+    # exponents spanned in each component, by index map.  Enables the fast
+    # membership path in in_span().
+    monomial_coords: Mapping[IndexMap, frozenset[Monomial]] | None = field(
         default=None, repr=False
     )
     _echelon: tuple | None = field(default=None, repr=False, compare=False)
@@ -79,14 +81,19 @@ class FormSpace:
 
 
 def zero_space(n: int, k: int, label: str = "zero") -> FormSpace:
-    return FormSpace(n, k, [], label, monomial_coords=frozenset())
+    return FormSpace(n, k, [], label, monomial_coords={})
 
 
 def _monomial_space(
-    n: int, k: int, items: list[tuple[tuple[int, ...], Monomial]], label: str
+    n: int, k: int, items: list[tuple[IndexMap, Monomial]], label: str
 ) -> FormSpace:
-    basis = [DiffForm.monomial_form(n, sigma, exps) for sigma, exps in items]
-    return FormSpace(n, k, basis, label, monomial_coords=frozenset(items))
+    """The span of the forms x^e dx^sigma over distinct (sigma, e) items."""
+    basis = [_form(n, k, {sigma: _from_ints(n, ((exps, 1),), 1)}) for sigma, exps in items]
+    coords: dict[IndexMap, set[Monomial]] = {}
+    for sigma, exps in items:
+        coords.setdefault(sigma, set()).add(exps)
+    allowed = {sigma: frozenset(group) for sigma, group in coords.items()}
+    return FormSpace(n, k, basis, label, monomial_coords=allowed)
 
 
 def build_P(r: int, k: int, n: int) -> FormSpace:
@@ -189,17 +196,20 @@ def _echelon_of(space: FormSpace) -> tuple:
     return space._echelon
 
 
+_NOTHING: frozenset[Monomial] = frozenset()
+
+
 def in_span(space: FormSpace, f: DiffForm) -> bool:
     """Exact membership of a single form in the span of a space's basis."""
-    if f.is_zero:
-        return True
     if f.n != space.n or f.k != space.k:
         raise ValueError("form and space live on different (n, k)")
-    if space.monomial_coords is not None:
+    if f.is_zero:
+        return True
+    allowed = space.monomial_coords
+    if allowed is not None:
         return all(
-            (sigma, exps) in space.monomial_coords
+            poly.ints.keys() <= allowed.get(sigma, _NOTHING)
             for sigma, poly in f.components.items()
-            for exps in poly.ints
         )
     index, echelon, pivots = _echelon_of(space)
     vec = [Fraction(0)] * len(index)

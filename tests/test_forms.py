@@ -1,6 +1,8 @@
+import random
 from fractions import Fraction
 from itertools import permutations
 from math import comb, gcd
+from operator import add, mul, sub
 
 import pytest
 from hypothesis import given
@@ -290,6 +292,20 @@ class TestPolynomialProduct:
         assert (p * 3).terms == {e: 3 * v for e, v in p.terms.items()}
         assert (p * 0).is_zero
 
+    @pytest.mark.parametrize("other", [1.5, "x", None], ids=["float", "str", "none"])
+    def test_unsupported_operands_raise_type_error(self, other):
+        p = Polynomial.variable(2, 1)
+        for form in (DiffForm.basis_form(2, (1,)), DiffForm.zero(2, 1)):
+            with pytest.raises(TypeError):
+                form * other
+            with pytest.raises(TypeError):
+                other * form
+        for op in (mul, add, sub):
+            with pytest.raises(TypeError):
+                op(p, other)
+            with pytest.raises(TypeError):
+                op(other, p)
+
 
 def double_loop_mul(a, b, out=None):
     """The term-pair double loop that Kronecker substitution replaced in
@@ -365,6 +381,36 @@ class TestIntMul:
                 b = {(0,): sign, (1,): sign}
                 want = {(0,): sign * 2 ** (s - 1), (1,): sign * 2**s, (2,): sign * 2 ** (s - 1)}
                 assert _int_mul(a, b) == want
+
+    @pytest.mark.parametrize("s", [7, 15, 31, 63])
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_coefficients_around_slot_size_switch(self, s, delta, sign):
+        """Output coefficients of magnitude 2^s - 1, 2^s and 2^s + 1, where
+        the slot width switches from s + 1 to the next power-of-two size."""
+        c = sign * (2**s + delta)
+        assert _int_mul({(1, 0, 2): c}, {(0, 3, 0): 1}) == {(1, 3, 2): c}
+        a = {(0, 0, 0): c, (2, 1, 0): -c, (0, 0, 3): 1}
+        b = {(0, 0, 0): 1, (1, 0, 1): -1, (0, 2, 0): sign}
+        assert _int_mul(a, b) == nonzero(double_loop_mul(a, b))
+        assert _int_mul(b, a) == nonzero(double_loop_mul(b, a))
+
+    @pytest.mark.parametrize("nvars", [3, 4])
+    @pytest.mark.parametrize("bits", [6, 14, 30, 62, 100])
+    def test_sparse_products(self, nvars, bits):
+        """Ten-term operands with exponents up to 3: most slots of the
+        product's layout are zero."""
+        rng = random.Random(1000 * nvars + bits)
+        top = 2**bits
+        for _ in range(10):
+            a, b = (
+                {
+                    tuple(rng.randint(0, 3) for _ in range(nvars)): rng.randint(-top, top)
+                    for _ in range(10)
+                }
+                for _ in range(2)
+            )
+            assert _int_mul(a, b) == nonzero(double_loop_mul(a, b))
 
 
 # A Fraction-dict oracle: polynomials as {exponents: nonzero Fraction}, one

@@ -1,9 +1,13 @@
-from itertools import product
+from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cubeforms.forms import DiffForm
 from cubeforms.spaces import (
+    FormSpace,
     build_P,
     build_Qminus,
     build_SrLambda1_2d,
@@ -146,6 +150,18 @@ class TestContains:
         with pytest.raises(ValueError):
             contains(build_P(1, 0, 2), build_P(1, 1, 2))
 
+    @pytest.mark.parametrize(
+        "space",
+        [build_Qminus(1, 1, 2), build_SrLambda1_2d(1)],
+        ids=["monomial", "row-reduction"],
+    )
+    def test_zero_form_of_wrong_shape_rejected(self, space):
+        with pytest.raises(ValueError):
+            in_span(space, DiffForm.zero(3, 0))
+        with pytest.raises(ValueError):
+            in_span(space, DiffForm.zero(2, 0))
+        assert in_span(space, DiffForm.zero(2, 1))
+
     def test_partial_order(self):
         spaces = [build_Qminus(1, 1, 2), build_P(1, 1, 2), build_P(2, 1, 2)]
         for s in spaces:
@@ -194,3 +210,47 @@ class TestSubcomplex:
                 target = build_Qminus(r, k + 1, n)
                 for f in build_Qminus(r, k, n).basis:
                     assert in_span(target, f.d())
+
+
+# Monomial spaces of every builder, for the two membership paths.
+_MONOMIAL_SPACES = [
+    build_P(2, 1, 2),
+    build_Qminus(2, 1, 2),
+    build_Qminus(1, 2, 3),
+    build_P(1, 0, 3),
+    build_serendipity(2, 2),
+    zero_space(2, 1),
+]
+
+
+@st.composite
+def space_and_form(draw):
+    """A monomial space and a form that is a random combination of some of
+    its basis forms plus, sometimes, monomials from outside it."""
+    space = draw(st.sampled_from(_MONOMIAL_SPACES))
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    f = DiffForm.zero(space.n, space.k)
+    if space.basis:
+        for b in draw(st.lists(st.sampled_from(space.basis), max_size=4)):
+            f = f + b * draw(coeff)
+    for _ in range(draw(st.integers(0, 2))):
+        sigma = draw(st.sampled_from(list(combinations(range(1, space.n + 1), space.k))))
+        exps = draw(st.tuples(*[st.integers(0, 3)] * space.n))
+        f = f + DiffForm.monomial_form(space.n, sigma, exps, draw(coeff))
+    return space, f
+
+
+class TestInSpanPaths:
+    @given(case=space_and_form())
+    def test_monomial_path_agrees_with_rank_path(self, case):
+        space, f = case
+        plain = FormSpace(space.n, space.k, space.basis, space.label, monomial_coords=None)
+        assert in_span(space, f) == in_span(plain, f)
+
+    def test_both_verdicts_occur(self):
+        space = build_Qminus(1, 1, 2)
+        plain = FormSpace(2, 1, space.basis, monomial_coords=None)
+        inside = space.basis[0] * Fraction(2, 3) - space.basis[-1]
+        outside = DiffForm.monomial_form(2, (1,), (1, 0))
+        assert in_span(space, inside) and in_span(plain, inside)
+        assert not in_span(space, outside) and not in_span(plain, outside)
