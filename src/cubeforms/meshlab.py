@@ -23,10 +23,12 @@ which depends only on DF, once per Jacobian key.  The element loop takes
 each key's cells in chunks of bounded size: per chunk one broadcast
 product gives x = F(xref), one target call the values, one product the
 weighted right-hand sides and one call of the stacked gufunc behind
-``np.linalg.lstsq`` the fits: one LAPACK ``dgelsd`` per cell, with the
-same inputs as ``np.linalg.lstsq``, so the same bits, but no Python call
-per cell.  The loop runs OpenBLAS with one thread, as the solves are too
-small to share between threads.
+``np.linalg.lstsq`` the fits: one LAPACK ``dgelsd`` per cell.  Where
+dgelsd would first factor the design matrix a = QR, that QR is made once
+per key and each cell gets one ``dormqr`` for Q^T y, so dgelsd only works
+on the J x J triangle R; every step and workspace is dgelsd's own, so the
+bits are those of ``np.linalg.lstsq``.  The loop runs OpenBLAS with one
+thread, as the solves are too small to share between threads.
 """
 
 from __future__ import annotations
@@ -214,7 +216,7 @@ class _Tabulation:
     """What _cell_errors needs of one (space, quadrature rule) pair: the
     corner tables behind x = F(xref) and DF (see _corner_tables) and the
     reference basis values hat (J, M, P), the same on every cell; and one
-    geometry entry, Jacobian key -> (scale, a) (see _geometry), replaced
+    geometry entry, Jacobian key -> (scale, a, its _qr_first), replaced
     whenever cells of another key come, so at most one design matrix is
     held however many cells a caller passes."""
 
@@ -490,6 +492,124 @@ def _serial_blas():
         setter(previous)
 
 
+@cache
+def _lapack():
+    """The LAPACK routines (dgeqrf, dormqr, ilaenv, dgelsd) of the
+    scipy-openblas64 build numpy's linalg extension links, as ctypes
+    functions, or None where it does not export them all.  They take
+    Fortran arguments: pointers, INTEGER*8 (ILP64), and the lengths of
+    string arguments last, as size_t.  Callers pass every argument as a
+    ctypes object of that type; argtypes are left undeclared, as their
+    conversion would double the cost of the per-cell dormqr."""
+    import ctypes
+
+    lib = ctypes.CDLL(_umath_linalg.__file__)
+    try:
+        routines = tuple(
+            getattr(lib, f"scipy_{name}_64_") for name in ("dgeqrf", "dormqr", "ilaenv", "dgelsd")
+        )
+    except AttributeError:
+        return None
+    for routine in routines:
+        routine.restype = None
+    routines[2].restype = ctypes.c_int64
+    return routines
+
+
+def _int64_refs(*values: int) -> list:
+    """Fortran INTEGER*8 arguments: pointers to fresh c_int64s."""
+    import ctypes
+
+    return [ctypes.byref(ctypes.c_int64(v)) for v in values]
+
+
+@cache
+def _qr_workspace(m: int, j: int) -> int | None:
+    """The workspace dgelsd hands dgeqrf and dormqr when it solves an (m, J)
+    system with one right-hand side: its optimal LWORK, which
+    np.linalg.lstsq queries and passes, minus J.  The workspace decides
+    between blocked and unblocked code, so with any other the bits differ.
+    None where dgelsd factors no QR first: its path 1a needs m >= J and
+    m >= ilaenv(6, "DGELSD"), which is 1.6 J in reference LAPACK."""
+    import ctypes
+
+    _, _, ilaenv, gelsd = _lapack()
+    length = ctypes.c_size_t
+    mnthr = ilaenv(*_int64_refs(6), b"DGELSD", b" ", *_int64_refs(m, j, 1, -1), length(6), length(1))
+    if m < max(j, mnthr):
+        return None
+    query, iquery, dummy = np.empty(1), np.empty(1, dtype=np.int64), np.empty(1)
+    # A workspace query reads no array but WORK and IWORK.
+    gelsd(
+        *_int64_refs(m, j, 1), dummy.ctypes, *_int64_refs(m), dummy.ctypes, *_int64_refs(m),
+        dummy.ctypes, dummy.ctypes, *_int64_refs(0), query.ctypes, *_int64_refs(-1),
+        iquery.ctypes, *_int64_refs(0),
+    )
+    return int(query[0]) - j
+
+
+@dataclass(frozen=True)
+class _QRFirst:
+    """The Householder QR that dgelsd makes of a design matrix before its
+    SVD, and then solves on the triangle: dgeqrf's factors qr (m, J),
+    Fortran order, and tau, the triangle r, and lwork (_qr_workspace)."""
+
+    qr: np.ndarray
+    tau: np.ndarray
+    r: np.ndarray
+    lwork: int
+
+
+def _qr_first(a: np.ndarray) -> _QRFirst | None:
+    """dgelsd's QR of a (m, J), made once for all cells of a Jacobian key;
+    None where dgelsd makes none or numpy's LAPACK is out of reach."""
+    lapack = _lapack()
+    lwork = None if lapack is None else _qr_workspace(*a.shape)
+    if lwork is None:
+        return None
+    import ctypes
+
+    m, j = a.shape
+    qr, tau, work = np.array(a, order="F"), np.empty(j), np.empty(lwork)
+    info = ctypes.c_int64()
+    lapack[0](
+        *_int64_refs(m, j), qr.ctypes, *_int64_refs(m), tau.ctypes, work.ctypes,
+        *_int64_refs(lwork), ctypes.byref(info),
+    )
+    if info.value:
+        raise NumericalError(f"dgeqrf failed with info {info.value}")
+    # qr stays writeable: dormqr sets each diagonal entry to 1 and restores it.
+    r = np.triu(qr[:j])
+    for arr in (tau, r):
+        arr.flags.writeable = False
+    return _QRFirst(qr, tau, r, lwork)
+
+
+def _apply_qt(factor: _QRFirst, y: np.ndarray) -> np.ndarray:
+    """The rows Q^T y_c (cells, m) for the rows y_c of y, as dgelsd computes
+    them: one dormqr per row, with dgelsd's workspace."""
+    import ctypes
+
+    m = y.shape[1]
+    out = np.array(y, order="C")
+    work = np.empty(factor.lwork)
+    info, row = ctypes.c_int64(), ctypes.c_void_p()
+    length = ctypes.c_size_t(1)
+    # Raw pointers, as an array's .ctypes would be converted again per call.
+    qr, tau, scratch = (ctypes.c_void_p(arr.ctypes.data) for arr in (factor.qr, factor.tau, work))
+    args = (
+        b"L", b"T", *_int64_refs(m, 1, len(factor.tau)), qr, *_int64_refs(m), tau, row,
+        *_int64_refs(m), scratch, *_int64_refs(factor.lwork), ctypes.byref(info), length, length,
+    )
+    ormqr = _lapack()[1]
+    first = out.ctypes.data
+    for row.value in range(first, first + out.nbytes, out.strides[0]):
+        ormqr(*args)
+    if info.value:
+        raise NumericalError(f"dormqr failed with info {info.value}")
+    return out
+
+
 def _cell_errors(
     floats: np.ndarray, key: tuple, vhat: FormSpace, target: TargetForm, quad: QuadratureRule
 ) -> tuple[np.ndarray, float | None]:
@@ -499,9 +619,16 @@ def _cell_errors(
     sv[0]/sv[-1] of the key's design matrix (None if J = 0).  Per chunk of
     cells, one broadcast matmul (per cell the (P, C) @ (C, n) product of a
     single cell) gives x = F(xref), one target call y, and one call of the
-    gufunc behind np.linalg.lstsq the fits: one dgelsd per cell, on the
-    inputs np.linalg.lstsq would pass, so with the same bits.  Rank and
-    singular values depend on the design matrix alone."""
+    gufunc behind np.linalg.lstsq the fits, one dgelsd per cell.  Where
+    dgelsd would start with a QR of the design matrix a, the key's QR is
+    made once (_qr_first), each cell gets one dormqr, and dgelsd solves
+    R x = (Q^T y)[:J]: the steps, inputs and workspaces of dgelsd on
+    (a, y), so the same bits as np.linalg.lstsq.  (dgelsd first rescales a
+    matrix or right-hand side whose largest entry is below about 1e-292 or
+    above 1e292, where (R, Q^T y) and (a, y) could take different branches;
+    no mesh comes near that.)  Elsewhere dgelsd runs on (a, y), with the
+    inputs np.linalg.lstsq would pass.  Rank and singular values depend on
+    the design matrix alone."""
     n, k = vhat.n, vhat.k
     if (target.n, target.k) != (n, k):
         raise ValueError("target and space live on different (n, k)")
@@ -511,27 +638,29 @@ def _cell_errors(
     if k > 3:
         raise NumericalError("numeric pipeline supports form degree k <= 3")
     tab = _tabulation(vhat, quad)
-    entry = tab.geometry.get(key)
-    if entry is None:
-        tab.geometry.clear()
-        entry = tab.geometry[key] = _geometry(floats[0], tab, quad.weights)
-    scale, a = entry
     nbasis = len(vhat.basis)
-    npts = len(scale)
-    step = max(1, _CHUNK_VALUES // (npts * len(tab.sig_idx)))
     errs = np.empty(len(floats))
     cond = None
     with _serial_blas():
+        entry = tab.geometry.get(key)
+        if entry is None:
+            tab.geometry.clear()
+            scale, a = _geometry(floats[0], tab, quad.weights)
+            entry = tab.geometry[key] = (scale, a, _qr_first(a) if nbasis else None)
+        scale, a, factor = entry
+        npts = len(scale)
+        step = max(1, _CHUNK_VALUES // (npts * len(tab.sig_idx)))
         for start in range(0, len(floats), step):
             xphys = np.matmul(tab.corner_tables[0], floats[start : start + step])
             cells = len(xphys)
             uvals = target.values(xphys.reshape(-1, n), np.tile(quad.points, (cells, 1)))
             y = (uvals.reshape(cells, npts, -1) * scale[:, None]).reshape(cells, -1)
             if nbasis:
+                r, c = (a, y) if factor is None else (factor.r, _apply_qt(factor, y)[:, :nbasis])
                 with np.errstate(all="ignore", invalid="call", call=_lstsq_failed):
                     sol, _, rank, sv = _gelsd(
-                        np.broadcast_to(a, (cells,) + a.shape),
-                        y[:, :, None],
+                        np.broadcast_to(r, (cells,) + r.shape),
+                        c[:, :, None],
                         np.finfo(np.float64).eps * max(a.shape),
                         signature="ddd->ddid",
                     )

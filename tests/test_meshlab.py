@@ -742,9 +742,29 @@ def _lstsq_oracle(floats, vhat, target, quad):
     return np.array(errs), max(conds, default=None)
 
 
+def _first_levels():
+    """The reports of the first level of every bundled config."""
+    reports = []
+    for name in bundled_config_names():
+        cfg = parse_config(bundled_config_path(Path(name).stem).read_text())
+        reports.append(
+            convergence_study(
+                cfg.build_space(),
+                cfg.build_target(),
+                cfg.family,
+                cfg.subdivision_list[:1],
+                d=cfg.d,
+                shear=cfg.shear,
+                quad_order=cfg.quad,
+            )
+        )
+    return reports
+
+
 class TestStackedSolve:
     """_cell_errors solves all cells of a chunk in one stacked dgelsd call,
-    with the same bits as one np.linalg.lstsq per cell."""
+    on the key's triangle R and Q^T y where dgelsd would factor the design
+    matrix first, with the same bits as one np.linalg.lstsq per cell."""
 
     @pytest.mark.parametrize(
         "family,n,big_n,kw",
@@ -763,15 +783,21 @@ class TestStackedSolve:
         quad = gauss_rule(n, 6 if n == 2 else 3)
         spaces = [build_Qminus(1, k, n) for k in range(n + 1)] + [build_Qminus(0, 1, n)]
         assert not spaces[-1].basis
+        cases = [(space, quad) for space in spaces]
         if n == 2:
             # Condition numbers near 1e6, where rcond would show.
-            spaces.append(build_Qminus(4, 0, 2))
-        for space in spaces:
+            cases.append((build_Qminus(4, 0, 2), quad))
+        if family == "trilinear3d":
+            # A is 648 x 36: J is above dormqr's block size of 32, so the
+            # workspace that dgelsd hands dormqr decides the bits.
+            space = build_Qminus(2, 2, 3)
+            cases.append((space, gauss_rule(3, default_quad_order(space, 3))))
+        for space, rule in cases:
             target = target_trig(n, space.k)
             for key, idxs in zip(mesh.keys, meshlab._groups(mesh)):
                 floats = mesh.floats[idxs]
-                errs, cond = meshlab._cell_errors(floats, key, space, target, quad)
-                want, want_cond = _lstsq_oracle(floats, space, target, quad)
+                errs, cond = meshlab._cell_errors(floats, key, space, target, rule)
+                want, want_cond = _lstsq_oracle(floats, space, target, rule)
                 assert np.array_equal(errs, want), (space.label, key)
                 assert cond == want_cond
 
@@ -792,6 +818,28 @@ class TestStackedSolve:
         assert str(exc.value) == (
             f"element 0: rank-deficient evaluation matrix ({want}); quadrature may be too coarse"
         )
+
+    def test_fallback_without_lapack_gives_the_same_bits(self, monkeypatch):
+        """With numpy's LAPACK out of reach, the first level of every bundled
+        config gives the same errors and conditions; with it, every cell
+        takes the QR route: one dormqr per cell."""
+        if meshlab._lapack() is None:
+            pytest.skip("numpy's BLAS lacks the scipy-openblas64 LAPACK symbols")
+        geqrf, ormqr, ilaenv, gelsd = meshlab._lapack()
+        calls = []
+
+        def counted_ormqr(*args):
+            calls.append(1)
+            return ormqr(*args)
+
+        monkeypatch.setattr(meshlab, "_lapack", lambda: (geqrf, counted_ormqr, ilaenv, gelsd))
+        routed = _first_levels()
+        cells = sum(rep.subdivisions[0] ** rep.n for rep in routed)
+        assert len(routed) == 14 and len(calls) == cells
+        monkeypatch.setattr(meshlab, "_lapack", lambda: None)
+        fallback = _first_levels()
+        assert len(calls) == cells
+        assert [(r.errors, r.ls_conds) for r in routed] == [(r.errors, r.ls_conds) for r in fallback]
 
     def test_worst_condition_per_level(self):
         """The report's worst LS condition per level equals the per-element
@@ -976,25 +1024,26 @@ class TestSerialBlas:
             meshlab._mesh_error(mesh, build_Qminus(2, 1, 2), target, gauss_rule(2, 1))
         assert blas_threads() == 2
 
+    def test_factorization_sees_one_thread(self, blas_threads, monkeypatch):
+        seen = []
+        qr_first = meshlab._qr_first
+
+        def probed(a):
+            seen.append(blas_threads())
+            return qr_first(a)
+
+        monkeypatch.setattr(meshlab, "_qr_first", probed)
+        mesh = mesh_trapezoidal(4, Fraction(3, 10))
+        meshlab._mesh_error(mesh, build_Qminus(1, 1, 2), target_trig(2, 1), gauss_rule(2, 3))
+        assert seen == [1] * len(mesh.keys)
+        assert blas_threads() == 2
+
     def test_errors_do_not_depend_on_the_pin(self, blas_threads, monkeypatch):
         """The first level of every bundled config gives the same errors
         with the pin and with it stubbed out, at two OpenBLAS threads."""
 
         def first_levels():
-            out = []
-            for name in bundled_config_names():
-                cfg = parse_config(bundled_config_path(Path(name).stem).read_text())
-                rep = convergence_study(
-                    cfg.build_space(),
-                    cfg.build_target(),
-                    cfg.family,
-                    cfg.subdivision_list[:1],
-                    d=cfg.d,
-                    shear=cfg.shear,
-                    quad_order=cfg.quad,
-                )
-                out.append((rep.errors, rep.ls_conds))
-            return out
+            return [(rep.errors, rep.ls_conds) for rep in _first_levels()]
 
         pinned = first_levels()
         monkeypatch.setattr(meshlab, "_serial_blas", contextlib.nullcontext)
