@@ -6,15 +6,15 @@ functionals degenerate to point evaluation through the same code path.
 All verdicts (counts, matrix invertibility, dual bases) are exact.
 
 One private routine pairs a trace with a weight.  Both arrive as integer
-polynomials over one denominator each, the components' own format
-(``forms.Polynomial``) brought to their lcm, and the integral of their
-wedge over the face is an integer sum over term pairs, with a common
-moment denominator M for the face: the sign of the complementary index
-maps, times the two coefficients, times M / prod(a_i + b_i + 1).  One
-Fraction is made per nonzero entry; the zero entries, most of them, share
-one.  The unisolvence matrix traces each basis form onto each face once
-and converts each weight once, then pairs the cached integer forms;
-``apply_dof`` runs the same pairing on one form.
+polynomials, the components' own format (``forms.Polynomial``) brought to
+one denominator: one for all traces onto a face, one per weight.  The
+integral of their wedge is an integer sum over term pairs, with one moment
+denominator M per face and weight: the sign of the complementary index
+maps, times the two coefficients, times M / prod(a_i + b_i + 1).  So a
+row of the unisolvence matrix is integers over one row denominator, and
+``exactla`` decides invertibility and inverts on those rows.  Fractions
+are made only for the public matrix, whose zeros share one, and at the end
+of ``apply_dof``, which runs the same pairing on one form.
 """
 
 from __future__ import annotations
@@ -22,9 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, groupby, product
 from math import comb, lcm, prod
-from operator import add
+from operator import add, attrgetter
+from typing import Sequence
 
 from . import exactla
 from .forms import DiffForm, Face, IndexMap, Monomial, enumerate_sigma, permutation_sign, trace
@@ -79,26 +80,24 @@ class DofSet:
         return len(self.functionals)
 
 
-# (components as (exponents, integer coefficient) terms, common denominator,
-# largest exponent)
-_Cleared = tuple[dict[IndexMap, tuple[tuple[Monomial, int], ...]], int, int]
-_ZERO: _Cleared = ({}, 1, 0)
-# The value of every pairing whose integer sum is 0.
+# Forms over one denominator: each one's components as (exponents, integer
+# coefficient) terms, the denominator, and the largest exponent in any term.
+_IntForms = tuple[list[dict[IndexMap, tuple[tuple[Monomial, int], ...]]], int, int]
+# The value of every zero entry of the unisolvence matrix.
 _NIL = Fraction(0)
 
 
-def _cleared_form(f: DiffForm) -> _Cleared:
-    """The components of f over one denominator, the lcm of theirs, with
-    the largest exponent of any variable in any term.  Zero forms share _ZERO: most
-    traces of a basis form onto a face vanish."""
-    if f.is_zero:
-        return _ZERO
-    polys = f.components.values()
+def _int_forms(forms: Sequence[DiffForm]) -> _IntForms:
+    """The forms over the lcm of all their components' denominators."""
+    polys = [p for f in forms for p in f.components.values()]
     d = lcm(*(p.denom for p in polys))
-    ints = {
-        sigma: tuple((e, c * (d // p.denom)) for e, c in p.ints.items())
-        for sigma, p in f.components.items()
-    }
+    ints = [
+        {
+            sigma: tuple((e, c * (d // p.denom)) for e, c in p.ints.items())
+            for sigma, p in f.components.items()
+        }
+        for f in forms
+    ]
     top = max((x for p in polys for e in p.ints for x in e), default=0)
     return ints, d, top
 
@@ -121,21 +120,15 @@ def _moment_table(top: int) -> tuple[int, tuple[int, ...]]:
     return base, tuple(base // j for j in range(1, top + 2))
 
 
-def _pair(dim: int, k: int, tr: _Cleared, weight: _Cleared) -> Fraction:
-    """Integral over [0,1]^dim of tr ^ weight, tr a k-form and weight a
-    (dim-k)-form: the integer sum of sign * c_a * c_b * M / prod(a_i + b_i + 1)
-    over M times both denominators.  A sum of 0, which every _ZERO trace
-    gives, returns the shared _NIL."""
-    if tr is _ZERO or weight is _ZERO:
-        return _NIL
-    tr_ints, tr_denom, tr_top = tr
-    w_ints, w_denom, w_top = weight
-    base, moments = _moment_table(tr_top + w_top)
+def _pair(dim: int, k: int, tr: dict, weight: dict, moments: tuple[int, ...]) -> int:
+    """M times the integral over [0,1]^dim of tr ^ weight, a k-form and a
+    (dim-k)-form in integer terms: the sum of sign * c_a * c_b * M /
+    prod(a_i + b_i + 1) over term pairs, with moments from _moment_table."""
     at = moments.__getitem__
     total = 0
     for sigma, tau, sign in _complements(k, dim):
-        pa = tr_ints.get(sigma)
-        pb = w_ints.get(tau)
+        pa = tr.get(sigma)
+        pb = weight.get(tau)
         if pa is None or pb is None:
             continue
         s = 0
@@ -143,7 +136,18 @@ def _pair(dim: int, k: int, tr: _Cleared, weight: _Cleared) -> Fraction:
             for eb, cb in pb:
                 s += ca * cb * prod(map(at, map(add, ea, eb)))
         total += sign * s
-    return Fraction(total, base**dim * tr_denom * w_denom) if total else _NIL
+    return total
+
+
+def _pair_row(dim: int, k: int, traces: _IntForms, weight: _IntForms) -> tuple[list[int], int]:
+    """Each trace paired with one weight: integers over one row
+    denominator, M times the traces' and the weight's denominators.  A
+    trace that vanishes on the face, about half of them, pairs to 0."""
+    tr_ints, tr_denom, tr_top = traces
+    (w_ints,), w_denom, w_top = weight
+    base, moments = _moment_table(tr_top + w_top)
+    row = [_pair(dim, k, t, w_ints, moments) if t else 0 for t in tr_ints]
+    return row, base**dim * tr_denom * w_denom
 
 
 def apply_dof(xi: DofFunctional, v: DiffForm) -> Fraction:
@@ -155,7 +159,8 @@ def apply_dof(xi: DofFunctional, v: DiffForm) -> Fraction:
         raise ValueError("form degree exceeds the face dimension")
     if weight.n != face.dim or weight.k != face.dim - v.k:
         raise ValueError("weight does not pair with the form's trace on this face")
-    return _pair(face.dim, v.k, _cleared_form(trace(v, face)), _cleared_form(weight))
+    (value,), denom = _pair_row(face.dim, v.k, _int_forms([trace(v, face)]), _int_forms([weight]))
+    return Fraction(value, denom)
 
 
 def build_dofs(r: int, k: int, n: int) -> DofSet:
@@ -189,42 +194,43 @@ def dof_count_by_faces(r: int, k: int, n: int) -> int:
     )
 
 
+def _int_matrix(r: int, k: int, n: int) -> tuple[list[DiffForm], list[list[int]], list[int]]:
+    """(monomial basis, integer rows, row denominators) of the unisolvence
+    matrix.  ``build_dofs`` lists a face's functionals together, so each
+    basis form is traced onto each face once."""
+    basis = build_Qminus(r, k, n).basis
+    rows, denoms = [], []
+    for face, functionals in groupby(build_dofs(r, k, n).functionals, attrgetter("face")):
+        traces = _int_forms([trace(b, face) for b in basis])
+        for xi in functionals:
+            row, denom = _pair_row(face.dim, k, traces, _int_forms([xi.weight]))
+            rows.append(row)
+            denoms.append(denom)
+    return basis, rows, denoms
+
+
 def unisolvence_matrix(r: int, k: int, n: int) -> tuple[list[list[Fraction]], bool]:
     """Matrix of all functionals applied to the monomial basis, plus the
-    exact invertibility verdict.  Each basis form is traced onto each face
-    once and each weight put over one denominator once."""
-    space = build_Qminus(r, k, n)
-    dofs = build_dofs(r, k, n)
-    traces: dict[Face, list[_Cleared]] = {}
-    weights: dict[DiffForm, _Cleared] = {}
-    matrix = []
-    for xi in dofs.functionals:
-        face = xi.face
-        row_traces = traces.get(face)
-        if row_traces is None:
-            row_traces = traces[face] = [_cleared_form(trace(b, face)) for b in space.basis]
-        weight = weights.get(xi.weight)
-        if weight is None:
-            weight = weights[xi.weight] = _cleared_form(xi.weight)
-        dim = face.dim
-        matrix.append([_pair(dim, k, t, weight) for t in row_traces])
-    return matrix, exactla.is_invertible(matrix)
+    exact invertibility verdict, decided on the integer rows."""
+    _, rows, denoms = _int_matrix(r, k, n)
+    matrix = [[Fraction(x, d) if x else _NIL for x in row] for row, d in zip(rows, denoms)]
+    return matrix, exactla.is_invertible(rows)
 
 
 def dual_basis(r: int, k: int, n: int) -> list[DiffForm]:
     """Forms phi_j with xi_i(phi_j) = delta_ij, solved exactly against the
-    unisolvence matrix."""
-    space = build_Qminus(r, k, n)
-    matrix, ok = unisolvence_matrix(r, k, n)
-    if not ok:
+    unisolvence matrix A = D^-1 M, M the integer rows and D their
+    denominators: A^-1 = M^-1 D scales column j by row j's denominator."""
+    basis, rows, denoms = _int_matrix(r, k, n)
+    if not exactla.is_invertible(rows):
         raise ArithmeticError(f"unisolvence matrix singular for (r,k,n)=({r},{k},{n})")
-    inv = exactla.invert(matrix)
+    inv = exactla.invert(rows)
     duals = []
-    for j in range(len(space.basis)):
+    for j, denom in enumerate(denoms):
         phi = DiffForm.zero(n, k)
-        for m, b in enumerate(space.basis):
+        for m, b in enumerate(basis):
             c = inv[m][j]
             if c != 0:
-                phi = phi + b * c
+                phi = phi + b * (c * denom)
         duals.append(phi)
     return duals

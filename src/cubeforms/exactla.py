@@ -1,36 +1,24 @@
-"""Small dense exact linear algebra over the rationals.
+"""Small dense exact linear algebra on integer rows.
 
-Every routine runs one fraction-free (Bareiss) elimination on a copy whose
-rows are cleared to integers, so no Fraction is built inside the loop.
-Rank clears each pivot column below the pivot only; the reduced echelon
-form clears it above the pivot too (fraction-free Gauss-Jordan), which
-leaves every pivot equal to the last one, and makes one Fraction per entry
-at the end.  The inverse is read from the echelon form of [A | I].
-Invertibility is first certified modulo the prime p = 2^61 - 1: a
-determinant that is nonzero mod p is nonzero over the rationals.  A zero
-one proves nothing, so the Bareiss elimination then decides, and singular
-verdicts stay exact.  Matrices are plain lists of lists.
+Callers scale each row of a rational matrix to integers, which changes
+neither its rank nor its row span.  Every routine runs one fraction-free
+(Bareiss) elimination on a copy.  Rank clears each pivot column below the
+pivot only; the reduced echelon form clears it above the pivot too
+(fraction-free Gauss-Jordan), which leaves every pivot equal to the last
+one, d: the integer rows over d are the rational echelon form.  The
+inverse is read from the echelon form of [A | I], and is the one routine
+that makes Fractions.  Invertibility is first certified modulo the prime
+p = 2^61 - 1: a determinant that is nonzero mod p is nonzero over the
+rationals.  A zero one proves nothing, so the Bareiss elimination then
+decides, and singular verdicts stay exact.  Matrices are lists of lists.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
-Row = list[Fraction]
-
 _PRIME = 2**61 - 1
-
-
-def _cleared_int_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
-    """Each row times the lcm of its denominators; entries are ints or
-    Fractions, both of which carry numerator and denominator."""
-    out = []
-    for row in rows:
-        denom = lcm(*(x.denominator for x in row))
-        out.append([x.numerator * (denom // x.denominator) for x in row])
-    return out
 
 
 def _eliminate(m: list[list[int]], above: bool) -> tuple[list[int], int]:
@@ -70,44 +58,45 @@ def _eliminate(m: list[list[int]], above: bool) -> tuple[list[int], int]:
     return pivots, prev
 
 
-def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Exact rank."""
-    pivots, _ = _eliminate(_cleared_int_rows(rows), above=False)
+def rank(rows: Sequence[Sequence[int]]) -> int:
+    """Exact rank of integer rows."""
+    pivots, _ = _eliminate([list(row) for row in rows], above=False)
     return len(pivots)
 
 
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[Row], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    m = _cleared_int_rows(rows)
+def rref(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], int]:
+    """Reduced row echelon form of integer rows: (nonzero rows, pivot
+    columns, d).  Each row is d at its own pivot and 0 at the others, so
+    the rows over d are the rational reduced echelon form."""
+    m = [list(row) for row in rows]
     pivots, d = _eliminate(m, above=True)
-    return [[Fraction(x, d) for x in row] for row in m[: len(pivots)]], pivots
+    return m[: len(pivots)], pivots, d
 
 
-def in_row_span(echelon: Sequence[Row], pivots: Sequence[int], vec: Sequence[Fraction]) -> bool:
-    """Whether vec lies in the span of reduced echelon rows.  Each row is 1
-    at its own pivot and 0 at the others, so the only candidate combination
-    takes vec's entries at the pivot columns as coefficients."""
+def in_row_span(echelon: list[list[int]], pivots: list[int], d: int, vec: list[int]) -> bool:
+    """Whether the integer vector vec lies in the span of ``rref``'s rows.
+    Each row is d at its own pivot and 0 at the others, so vec is in the
+    span iff d vec = sum over the pivot columns of vec[col] times its row."""
     coeffs = [(vec[col], row) for row, col in zip(echelon, pivots) if vec[col] != 0]
-    return all(
-        x == sum((c * row[j] for c, row in coeffs), Fraction(0)) for j, x in enumerate(vec)
-    )
+    return all(d * x == sum(c * row[j] for c, row in coeffs) for j, x in enumerate(vec))
 
 
-def invert(a: Sequence[Sequence[Fraction]]) -> list[Row]:
-    """Exact inverse of a square matrix; ZeroDivisionError if it is singular."""
+def invert(a: Sequence[Sequence[int]]) -> list[list[Fraction]]:
+    """Exact inverse of a square integer matrix, as Fractions; ZeroDivisionError if singular."""
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("matrix must be square")
-    echelon, pivots = rref([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)])
+    m, pivots, d = rref([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)])
     if pivots[:n] != list(range(n)):
         raise ZeroDivisionError("matrix is singular")
-    return [row[n:] for row in echelon]
+    return [[Fraction(x, d) for x in row[n:]] for row in m]
 
 
 def _nonzero_det_mod_p(m: list[list[int]]) -> bool:
     """Whether the square integer matrix m has a nonzero determinant modulo
     _PRIME.  Each step replaces the rows by the Schur complement of a pivot
-    row scaled to pivot 1, one row at a time; m is consumed."""
+    row scaled to pivot 1, one row at a time; the list m is consumed, its
+    rows are not changed."""
     p = _PRIME
     rows = m
     for i, row in enumerate(rows):
@@ -125,12 +114,12 @@ def _nonzero_det_mod_p(m: list[list[int]]) -> bool:
     return True
 
 
-def is_invertible(a: Sequence[Sequence[Fraction]]) -> bool:
-    """Exact invertibility: certified modulo _PRIME, else decided by the
-    fraction-free elimination of ``rank``."""
+def is_invertible(a: Sequence[Sequence[int]]) -> bool:
+    """Exact invertibility of a square integer matrix: certified modulo
+    _PRIME, else decided by the fraction-free elimination of ``rank``."""
     n = len(a)
     if n == 0:
         return True
     if any(len(r) != n for r in a):
         return False
-    return _nonzero_det_mod_p(_cleared_int_rows(a)) or rank(a) == n
+    return _nonzero_det_mod_p(list(a)) or rank(a) == n

@@ -502,6 +502,8 @@ class DiffForm:
         return self.components.get(tuple(sigma), Polynomial.zero(self.n))
 
     def __add__(self, other: "DiffForm") -> "DiffForm":
+        if not isinstance(other, DiffForm):
+            return NotImplemented
         if self.n != other.n or self.k != other.k:
             raise ValueError("form shape mismatch in addition")
         out = dict(self.components)
@@ -513,6 +515,8 @@ class DiffForm:
         return _form(self.n, self.k, {s: -p for s, p in self.components.items()})
 
     def __sub__(self, other: "DiffForm") -> "DiffForm":
+        if not isinstance(other, DiffForm):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, c: Scalar) -> "DiffForm":

@@ -5,16 +5,16 @@ Q_r^- Lambda^k, the full polynomial family P_r Lambda^k, the scalar
 serendipity family, and the 2D serendipity 1-form family.  Inclusion
 testing is exact: spaces with a pure monomial basis are compared by
 coordinate-set inclusion, one set test per component (equivalent to the
-rank test and much faster), anything else falls back to rational row
-reduction.
+rank test and much faster), anything else falls back to fraction-free row
+reduction in ``exactla``, on each form's coefficients as integers over the
+lcm of its components' denominators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, lcm
 from typing import Mapping
 
 from . import exactla
@@ -76,8 +76,7 @@ class FormSpace:
 
     def rank(self) -> int:
         """Exact rank of the basis as vectors of rational coefficients."""
-        _, _, pivots = _echelon_of(self)
-        return len(pivots)
+        return len(_echelon_of(self)[2])
 
 
 def zero_space(n: int, k: int, label: str = "zero") -> FormSpace:
@@ -178,21 +177,27 @@ def build_SrLambda1_2d(r: int) -> FormSpace:
     return FormSpace(2, 1, base.basis + extras, f"SLambda1 r={r} n=2")
 
 
+def _int_row(f: DiffForm, index: Mapping) -> list[int] | None:
+    """f's coefficients in the columns of index, as integers over the lcm of
+    its components' denominators; None if a term of f has no column."""
+    denom = lcm(*(poly.denom for poly in f.components.values()))
+    row = [0] * len(index)
+    for sigma, poly in f.components.items():
+        scale = denom // poly.denom
+        for exps, c in poly.ints.items():
+            col = index.get((sigma, exps))
+            if col is None:
+                return None
+            row[col] = c * scale
+    return row
+
+
 def _echelon_of(space: FormSpace) -> tuple:
-    """(coordinate index, reduced echelon rows, pivots) of the basis
-    coefficient rows, computed once per space."""
+    """(coordinate index, *exactla.rref) of the basis coefficient rows, as
+    integers, computed once per space."""
     if space._echelon is None:
-        coords = space.coordinates()
-        index = {c: j for j, c in enumerate(coords)}
-        rows = []
-        for f in space.basis:
-            row = [Fraction(0)] * len(coords)
-            for sigma, poly in f.components.items():
-                for exps, c in poly.terms.items():
-                    row[index[(sigma, exps)]] = c
-            rows.append(row)
-        echelon, pivots = exactla.rref(rows)
-        space._echelon = (index, echelon, pivots)
+        index = {c: j for j, c in enumerate(space.coordinates())}
+        space._echelon = (index, *exactla.rref([_int_row(f, index) for f in space.basis]))
     return space._echelon
 
 
@@ -211,15 +216,9 @@ def in_span(space: FormSpace, f: DiffForm) -> bool:
             poly.ints.keys() <= allowed.get(sigma, _NOTHING)
             for sigma, poly in f.components.items()
         )
-    index, echelon, pivots = _echelon_of(space)
-    vec = [Fraction(0)] * len(index)
-    for sigma, poly in f.components.items():
-        for exps, c in poly.terms.items():
-            col = index.get((sigma, exps))
-            if col is None:
-                return False
-            vec[col] = c
-    return exactla.in_row_span(echelon, pivots, vec)
+    index, echelon, pivots, d = _echelon_of(space)
+    vec = _int_row(f, index)
+    return vec is not None and exactla.in_row_span(echelon, pivots, d, vec)
 
 
 def contains(v: FormSpace, w: FormSpace) -> bool:

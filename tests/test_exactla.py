@@ -1,6 +1,10 @@
-"""exactla against a plain Fraction Gauss-Jordan reference."""
+"""exactla against a plain Fraction Gauss-Jordan reference.
+
+The reference and the generated matrices are rational; exactla takes
+integer rows, so each matrix is cleared row by row at the boundary."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +36,21 @@ def gauss_jordan(rows):
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
         pivots.append(col)
     return m[: len(pivots)], pivots
+
+
+def cleared(rows):
+    """(integer rows, scales): each row times the lcm of its denominators,
+    which keeps the rank and the row span; row i is the rational row i
+    times scales[i]."""
+    scales = [lcm(*(Fraction(x).denominator for x in row)) for row in rows]
+    return [[int(x * s) for x in row] for row, s in zip(rows, scales)], scales
+
+
+def rational_inverse(a):
+    """The inverse of a rational matrix through exactla.invert.  a = D^-1 M
+    with M the cleared rows and D = diag(scales), so a^-1 = M^-1 D."""
+    m, scales = cleared(a)
+    return [[x * s for x, s in zip(row, scales)] for row in exactla.invert(m)]
 
 
 def reference_rank(rows):
@@ -72,12 +91,13 @@ def matrices(draw, max_rows=6, max_cols=6, square=False):
 @settings(max_examples=100)
 @given(matrices())
 def test_rank_and_rref_match_reference(m):
-    echelon, pivots = exactla.rref(m)
+    ints, _ = cleared(m)
+    echelon, pivots, d = exactla.rref(ints)
     want_rows, want_pivots = gauss_jordan(m)
     assert pivots == want_pivots
-    assert echelon == want_rows
-    assert all(isinstance(x, Fraction) for row in echelon for x in row)
-    assert exactla.rank(m) == len(want_pivots)
+    assert [[Fraction(x, d) for x in row] for row in echelon] == want_rows
+    assert all(isinstance(x, int) for row in echelon for x in row)
+    assert exactla.rank(ints) == len(want_pivots)
 
 
 @settings(max_examples=100)
@@ -90,37 +110,37 @@ def test_in_row_span_matches_reference(data):
         vec = [sum((c * row[j] for c, row in zip(coeffs, m)), Fraction(0)) for j in range(ncols)]
     else:
         vec = data.draw(st.lists(entry, min_size=ncols, max_size=ncols))
-    echelon, pivots = exactla.rref(m)
+    echelon, pivots, d = exactla.rref(cleared(m)[0])
     want = reference_rank(m + [vec]) == reference_rank(m)
-    assert exactla.in_row_span(echelon, pivots, vec) == want
+    assert exactla.in_row_span(echelon, pivots, d, cleared([vec])[0][0]) == want
 
 
 @settings(max_examples=100)
 @given(matrices(square=True))
 def test_invert_matches_reference(a):
     want = reference_inverse(a)
-    assert exactla.is_invertible(a) == (want is not None)
+    assert exactla.is_invertible(cleared(a)[0]) == (want is not None)
     if want is None:
         with pytest.raises(ZeroDivisionError):
-            exactla.invert(a)
+            exactla.invert(cleared(a)[0])
     else:
-        assert exactla.invert(a) == want
+        assert rational_inverse(a) == want
 
 
 @given(matrices())
 def test_is_invertible_matches_reference(m):
     square = all(len(row) == len(m) for row in m)
-    assert exactla.is_invertible(m) == (square and reference_rank(m) == len(m))
+    assert exactla.is_invertible(cleared(m)[0]) == (square and reference_rank(m) == len(m))
 
 
 def test_empty_and_degenerate_inputs():
     assert exactla.rank([]) == 0
-    assert exactla.rref([]) == ([], [])
+    assert exactla.rref([]) == ([], [], 1)
     assert exactla.rank([[], []]) == 0
-    assert exactla.rref([[], []]) == ([], [])
-    assert exactla.in_row_span([], [], [])
-    assert exactla.in_row_span([], [], [0, 0])
-    assert not exactla.in_row_span([], [], [0, Fraction(1, 2)])
+    assert exactla.rref([[], []]) == ([], [], 1)
+    assert exactla.in_row_span([], [], 1, [])
+    assert exactla.in_row_span([], [], 1, [0, 0])
+    assert not exactla.in_row_span([], [], 1, [0, 1])
     assert exactla.is_invertible([])
     assert not exactla.is_invertible([[], []])
     assert not exactla.is_invertible([[1, 2, 3], [4, 5, 6]])
@@ -128,7 +148,7 @@ def test_empty_and_degenerate_inputs():
 
 def test_invert_hilbert_and_integer_entries():
     hilbert = [[Fraction(1, i + j + 1) for j in range(3)] for i in range(3)]
-    assert exactla.invert(hilbert) == [[9, -36, 30], [-36, 192, -180], [30, -180, 180]]
+    assert rational_inverse(hilbert) == [[9, -36, 30], [-36, 192, -180], [30, -180, 180]]
     assert exactla.invert([[2, 1], [1, 1]]) == [[1, -1], [-1, 2]]
     assert exactla.rank([[1, 2], [2, 4]]) == 1
 
@@ -137,7 +157,7 @@ def test_invert_rejects_singular_and_non_square():
     with pytest.raises(ZeroDivisionError):
         exactla.invert([[1, 2], [2, 4]])
     with pytest.raises(ZeroDivisionError):
-        exactla.invert([[Fraction(1, 3), 0, 1], [0, 0, 0], [1, 2, 3]])
+        exactla.invert(cleared([[Fraction(1, 3), 0, 1], [0, 0, 0], [1, 2, 3]])[0])
     with pytest.raises(ValueError):
         exactla.invert([[1, 2, 3], [4, 5, 6]])
 
@@ -170,7 +190,7 @@ def _count_eliminations(monkeypatch):
 )
 def test_determinant_multiple_of_prime_takes_fallback(a, monkeypatch):
     calls = _count_eliminations(monkeypatch)
-    assert exactla.is_invertible(a)
+    assert exactla.is_invertible(cleared(a)[0])
     assert calls == [len(a)]
 
 
@@ -184,6 +204,6 @@ def test_singular_takes_fallback_and_stays_singular(monkeypatch):
 def test_nonzero_determinant_mod_prime_needs_no_fallback(monkeypatch):
     calls = _count_eliminations(monkeypatch)
     hilbert = [[Fraction(1, i + j + 1) for j in range(5)] for i in range(5)]
-    assert exactla.is_invertible(hilbert)
+    assert exactla.is_invertible(cleared(hilbert)[0])
     assert exactla.is_invertible([[0, 1], [P + 1, 0]])
     assert calls == []

@@ -20,7 +20,9 @@ from cubeforms.forms import (
     trace,
     wedge,
 )
+from cubeforms.dofs import enumerate_faces
 from cubeforms.mapping import jacobian, map_from_vertices, pullback_polynomial
+from cubeforms.spaces import build_P
 
 from conftest import form_strategy, naive_product, nk_pairs, vertex_strategy
 
@@ -135,6 +137,26 @@ class TestTrace:
         values = data.draw(st.tuples(*([st.sampled_from([0, 1])] * fixed_count)))
         face = Face(n, dict(zip(coords, values)))
         assert trace(f.d(), face) == trace(f, face).d()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_calculus_identities_on_a_basis(n):
+    """d.d = 0, anticommutativity, Leibniz and trace.d = d.trace on every
+    monomial basis form, and every pair of them, of P_2 Lambda^k for all k.
+    Each identity is linear or bilinear, so this proves it for every form
+    whose coefficients have degree at most 2, where the hypothesis tests
+    above and ``check_calculus`` sample."""
+    basis = [f for k in range(n + 1) for f in build_P(2, k, n).basis]
+    faces = [face for d in range(n) for face in enumerate_faces(n, d)]
+    for f in basis:
+        df = f.d()
+        assert df.d().is_zero
+        for face in faces:
+            assert df.trace(face) == f.trace(face).d()
+        for g in basis:
+            fg = f.wedge(g)
+            assert fg == g.wedge(f) * (-1) ** (f.k * g.k)
+            assert fg.d() == df.wedge(g) + f.wedge(g.d()) * (-1) ** f.k
 
 
 class TestL2Inner:
@@ -300,6 +322,12 @@ class TestPolynomialProduct:
                 form * other
             with pytest.raises(TypeError):
                 other * form
+            for op in (add, sub):
+                for x in (other, 1, Polynomial.constant(2, 2)):
+                    with pytest.raises(TypeError):
+                        op(form, x)
+                    with pytest.raises(TypeError):
+                        op(x, form)
         for op in (mul, add, sub):
             with pytest.raises(TypeError):
                 op(p, other)
