@@ -5,16 +5,12 @@ weight from the matching tensor-product space one degree down; vertex
 functionals degenerate to point evaluation through the same code path.
 All verdicts (counts, matrix invertibility, dual bases) are exact.
 
-One private routine pairs a trace with a weight.  Both arrive as integer
-polynomials, the components' own format (``forms.Polynomial``) brought to
-one denominator: one for all traces onto a face, one per weight.  The
-integral of their wedge is an integer sum over term pairs, with one moment
-denominator M per face and weight: the sign of the complementary index
-maps, times the two coefficients, times M / prod(a_i + b_i + 1).  So a
-row of the unisolvence matrix is integers over one row denominator, and
-``exactla`` decides invertibility and inverts on those rows.  Fractions
-are made only for the public matrix, whose zeros share one, and at the end
-of ``apply_dof``, which runs the same pairing on one form.
+One private routine, ``_pair``, integrates traces against weights, both as
+integer term tables (``_Terms``); tracing a table is one mask and one
+column drop.  A row of the unisolvence matrix is integers over one row
+denominator, on which ``exactla`` decides invertibility and inverts.
+Fractions are made only for the public matrix, whose zeros share one, and
+at the end of ``apply_dof``, which runs the same pairing on one form.
 """
 
 from __future__ import annotations
@@ -23,12 +19,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, groupby, product
-from math import comb, lcm, prod
-from operator import add, attrgetter
-from typing import Sequence
+from math import comb, lcm
+from operator import attrgetter
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from . import exactla
-from .forms import DiffForm, Face, IndexMap, Monomial, enumerate_sigma, permutation_sign, trace
+from .forms import DiffForm, Face
 from .spaces import build_Qminus, dim_Qminus
 
 __all__ = [
@@ -80,35 +78,53 @@ class DofSet:
         return len(self.functionals)
 
 
-# Forms over one denominator: each one's components as (exponents, integer
-# coefficient) terms, the denominator, and the largest exponent in any term.
-_IntForms = tuple[list[dict[IndexMap, tuple[tuple[Monomial, int], ...]]], int, int]
+class _Terms(NamedTuple):
+    """``count`` forms on [0,1]^n as one table of terms c x^e dx^sigma over
+    ``denom``: exponent and sigma mask rows, Python int c, each term's form."""
+
+    exps: np.ndarray
+    mask: np.ndarray
+    coeffs: np.ndarray
+    owner: np.ndarray
+    count: int
+    denom: int
+
+
 # The value of every zero entry of the unisolvence matrix.
 _NIL = Fraction(0)
 
 
-def _int_forms(forms: Sequence[DiffForm]) -> _IntForms:
-    """The forms over the lcm of all their components' denominators."""
-    polys = [p for f in forms for p in f.components.values()]
-    d = lcm(*(p.denom for p in polys))
-    ints = [
-        {
-            sigma: tuple((e, c * (d // p.denom)) for e, c in p.ints.items())
-            for sigma, p in f.components.items()
-        }
-        for f in forms
+def _terms(forms: Sequence[DiffForm], n: int) -> _Terms:
+    """The term table of forms on [0,1]^n, over the lcm of all their
+    components' denominators."""
+    denom = lcm(*(p.denom for f in forms for p in f.components.values()))
+    items = [
+        (e, [j in sigma for j in range(1, n + 1)], c * (denom // p.denom), i)
+        for i, f in enumerate(forms)
+        for sigma, p in f.components.items()
+        for e, c in p.ints.items()
     ]
-    top = max((x for p in polys for e in p.ints for x in e), default=0)
-    return ints, d, top
+    exps, mask, coeffs, owner = zip(*items) if items else ((),) * 4
+    shape = (len(items), n)
+    exps, mask = np.array(exps, np.int64).reshape(shape), np.array(mask, bool).reshape(shape)
+    return _Terms(exps, mask, np.array(coeffs, object), np.array(owner, np.intp), len(forms), denom)
 
 
-@lru_cache(maxsize=None)
-def _complements(k: int, dim: int) -> tuple[tuple[IndexMap, IndexMap, int], ...]:
-    """(sigma, its complement tau in 1..dim, sign of dx^sigma ^ dx^tau) for
-    every k-index map sigma."""
-    full = set(range(1, dim + 1))
-    pairs = [(sigma, tuple(sorted(full - set(sigma)))) for sigma in enumerate_sigma(k, dim)]
-    return tuple((sigma, tau, permutation_sign(sigma, tau)) for sigma, tau in pairs)
+def _trace(terms: _Terms, face: Face) -> _Terms:
+    """The table traced onto a face: a term survives, coefficient and all,
+    iff its sigma avoids the fixed coordinates and its exponent is 0 where
+    the face fixes 0 (x = 1 gives 1^e); the fixed columns are dropped."""
+    value = np.array([face.fixed.get(i, -1) for i in range(1, face.n + 1)])
+    keep = ~((terms.mask & (value >= 0)) | ((terms.exps > 0) & (value == 0))).any(1)
+    free = value < 0
+    exps, mask, coeffs, owner = (column[keep] for column in terms[:4])
+    return _Terms(exps[:, free], mask[:, free], coeffs, owner, terms.count, terms.denom)
+
+
+def _signs(mask: np.ndarray) -> np.ndarray:
+    """Per sigma mask row, the sign of dx^sigma ^ dx^tau, tau the complement:
+    the parity of the sum over i in sigma of #{j not in sigma : j < i}."""
+    return 1 - 2 * ((mask * np.cumsum(~mask, axis=1)).sum(1) % 2)
 
 
 @lru_cache(maxsize=None)
@@ -120,34 +136,30 @@ def _moment_table(top: int) -> tuple[int, tuple[int, ...]]:
     return base, tuple(base // j for j in range(1, top + 2))
 
 
-def _pair(dim: int, k: int, tr: dict, weight: dict, moments: tuple[int, ...]) -> int:
-    """M times the integral over [0,1]^dim of tr ^ weight, a k-form and a
-    (dim-k)-form in integer terms: the sum of sign * c_a * c_b * M /
-    prod(a_i + b_i + 1) over term pairs, with moments from _moment_table."""
-    at = moments.__getitem__
-    total = 0
-    for sigma, tau, sign in _complements(k, dim):
-        pa = tr.get(sigma)
-        pb = weight.get(tau)
-        if pa is None or pb is None:
-            continue
-        s = 0
-        for ea, ca in pa:
-            for eb, cb in pb:
-                s += ca * cb * prod(map(at, map(add, ea, eb)))
-        total += sign * s
-    return total
-
-
-def _pair_row(dim: int, k: int, traces: _IntForms, weight: _IntForms) -> tuple[list[int], int]:
-    """Each trace paired with one weight: integers over one row
-    denominator, M times the traces' and the weight's denominators.  A
-    trace that vanishes on the face, about half of them, pairs to 0."""
-    tr_ints, tr_denom, tr_top = traces
-    (w_ints,), w_denom, w_top = weight
-    base, moments = _moment_table(tr_top + w_top)
-    row = [_pair(dim, k, t, w_ints, moments) if t else 0 for t in tr_ints]
-    return row, base**dim * tr_denom * w_denom
+def _pair(traces: _Terms, weights: _Terms) -> tuple[np.ndarray, list[int]]:
+    """M times the integral over a face of each trace form ^ each weight
+    form: a (weights, traces) block of integers, and per weight M times both
+    tables' denominators, M = L^dim with L from ``_moment_table`` of the
+    largest trace exponent plus the weight's own.  Each term pair whose
+    index maps are complementary adds sign * c * c' * M / prod(a_i + b_i + 1),
+    by one gather and one product over the axes.  The block is int64 when
+    the coefficient sums times M bound every entry below 2^63."""
+    dim = traces.exps.shape[1]
+    top = int(traces.exps.max(initial=0))
+    wtop = np.zeros(weights.count, np.int64)
+    np.maximum.at(wtop, weights.owner, weights.exps.max(1, initial=0))
+    tables = [_moment_table(top + t) for t in wtop.tolist()]
+    width = top + int(wtop.max(initial=0)) + 1
+    bound = max(b for b, _ in tables) ** dim * sum(map(abs, traces.coeffs))
+    dtype = np.int64 if bound * sum(map(abs, weights.coeffs)) < 2**63 else object
+    moments = np.array([m + (0,) * (width - len(m)) for _, m in tables], dtype)
+    ti, wi = np.nonzero((traces.mask[:, None] != weights.mask).all(-1))
+    coeffs = _signs(traces.mask)[ti] * traces.coeffs[ti].astype(dtype)
+    vals = coeffs * weights.coeffs[wi].astype(dtype)
+    vals *= np.prod(moments[weights.owner[wi, None], traces.exps[ti] + weights.exps[wi]], -1)
+    block = np.zeros((weights.count, traces.count), dtype)
+    np.add.at(block, (weights.owner[wi], traces.owner[ti]), vals)
+    return block, [b**dim * traces.denom * weights.denom for b, _ in tables]
 
 
 def apply_dof(xi: DofFunctional, v: DiffForm) -> Fraction:
@@ -159,8 +171,8 @@ def apply_dof(xi: DofFunctional, v: DiffForm) -> Fraction:
         raise ValueError("form degree exceeds the face dimension")
     if weight.n != face.dim or weight.k != face.dim - v.k:
         raise ValueError("weight does not pair with the form's trace on this face")
-    (value,), denom = _pair_row(face.dim, v.k, _int_forms([trace(v, face)]), _int_forms([weight]))
-    return Fraction(value, denom)
+    block, (denom,) = _pair(_trace(_terms([v], v.n), face), _terms([weight], face.dim))
+    return Fraction(block.item(), denom)
 
 
 def build_dofs(r: int, k: int, n: int) -> DofSet:
@@ -174,12 +186,8 @@ def build_dofs(r: int, k: int, n: int) -> DofSet:
         raise ValueError(f"form degree k={k} invalid for n={n}")
     functionals: list[DofFunctional] = []
     for d in range(k, n + 1):
-        weight_space = build_Qminus(r - 1, d - k, d)
-        if weight_space.is_zero:
-            continue
-        for face in enumerate_faces(n, d):
-            for q in weight_space.basis:
-                functionals.append(DofFunctional(face, q))
+        weights = build_Qminus(r - 1, d - k, d).basis
+        functionals += [DofFunctional(face, q) for face in enumerate_faces(n, d) for q in weights]
     dofset = DofSet(r, k, n, functionals)
     assert dofset.count == dim_Qminus(r, k, n)
     return dofset
@@ -196,16 +204,16 @@ def dof_count_by_faces(r: int, k: int, n: int) -> int:
 
 def _int_matrix(r: int, k: int, n: int) -> tuple[list[DiffForm], list[list[int]], list[int]]:
     """(monomial basis, integer rows, row denominators) of the unisolvence
-    matrix.  ``build_dofs`` lists a face's functionals together, so each
-    basis form is traced onto each face once."""
+    matrix.  ``build_dofs`` lists a face's functionals together, so the basis
+    table is traced onto each face once and paired with its weights at once."""
     basis = build_Qminus(r, k, n).basis
+    terms = _terms(basis, n)
     rows, denoms = [], []
     for face, functionals in groupby(build_dofs(r, k, n).functionals, attrgetter("face")):
-        traces = _int_forms([trace(b, face) for b in basis])
-        for xi in functionals:
-            row, denom = _pair_row(face.dim, k, traces, _int_forms([xi.weight]))
-            rows.append(row)
-            denoms.append(denom)
+        weights = _terms([xi.weight for xi in functionals], face.dim)
+        block, block_denoms = _pair(_trace(terms, face), weights)
+        rows += block.tolist()
+        denoms += block_denoms
     return basis, rows, denoms
 
 
@@ -225,12 +233,7 @@ def dual_basis(r: int, k: int, n: int) -> list[DiffForm]:
     if not exactla.is_invertible(rows):
         raise ArithmeticError(f"unisolvence matrix singular for (r,k,n)=({r},{k},{n})")
     inv = exactla.invert(rows)
-    duals = []
-    for j, denom in enumerate(denoms):
-        phi = DiffForm.zero(n, k)
-        for m, b in enumerate(basis):
-            c = inv[m][j]
-            if c != 0:
-                phi = phi + b * (c * denom)
-        duals.append(phi)
-    return duals
+    return [
+        sum((b * (row[j] * denom) for b, row in zip(basis, inv) if row[j]), DiffForm.zero(n, k))
+        for j, denom in enumerate(denoms)
+    ]

@@ -8,9 +8,9 @@ pivot only; the reduced echelon form clears it above the pivot too
 one, d: the integer rows over d are the rational echelon form.  The
 inverse is read from the echelon form of [A | I], and is the one routine
 that makes Fractions.  Invertibility is first certified modulo the prime
-p = 2^61 - 1: a determinant that is nonzero mod p is nonzero over the
-rationals.  A zero one proves nothing, so the Bareiss elimination then
-decides, and singular verdicts stay exact.  Matrices are lists of lists.
+p = 2^31 - 1, by an int64 numpy elimination: a determinant that is nonzero
+mod p is nonzero over the rationals.  A zero one proves nothing, so the
+Bareiss elimination then decides, and singular verdicts stay exact.
 """
 
 from __future__ import annotations
@@ -18,7 +18,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-_PRIME = 2**61 - 1
+import numpy as np
+
+_PRIME = 2**31 - 1
 
 
 def _eliminate(m: list[list[int]], above: bool) -> tuple[list[int], int]:
@@ -92,25 +94,21 @@ def invert(a: Sequence[Sequence[int]]) -> list[list[Fraction]]:
     return [[Fraction(x, d) for x in row[n:]] for row in m]
 
 
-def _nonzero_det_mod_p(m: list[list[int]]) -> bool:
-    """Whether the square integer matrix m has a nonzero determinant modulo
-    _PRIME.  Each step replaces the rows by the Schur complement of a pivot
-    row scaled to pivot 1, one row at a time; the list m is consumed, its
-    rows are not changed."""
+def _nonzero_det_mod_p(a: Sequence[Sequence[int]]) -> bool:
+    """Whether the square integer matrix a has a nonzero determinant modulo
+    _PRIME, by elimination on int64 residues, each entry reduced once with
+    Python ints: residues are below 2^31, so a product of two fits in int64.
+    Only the rows below a pivot that are nonzero in its column are updated."""
     p = _PRIME
-    rows = m
-    for i, row in enumerate(rows):
-        rows[i] = [x % p for x in row]
-    while rows:
-        i = next((i for i, row in enumerate(rows) if row[0]), None)
-        if i is None:
+    m = np.array([[x % p for x in row] for row in a], np.int64)
+    for col in range(len(m)):
+        nonzero = col + np.flatnonzero(m[col:, col])
+        if not nonzero.size:
             return False
-        pivot = rows.pop(i)
-        inv = pow(pivot[0], -1, p)
-        tail = [y * inv % p for y in pivot[1:]]
-        for j, row in enumerate(rows):
-            f = row[0]
-            rows[j] = [(x - f * y) % p for x, y in zip(row[1:], tail)] if f else row[1:]
+        m[[col, nonzero[0]]] = m[[nonzero[0], col]]
+        below = nonzero[1:]
+        pivot_row = m[col, col:] * pow(int(m[col, col]), -1, p) % p
+        m[below, col:] = (m[below, col:] - m[below, col, None] * pivot_row) % p
     return True
 
 
@@ -118,8 +116,6 @@ def is_invertible(a: Sequence[Sequence[int]]) -> bool:
     """Exact invertibility of a square integer matrix: certified modulo
     _PRIME, else decided by the fraction-free elimination of ``rank``."""
     n = len(a)
-    if n == 0:
-        return True
     if any(len(r) != n for r in a):
         return False
-    return _nonzero_det_mod_p(list(a)) or rank(a) == n
+    return _nonzero_det_mod_p(a) or rank(a) == n

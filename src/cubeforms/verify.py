@@ -11,7 +11,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .dofs import build_dofs, dof_count_by_faces, enumerate_faces, unisolvence_matrix
+from . import exactla
+from .dofs import _int_matrix, build_dofs, dof_count_by_faces, enumerate_faces
 from .forms import DiffForm, enumerate_sigma, l2_inner_box, l2_inner_reference
 from .mapping import (
     MultilinearMap,
@@ -101,7 +102,8 @@ def check_unisolvence(max_n: int = 3, max_r: int = 3) -> list[CheckResult]:
     for n in range(1, min(max_n, 3) + 1):
         for k in range(n + 1):
             for r in range(1, min(max_r, 3) + 1):
-                _, ok = unisolvence_matrix(r, k, n)
+                _, rows, _ = _int_matrix(r, k, n)
+                ok = exactla.is_invertible(rows)
                 out.append((f"unisolvence r={r} k={k} n={n}", ok))
     return out
 
@@ -183,7 +185,7 @@ def check_pullback_inclusions(
         ok_q = True
         ok_p = True
         for k in range(n + 1):
-            for v in build_P(max_r, k, n).basis:
+            for v in pspaces[(max_r, k)].basis:
                 deg = v.max_degree()
                 if not in_span(qspaces[(deg, k)], pullback_polynomial(fmap, v)):
                     ok_q = False

@@ -1,12 +1,17 @@
 from fractions import Fraction
+from itertools import product
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubeforms.dofs import (
     DofFunctional,
+    _signs,
+    _terms,
+    _trace,
     apply_dof,
     build_dofs,
     dof_count_by_faces,
@@ -14,7 +19,14 @@ from cubeforms.dofs import (
     enumerate_faces,
     unisolvence_matrix,
 )
-from cubeforms.forms import DiffForm, Face, Polynomial, integrate_unit_box, trace
+from cubeforms.forms import (
+    DiffForm,
+    Face,
+    Polynomial,
+    integrate_unit_box,
+    permutation_sign,
+    trace,
+)
 from cubeforms.spaces import build_Qminus, dim_Qminus
 
 from conftest import form_strategy
@@ -141,6 +153,53 @@ class TestApplyDof:
         weight = DiffForm(0, 0, {(): Polynomial.constant(0, 1)})
         with pytest.raises(ValueError):
             apply_dof(DofFunctional(face, weight), DiffForm.basis_form(2, (1,)))
+
+
+def table_forms(terms, k):
+    """The forms of a term table, rebuilt term by term as DiffForms."""
+    n = terms.exps.shape[1]
+    forms = [DiffForm.zero(n, k) for _ in range(terms.count)]
+    for e, m, c, i in zip(terms.exps.tolist(), terms.mask, terms.coeffs, terms.owner):
+        sigma = tuple(int(j) + 1 for j in np.flatnonzero(m))
+        forms[i] = forms[i] + DiffForm.monomial_form(n, sigma, e, Fraction(c, terms.denom))
+    return forms
+
+
+class TestTermTables:
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_trace_matches_diffform_trace(self, data):
+        n = data.draw(st.integers(1, 3))
+        k = data.draw(st.integers(0, n))
+        forms = data.draw(st.lists(form_strategy(n, k, max_exp=3, max_terms=4), min_size=1, max_size=3))
+        terms = _terms(forms, n)
+        assert table_forms(terms, k) == forms
+        for d in range(n + 1):
+            for face in enumerate_faces(n, d):
+                assert table_forms(_trace(terms, face), k) == [f.trace(face) for f in forms]
+
+    @pytest.mark.parametrize("dim", range(5))
+    def test_signs_match_permutation_sign(self, dim):
+        masks = np.array(list(product((False, True), repeat=dim)), bool).reshape(2**dim, dim)
+        want = []
+        for m in masks:
+            sigma = tuple(j + 1 for j in range(dim) if m[j])
+            tau = tuple(j + 1 for j in range(dim) if not m[j])
+            want.append(permutation_sign(sigma, tau))
+        assert _signs(masks).tolist() == want
+
+    def test_pairing_past_int64_matches_textbook(self):
+        """Coefficients whose products pass 2^63 take the Python int path."""
+        big = Fraction(2**70 + 1, 3)
+        v = DiffForm.monomial_form(3, (1,), (2, 0, 1), big) + DiffForm.monomial_form(
+            3, (2,), (1, 1, 0), -big
+        )
+        weight = DiffForm.monomial_form(2, (2,), (1, 0), 2**65) + DiffForm.monomial_form(
+            2, (1,), (0, 2), Fraction(-(2**64), 7)
+        )
+        for face in (Face(3, {3: 0}), Face(3, {3: 1})):
+            got = apply_dof(DofFunctional(face, weight), v)
+            assert got == textbook_dof(face, weight, v) != 0
 
 
 class TestUnisolvence:

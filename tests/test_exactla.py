@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubeforms import exactla
+from cubeforms import dofs, exactla
 
 small = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 entry = st.one_of(st.just(Fraction(0)), small)
@@ -165,6 +165,24 @@ def test_invert_rejects_singular_and_non_square():
 P = exactla._PRIME
 
 
+def fraction_det(a):
+    """The determinant of a rational matrix by Fraction elimination."""
+    m = [[Fraction(x) for x in row] for row in a]
+    det = Fraction(1)
+    for col in range(len(m)):
+        piv = next((i for i in range(col, len(m)) if m[i][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det *= m[col][col]
+        for i in range(col + 1, len(m)):
+            f = m[i][col] / m[col][col]
+            m[i] = [x - f * y for x, y in zip(m[i], m[col])]
+    return det
+
+
 def _count_eliminations(monkeypatch):
     """Counts calls of the Bareiss fallback behind is_invertible."""
     calls = []
@@ -179,16 +197,17 @@ def _count_eliminations(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "a",
+    "a, det",
     [
-        [[P]],
-        [[P, 0], [0, 1]],
+        ([[P]], P),
+        ([[P, 0], [0, 1]], P),
         # det = 2p; clearing the rows to integers multiplies it by 2 * 3 * 3
-        [[Fraction(1, 2), 1, 0], [0, 2, Fraction(1, 3)], [1, 0, Fraction(6 * P - 1, 3)]],
+        ([[Fraction(1, 2), 1, 0], [0, 2, Fraction(1, 3)], [1, 0, Fraction(6 * P - 1, 3)]], 2 * P),
     ],
     ids=["p", "diag(p,1)", "det=2p"],
 )
-def test_determinant_multiple_of_prime_takes_fallback(a, monkeypatch):
+def test_determinant_multiple_of_prime_takes_fallback(a, det, monkeypatch):
+    assert fraction_det(a) == det
     calls = _count_eliminations(monkeypatch)
     assert exactla.is_invertible(cleared(a)[0])
     assert calls == [len(a)]
@@ -207,3 +226,29 @@ def test_nonzero_determinant_mod_prime_needs_no_fallback(monkeypatch):
     assert exactla.is_invertible(cleared(hilbert)[0])
     assert exactla.is_invertible([[0, 1], [P + 1, 0]])
     assert calls == []
+
+
+# Entries far past int64, of either sign: a small entry plus a multiple of
+# p (same residue), or any integer below 2^80 in absolute value.
+wide_entry = st.one_of(
+    st.builds(lambda x, q: x + q * P, st.integers(-3, 3), st.integers(-(2**60), 2**60)),
+    st.integers(-(2**80), 2**80),
+)
+
+
+def wide_square(n):
+    return st.lists(st.lists(wide_entry, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 5).flatmap(wide_square))
+def test_wide_entries_reduce_exactly(a):
+    assert exactla._nonzero_det_mod_p(a) == (fraction_det(a) % P != 0)
+    assert exactla.is_invertible(a) == (exactla.rank(a) == len(a))
+
+
+def test_largest_unisolvence_matrix_certified_like_rank():
+    rows = dofs._int_matrix(3, 1, 3)[1]
+    assert len(rows) == 144
+    assert exactla._nonzero_det_mod_p(rows) == (exactla.rank(rows) == 144)
+    assert exactla.is_invertible(rows)
