@@ -18,9 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, groupby, product
+from itertools import combinations, product
 from math import comb, lcm
-from operator import attrgetter
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -204,16 +203,21 @@ def dof_count_by_faces(r: int, k: int, n: int) -> int:
 
 def _int_matrix(r: int, k: int, n: int) -> tuple[list[DiffForm], list[list[int]], list[int]]:
     """(monomial basis, integer rows, row denominators) of the unisolvence
-    matrix.  ``build_dofs`` lists a face's functionals together, so the basis
-    table is traced onto each face once and paired with its weights at once."""
+    matrix, rows in the order of ``build_dofs``.  All faces of one dimension
+    share one weight table; the basis table is traced onto each face once
+    and paired with all its weights at once."""
     basis = build_Qminus(r, k, n).basis
     terms = _terms(basis, n)
     rows, denoms = [], []
-    for face, functionals in groupby(build_dofs(r, k, n).functionals, attrgetter("face")):
-        weights = _terms([xi.weight for xi in functionals], face.dim)
-        block, block_denoms = _pair(_trace(terms, face), weights)
-        rows += block.tolist()
-        denoms += block_denoms
+    for d in range(k, n + 1):
+        weights = build_Qminus(r - 1, d - k, d).basis
+        if not weights:
+            continue
+        table = _terms(weights, d)
+        for face in enumerate_faces(n, d):
+            block, block_denoms = _pair(_trace(terms, face), table)
+            rows += block.tolist()
+            denoms += block_denoms
     return basis, rows, denoms
 
 

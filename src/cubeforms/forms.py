@@ -13,10 +13,12 @@ format that maps, pullbacks and DOF pairings also use.  ``_from_ints``
 makes every Polynomial; it drops zero terms and divides by one gcd.
 Products run on the integer parts by Kronecker substitution: ``_pack``
 evaluates one at x_i = 2^(W s_i), s the strides of a mixed-radix layout,
-``_int_mul`` multiplies two such ints, and ``_unpack`` decodes the product's
+``_int_mul`` multiplies two such ints, ``_slots`` decodes the product's
 bytes with numpy, as one array of W-bit slots when W is 8, 16, 32 or 64,
-and turns only the nonzero slots into (exponents, int) pairs.  Terms that
-cancel are dropped, never kept as zeros.
+and ``_slot_terms`` turns only the nonzero slots into (exponents, int)
+pairs.  Terms that cancel are dropped, never kept as zeros.  ``_stack``
+lays packed polynomials one after another, so that one product pulls back
+many forms (``mapping._pullbacks``).
 """
 
 from __future__ import annotations
@@ -320,7 +322,8 @@ def _int_mul(a: IntPoly, b: IntPoly, out: IntPoly | None = None) -> IntPoly:
         layout = tuple(x + y + 1 for x, y in zip(map(max, zip(*a)), map(max, zip(*b))))
         bound = min(len(a), len(b)) * max(map(abs, a.values())) * max(map(abs, b.values()))
         width = _width(bound)
-        terms = _unpack(_pack(a, layout, width) * _pack(b, layout, width), layout, width)
+        packed = _pack(a, layout, width) * _pack(b, layout, width)
+        terms = _slot_terms(_slots(packed, prod(layout), width), layout)
         if not out:
             out.update(terms)
             return out
@@ -337,7 +340,7 @@ def _int_mul(a: IntPoly, b: IntPoly, out: IntPoly | None = None) -> IntPoly:
 def _width(bound: int) -> int:
     """Slot width in bits for coefficients of absolute value at most
     ``bound``: W > bitlen(bound), so -2^(W-1) < c < 2^(W-1).  W is the
-    least of 8, 16, 32 and 64 that allows it, which _unpack decodes as one
+    least of 8, 16, 32 and 64 that allows it, which _slots decodes as one
     numpy array, and above 64 bits it is rounded up to whole bytes."""
     bits = bound.bit_length() + 1
     for w in (8, 16, 32, 64):
@@ -383,32 +386,58 @@ _SLOT_TYPES = {
 }
 
 
-def _unpack(x: int, layout: tuple[int, ...], width: int) -> Iterable[tuple[Monomial, int]]:
-    """The nonzero (exponents, coefficient) pairs of a packed polynomial
-    whose coefficients c satisfy -2^(width-1) <= c < 2^(width-1), in slot
-    order.  Adding 2^(width-1) to every slot makes each one a digit
+def _stack(packed: Sequence[int], slots: int, width: int) -> int:
+    """sum_i packed[i] << (i slots width): the packed polynomials one after
+    another, each ``slots`` slots long, with every coefficient in
+    [-2^(width-1), 2^(width-1)).  Built in linear time: the bytes of each
+    packed[i] + bias are its digits, so their concatenation is the sum plus
+    the bias of all slots, which is subtracted once."""
+    size = width * slots // 8
+    bias = _bias(width, slots)
+    raw = b"".join([(p + bias).to_bytes(size, "little") for p in packed])
+    return int.from_bytes(raw, "little") - _bias(width, slots * len(packed))
+
+
+def _slots(x: int, slots: int, width: int) -> np.ndarray:
+    """The coefficients of a packed polynomial of ``slots`` slots, each c
+    with -2^(width-1) <= c < 2^(width-1), as one array in slot order.
+    Adding 2^(width-1) to every slot makes each one a digit
     c + 2^(width-1) in [0, 2^width), read from the bytes of the sum.  For
     a width of 8, 16, 32 or 64 the digits are one unsigned array, and
     flipping their top bit leaves c in two's complement, so viewed as
-    signed the array holds every coefficient.  Wider slots are found nonzero
-    on the bytes (a zero term is the digit 2^(width-1)) and only those are
-    read as ints."""
+    signed the array holds every coefficient.  Wider slots give an object
+    array of ints: they are found nonzero on the bytes (a zero term is the
+    digit 2^(width-1)) and only those are read as ints."""
     size = width // 8
-    exponents = _strides(layout)[1]
-    slots = len(exponents)
     raw = (x + _bias(width, slots)).to_bytes(size * slots, "little")
     if size in _SLOT_TYPES:
         unsigned, signed, top = _SLOT_TYPES[size]
-        coeffs = (np.frombuffer(raw, unsigned) ^ top).view(signed)
-        nonzero = coeffs.nonzero()[0]
-        return zip(map(exponents.__getitem__, nonzero.tolist()), coeffs[nonzero].tolist())
+        return (np.frombuffer(raw, unsigned) ^ top).view(signed)
     digits = np.frombuffer(raw, np.uint8).reshape(slots, size)
-    nonzero = ((digits[:, -1] != 0x80) | digits[:, :-1].any(axis=1)).nonzero()[0].tolist()
+    nonzero = ((digits[:, -1] != 0x80) | digits[:, :-1].any(axis=1)).nonzero()[0]
     half = 1 << (width - 1)
-    return [
-        (exponents[i], int.from_bytes(raw[i * size : (i + 1) * size], "little") - half)
-        for i in nonzero
+    coeffs = np.zeros(slots, object)
+    coeffs[nonzero] = [
+        int.from_bytes(raw[i * size : (i + 1) * size], "little") - half for i in nonzero.tolist()
     ]
+    return coeffs
+
+
+def _slot_terms(coeffs: np.ndarray, layout: tuple[int, ...]) -> Iterable[tuple[Monomial, int]]:
+    """The nonzero (exponents, coefficient) pairs of a slot array in
+    ``layout``, in slot order."""
+    nonzero = coeffs.nonzero()[0]
+    exponents = _strides(layout)[1]
+    return zip(map(exponents.__getitem__, nonzero.tolist()), coeffs[nonzero].tolist())
+
+
+def _slot_mask(monomials: Iterable[Monomial], layout: tuple[int, ...]) -> np.ndarray:
+    """A boolean array over the slots of ``layout``, True at each of the
+    monomials that fits it (a monomial outside the layout has no slot)."""
+    strides = _strides(layout)[0]
+    mask = np.zeros(prod(layout), bool)
+    mask[[sum(map(mul, e, strides)) for e in monomials if all(map(int.__lt__, e, layout))]] = True
+    return mask
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from cubeforms.forms import (
     DiffForm,
     Polynomial,
+    _slot_mask,
     enumerate_sigma,
     l2_inner_box,
     l2_inner_reference,
@@ -23,12 +24,13 @@ from cubeforms.mapping import (
     _corners,
     _det_bernstein,
     _halve,
+    _pullbacks,
     check_diffeo,
     jacobian,
     map_from_vertices,
     pullback_polynomial,
 )
-from cubeforms import verify
+from cubeforms import exactla, verify
 from cubeforms.meshlab import build_mesh, target_from_reference
 from cubeforms.spaces import build_P, build_Qminus, in_span
 from cubeforms.verify import random_rational_affine, random_rational_multilinear
@@ -526,6 +528,131 @@ class TestPullback:
                         pullback_polynomial(fmap, v), pullback_polynomial(fmap, v)
                     )
                     assert lhs == h ** (2 * k - n) * l2_inner_box(v, v, h)
+
+
+# Scales for the forms of a batched pullback: mixed denominators, and 2^70,
+# whose products need slots wider than 64 bits.
+FORM_SCALES = st.sampled_from(
+    [1, Fraction(1, 3), Fraction(-5, 7), 2**70, Fraction(3, 2**67 - 1)]
+)
+
+
+def scaled_forms(n, k, size=6):
+    """Lists of multi-term rational k-forms of mixed degrees and scales."""
+    scaled = st.tuples(form_strategy(n, k, max_terms=4), FORM_SCALES).map(lambda p: p[0] * p[1])
+    return st.lists(scaled, min_size=1, max_size=size)
+
+
+def assert_batched(fmap, forms):
+    """_pullbacks decodes, form by form, to the one-form pullbacks; returns
+    the table."""
+    table = _pullbacks(fmap, forms)
+    assert len(table.denoms) == len(forms)
+    for i, v in enumerate(forms):
+        assert table.form(i) == pullback_polynomial(fmap, v)
+    return table
+
+
+class TestBatchedPullback:
+    """mapping._pullbacks, which pulls back a list of forms in one layout,
+    against the one-form case and the textbook formula."""
+
+    @pytest.mark.parametrize("seed", [2024, 7])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_support_masks_of_check_draws(self, n, seed):
+        # The maps and bases of check_pullback_inclusions(n, 3, 5, seed).
+        rng = random.Random(seed)
+        for _ in range(5):
+            pair = random_rational_multilinear(n, rng), random_rational_affine(n, rng)
+            for fmap in pair:
+                for k in range(n + 1):
+                    basis = build_P(3, k, n).basis
+                    table = assert_batched(fmap, basis)
+                    for i in range(len(basis)):
+                        decoded = table.form(i)
+                        for tau, coeffs in table.parts.items():
+                            monomials = decoded.component(tau).ints
+                            mask = _slot_mask(monomials, table.layout)
+                            assert mask.sum() == len(monomials)
+                            assert np.array_equal(coeffs[i] != 0, mask)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_inclusion_verdicts_match_in_span(self, n):
+        # check's mask verdict against in_span on each decoded form, for the
+        # check's own targets and for two that must fail somewhere.
+        rng = random.Random(2024)
+        maps = random_rational_multilinear(n, rng), random_rational_affine(n, rng)
+        verdicts = []
+        for k in range(n + 1):
+            basis = build_P(3, k, n).basis
+            by_degree = {}
+            for i, v in enumerate(basis):
+                by_degree.setdefault(v.max_degree(), []).append(i)
+            families = [
+                {r: build_Qminus(r + k, k, n) for r in range(4)},
+                {r: build_Qminus(r + k - 1, k, n) for r in range(4)},
+                {r: build_P(r, k, n) for r in range(4)},
+            ]
+            for fmap in maps:
+                table = _pullbacks(fmap, basis)
+                for targets, (r, rows) in product(families, by_degree.items()):
+                    want = all(in_span(targets[r], table.form(i)) for i in rows)
+                    assert verify._lands_in(table, {r: rows}, targets, {}) == want
+                    verdicts.append(want)
+        assert True in verdicts and False in verdicts
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @given(data=st.data())
+    def test_matches_one_at_a_time(self, n, data):
+        # Maps of any sign of det DF: the pullback is algebra either way.
+        fmap = map_from_vertices(data.draw(vertex_strategy(n, spread=3)))
+        k = data.draw(st.integers(0, n))
+        forms = data.draw(scaled_forms(n, k))
+        for _ in range(data.draw(st.integers(0, 2))):
+            forms.insert(data.draw(st.integers(0, len(forms))), DiffForm.zero(n, k))
+        table = assert_batched(fmap, forms)
+        coeffs = [c for v in forms for p in v.components.values() for c in p.ints.values()]
+        if any(abs(c) >= 2**70 for c in coeffs):
+            assert all(c.dtype == object for c in table.parts.values())
+        assert table.form(0) == reference_pullback(fmap, forms[0])
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_components_that_cancel(self, n, seed, data):
+        # For an affine map with DF = M / D, c = e_1^T M^-1 gives
+        # F*(sum_i c_i dx_i) = dx_1 / D: each other component is a sum over
+        # sigma that cancels, slot for slot.
+        amap = random_rational_affine(n, random.Random(seed))
+        units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        c = exactla.invert([[amap.ints[u][i] for u in units] for i in range(n)])[0]
+        exps = data.draw(st.lists(st.tuples(*[st.integers(0, 2)] * n), min_size=1, max_size=4))
+        scale = data.draw(FORM_SCALES)
+        cancelling = [
+            DiffForm(
+                n, 1, {(i + 1,): Polynomial.monomial(n, e, x * scale) for i, x in enumerate(c) if x}
+            )
+            for e in exps
+        ]
+        forms = cancelling + data.draw(scaled_forms(n, 1, size=2))
+        table = assert_batched(amap, forms)
+        for i in range(len(cancelling)):
+            assert list(table.form(i).components) == [(1,)]
+            assert not any(table.parts[tau][i].any() for tau in table.parts if tau != (1,))
+        assert table.form(0) == reference_pullback(amap, cancelling[0])
+
+    def test_zero_forms_between_forms(self, rng):
+        fmap = random_rational_multilinear(3, rng)
+        v = DiffForm.monomial_form(3, (1,), (1, 0, 2), Fraction(2, 3))
+        w = DiffForm.monomial_form(3, (3,), (0, 1, 0), -5)
+        zero = DiffForm.zero(3, 1)
+        table = assert_batched(fmap, [zero, v, zero, zero, w, zero, v])
+        assert table.form(2) == zero
+        assert table.form(6) == table.form(1) == reference_pullback(fmap, v)
+
+    def test_rejects_forms_of_another_shape(self, rng):
+        fmap = random_rational_multilinear(2, rng)
+        with pytest.raises(ValueError, match="k-forms on the map's cube"):
+            _pullbacks(fmap, [DiffForm.basis_form(2, (1,)), DiffForm.basis_form(2, (1, 2))])
 
 
 class TestRandomMaps:
