@@ -10,7 +10,7 @@ Validity (det DF > 0 on the closed cube) is proved in integer arithmetic
 from the Bernstein coefficients of det DF.  The pushforward (F^-1)* of
 reference shape functions is not polynomial, since the inverse of a
 multilinear map is not; the numeric lab evaluates it at quadrature
-points through the numpy kernels (``meshlab.target_from_reference``).
+points through the numpy kernels (``meshlab._pushforward``).
 
 Pullback of polynomial forms is fully symbolic and exact, and runs on
 Python ints.  On first use a map builds one cache, kept for its lifetime:

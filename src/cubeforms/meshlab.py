@@ -22,23 +22,27 @@ quadrature rule) and cached on the space, and the weighted design matrix,
 which depends only on DF, once per Jacobian key.  The element loop takes
 each key's cells in chunks of bounded size: per chunk one broadcast
 product gives x = F(xref), one target call the values, one product the
-weighted right-hand sides and one call of the stacked gufunc behind
-``np.linalg.lstsq`` the fits: one LAPACK ``dgelsd`` per cell.  Where
-dgelsd would first factor the design matrix a = QR, that QR is made once
-per key and each cell gets one ``dormqr`` for Q^T y, so dgelsd only works
-on the J x J triangle R; every step and workspace is dgelsd's own, so the
-bits are those of ``np.linalg.lstsq``.  The loop runs OpenBLAS with one
-thread, as the solves are too small to share between threads.
+weighted right-hand sides, and LAPACK's ``dgelsd``, the solver behind
+``np.linalg.lstsq``, the fits.  dgelsd runs by its own stages: those that
+read the design matrix alone (its QR, the bidiagonal reduction of R, the
+bidiagonal SVD) once per key, those that touch right-hand sides per chunk
+or per cell, each called as dgelsd calls it, so the bits are those of
+``np.linalg.lstsq``.  Where dgelsd would take another path, the stacked
+gufunc behind ``np.linalg.lstsq`` makes one dgelsd per cell.  The loop
+runs OpenBLAS with one thread, as the solves are too small to share
+between threads.
 """
 
 from __future__ import annotations
 
+import ctypes
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import product
 from math import lcm, log
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -46,14 +50,13 @@ from numpy.linalg import _umath_linalg
 from numpy.linalg._umath_linalg import lstsq as _gelsd  # numpy >= 2.1
 
 from . import _kernels
-from .forms import DiffForm, Polynomial, Scalar, enumerate_sigma, integrate_unit_box
+from .forms import DiffForm, Scalar, enumerate_sigma
 from .mapping import (
     MultilinearMap,
     _bernstein_positive,
     _corners,
     _det_bernstein,
     jacobian,
-    pullback_polynomial,
 )
 from .spaces import FormSpace, RatePrediction, predict_rates
 
@@ -71,10 +74,7 @@ __all__ = [
     "build_mesh",
     "target_trig",
     "target_from_form",
-    "target_from_reference",
     "element_l2_error",
-    "discrete_l2_pairing",
-    "exact_l2_pairing",
     "convergence_study",
     "default_quad_order",
 ]
@@ -158,22 +158,6 @@ def target_from_form(form: DiffForm, label: str = "poly") -> TargetForm:
     return TargetForm(form.n, form.k, label, fn)
 
 
-def target_from_reference(fmap: MultilinearMap, what: DiffForm, label: str = "mapped") -> TargetForm:
-    """The pushforward of a reference form through a fixed element map,
-    evaluated via the reference points.  Only meaningful on that element."""
-    if what.n != fmap.n:
-        raise ValueError(f"a {what.n}D form cannot be pushed forward by a {fmap.n}D map")
-    coeffs_f = fmap.float_arrays()
-    sig_idx, exps, coeffs = _float_view([what], fmap.n, what.k)
-
-    def fn(_xphys, xref):
-        _, invs = _det_inv(coeffs_f, _corner_tables(fmap.n, xref)[1])
-        hat = _reference_values(exps, coeffs, xref)
-        return _pushforward(hat, sig_idx, invs)[:, :, 0]
-
-    return TargetForm(fmap.n, what.k, label, fn)
-
-
 # ---------------------------------------------------------------------------
 # float view of polynomial forms
 
@@ -216,7 +200,7 @@ class _Tabulation:
     """What _cell_errors needs of one (space, quadrature rule) pair: the
     corner tables behind x = F(xref) and DF (see _corner_tables) and the
     reference basis values hat (J, M, P), the same on every cell; and one
-    geometry entry, Jacobian key -> (scale, a, its _qr_first), replaced
+    geometry entry, Jacobian key -> (scale, a, its _staged), replaced
     whenever cells of another key come, so at most one design matrix is
     held however many cells a caller passes."""
 
@@ -470,8 +454,6 @@ def _lstsq_failed(err, flag):
 def _blas_threads_setter():
     """openblas_set_num_threads_local (set a count, return the previous
     one) of the OpenBLAS numpy's linalg extension links, or a no-op."""
-    import ctypes
-
     setter = getattr(ctypes.CDLL(_umath_linalg.__file__), "openblas_set_num_threads_local", None)
     if setter is None:
         return lambda count: count
@@ -492,122 +474,294 @@ def _serial_blas():
         setter(previous)
 
 
+# dgelsd's constants on IEEE doubles (LAPACK's dlamch): it solves unscaled
+# when the largest entries of a and of y lie in [_SMLNUM, _BIGNUM], that is
+# dlamch('S') / dlamch('P') and its inverse; dlalsd clamps d and splits the
+# bidiagonal at _EPS = dlamch('E').
+_EPS = float(np.finfo(np.float64).epsneg)
+_SMLNUM = float(np.finfo(np.float64).tiny / np.finfo(np.float64).eps)
+_BIGNUM = 1 / _SMLNUM
+
+
 @cache
 def _lapack():
-    """The LAPACK routines (dgeqrf, dormqr, ilaenv, dgelsd) of the
-    scipy-openblas64 build numpy's linalg extension links, as ctypes
-    functions, or None where it does not export them all.  They take
-    Fortran arguments: pointers, INTEGER*8 (ILP64), and the lengths of
-    string arguments last, as size_t.  Callers pass every argument as a
-    ctypes object of that type; argtypes are left undeclared, as their
-    conversion would double the cost of the per-cell dormqr."""
-    import ctypes
-
+    """The LAPACK routines dgelsd is made of, ilaenv, and dgelsd itself (for
+    its workspace query), of the scipy-openblas64 build numpy's linalg
+    extension links: a namespace of ctypes functions, or None where it does
+    not export them all.  They take Fortran arguments: pointers, INTEGER*8
+    (ILP64), and the lengths of string arguments last, as size_t.  Callers
+    pass every argument as a ctypes object of that type; argtypes are left
+    undeclared, as their conversion would double the cost of the per-cell
+    calls."""
     lib = ctypes.CDLL(_umath_linalg.__file__)
+    names = ("dgeqrf", "dormqr", "dgebrd", "dormbr", "dlasdq", "dlasda", "dlalsa", "dgemm", "dgelsd")
     try:
-        routines = tuple(
-            getattr(lib, f"scipy_{name}_64_") for name in ("dgeqrf", "dormqr", "ilaenv", "dgelsd")
-        )
+        routines = {name: getattr(lib, f"scipy_{name}_64_") for name in names + ("ilaenv",)}
     except AttributeError:
         return None
-    for routine in routines:
+    for routine in routines.values():
         routine.restype = None
-    routines[2].restype = ctypes.c_int64
-    return routines
+    routines["ilaenv"].restype = ctypes.c_int64
+    return SimpleNamespace(**routines)
 
 
-def _int64_refs(*values: int) -> list:
-    """Fortran INTEGER*8 arguments: pointers to fresh c_int64s."""
-    import ctypes
+def _refs(*values: int | float) -> list:
+    """Fortran scalar arguments: a pointer to a fresh c_int64 (INTEGER*8)
+    per int and to a fresh c_double per float."""
+    return [
+        ctypes.byref((ctypes.c_int64 if isinstance(v, int) else ctypes.c_double)(v)) for v in values
+    ]
 
-    return [ctypes.byref(ctypes.c_int64(v)) for v in values]
+
+def _ptr(arr: np.ndarray, offset: int = 0) -> ctypes.c_void_p:
+    """A raw pointer to entry offset of arr's buffer, which the caller keeps
+    alive; an array's .ctypes would be converted again on every call."""
+    return ctypes.c_void_p(arr.ctypes.data + offset * arr.itemsize)
+
+
+def _rows(arr: np.ndarray, col: int) -> range:
+    """The addresses of arr[c, col], c = 0, 1, ..."""
+    return range(arr.ctypes.data + col * arr.itemsize, arr.ctypes.data + arr.nbytes, arr.strides[0])
+
+
+def _checked(info: ctypes.c_int64, name: str) -> None:
+    """Raise as np.linalg.lstsq does where an SVD did not converge (a
+    positive info, which of these routines only dlasdq and dlasda return),
+    and on an illegal argument (a negative one)."""
+    if info.value > 0:
+        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+    if info.value:
+        raise NumericalError(f"{name} failed with info {info.value}")
+
+
+def _ilaenv(ispec: int, m: int, j: int) -> int:
+    """ilaenv(ispec, "DGELSD") for an (m, J) system with one right-hand side."""
+    lengths = ctypes.c_size_t(6), ctypes.c_size_t(1)
+    return _lapack().ilaenv(*_refs(ispec), b"DGELSD", b" ", *_refs(m, j, 1, -1), *lengths)
 
 
 @cache
-def _qr_workspace(m: int, j: int) -> int | None:
-    """The workspace dgelsd hands dgeqrf and dormqr when it solves an (m, J)
-    system with one right-hand side: its optimal LWORK, which
-    np.linalg.lstsq queries and passes, minus J.  The workspace decides
-    between blocked and unblocked code, so with any other the bits differ.
-    None where dgelsd factors no QR first: its path 1a needs m >= J and
+def _gelsd_workspace(m: int, j: int) -> int | None:
+    """dgelsd's optimal LWORK for an (m, J) system with one right-hand side,
+    which np.linalg.lstsq queries and passes; dgelsd hands its QR LWORK - J
+    and the later stages LWORK - 3J.  The workspace decides between blocked
+    and unblocked code, so with any other the bits differ.  None where
+    dgelsd factors no QR first: its path 1a needs m >= J and
     m >= ilaenv(6, "DGELSD"), which is 1.6 J in reference LAPACK."""
-    import ctypes
-
-    _, _, ilaenv, gelsd = _lapack()
-    length = ctypes.c_size_t
-    mnthr = ilaenv(*_int64_refs(6), b"DGELSD", b" ", *_int64_refs(m, j, 1, -1), length(6), length(1))
-    if m < max(j, mnthr):
+    if m < max(j, _ilaenv(6, m, j)):
         return None
     query, iquery, dummy = np.empty(1), np.empty(1, dtype=np.int64), np.empty(1)
     # A workspace query reads no array but WORK and IWORK.
-    gelsd(
-        *_int64_refs(m, j, 1), dummy.ctypes, *_int64_refs(m), dummy.ctypes, *_int64_refs(m),
-        dummy.ctypes, dummy.ctypes, *_int64_refs(0), query.ctypes, *_int64_refs(-1),
-        iquery.ctypes, *_int64_refs(0),
+    _lapack().dgelsd(
+        *_refs(m, j, 1), dummy.ctypes, *_refs(m), dummy.ctypes, *_refs(m), dummy.ctypes,
+        *_refs(0.0, 0), query.ctypes, *_refs(-1), iquery.ctypes, *_refs(0),
     )
-    return int(query[0]) - j
+    return int(query[0])
 
 
-@dataclass(frozen=True)
-class _QRFirst:
-    """The Householder QR that dgelsd makes of a design matrix before its
-    SVD, and then solves on the triangle: dgeqrf's factors qr (m, J),
-    Fortran order, and tau, the triangle r, and lwork (_qr_workspace)."""
+class _StagedGelsd:
+    """dgelsd on the design matrix a (m, J) of a Jacobian key, one
+    right-hand side per cell, run by its own stages (LAPACK Users' Guide,
+    3rd ed., 1999: dgelsd, dlalsd, dlasda).  On its path 1a, with nothing
+    to scale, dgelsd runs dgeqrf, a = QR; dormqr, Q^T y; dgebrd, R =
+    Q_B B P_B^T with B upper bidiagonal (diagonal d, superdiagonal e);
+    dormbr('Q'); dlalsd on B; dormbr('P').  dlalsd scales B to largest
+    entry 1; for J > SMLSIZ (ilaenv(9, "DGELSD") = 25) it raises each
+    |d_i| < eps to eps and splits B where |e_i| < eps.  A subproblem of
+    size 2..SMLSIZ gets dlasdq (its singular values and rotations VT, the
+    right-hand sides rotated alike), a larger one dlasda (its
+    divide-and-conquer tree) and dlalsa.  The right-hand sides are divided
+    by the singular values, those at most rcond times the largest dropped,
+    and VT^T (dgemm) or dlalsa applied again.
 
-    qr: np.ndarray
-    tau: np.ndarray
-    r: np.ndarray
-    lwork: int
+    What reads a alone runs here, once per key: dgeqrf, dgebrd, dlalsd's
+    preamble, each subproblem's dlasdq or dlasda, and so rank and singular
+    values.  solve() runs the rest: per chunk one dlasdq per small
+    subproblem with the chunk's right-hand sides as its NCC columns, on
+    fresh copies of the preamble's d and e (dbdsqr rotates each column
+    alone, so each gets the bits of NRHS = 1); per cell, as dgelsd calls
+    them with NRHS = 1, dormqr, dormbr('Q'), dlalsa or dgemm per
+    subproblem and dormbr('P'); and the scalings as b * (1/d), the product
+    dlascl makes at these magnitudes.  Each stage gets dgelsd's workspace,
+    so every bit is that of np.linalg.lstsq."""
+
+    def __init__(self, lapack, a: np.ndarray, lwork: int):
+        m, j = a.shape
+        self.lapack, self.j, self.info = lapack, j, ctypes.c_int64()
+        info, one = ctypes.byref(self.info), ctypes.c_size_t(1)
+        # The buffers the calls point at live as long as the object.  dormqr
+        # and dormbr set each diagonal entry of qr and brd to 1, then restore it.
+        self.work, self.iwork = np.empty(lwork), np.empty(8 * j, dtype=np.int64)
+        self.qr, self.brd = np.array(a, order="F"), np.empty((j, j), order="F")
+        self.vectors = d, e, tau, tauq, taup = np.zeros((5, j))
+        qr, brd, work = _ptr(self.qr), _ptr(self.brd), _ptr(self.work)
+        lapack.dgeqrf(*_refs(m, j), qr, *_refs(m), _ptr(tau), work, *_refs(lwork - j), info)
+        _checked(self.info, "dgeqrf")
+        self.brd[:] = np.triu(self.qr[:j])
+        lapack.dgebrd(
+            *_refs(j, j), brd, *_refs(j), _ptr(d), _ptr(e), _ptr(tauq), _ptr(taup), work,
+            *_refs(lwork - 3 * j), info,
+        )
+        _checked(self.info, "dgebrd")
+        # Per cell, row points into row c of the right-hand sides b and row2
+        # into row c of dlalsd's scratch bx, both (cells, J): each row is one
+        # Fortran column.
+        self.row, self.row2 = ctypes.c_void_p(), ctypes.c_void_p()
+        self.qt_args = (
+            b"L", b"T", *_refs(m, 1, j), qr, *_refs(m), _ptr(tau), self.row, *_refs(m), work,
+            *_refs(lwork - j), info, one, one,
+        )
+        self.q_args, self.p_args = (
+            (vect, b"L", trans, *_refs(j, 1, j), brd, *_refs(j), _ptr(taus), self.row, *_refs(j),
+             work, *_refs(lwork - 3 * j), info, one, one, one)
+            for vect, trans, taus in ((b"Q", b"T", tauq), (b"P", b"N", taup))
+        )
+        if j == 1:
+            # dlalsd's N = 1 case, b * (1/d); d != 0 as a != 0.
+            self.inv, self.rank, self.sv = 1 / d, 1, np.abs(d)
+        else:
+            self._bidiagonal(d, e, rcond=np.finfo(np.float64).eps * m)
+
+    def _bidiagonal(self, d: np.ndarray, e: np.ndarray, rcond: float) -> None:
+        """dlalsd's steps on B that read no right-hand side; e has room for
+        J entries, as in dgelsd's workspace, the last 0 and unused."""
+        j, info, one = self.j, ctypes.byref(self.info), ctypes.c_size_t(1)
+        smlsiz = self.smlsiz = _ilaenv(9, 0, 0)
+        norm = max(np.max(np.abs(d)), np.max(np.abs(e)))
+        d, e = d * (1 / norm), e * (1 / norm)
+        edges = [0, j]
+        if j > smlsiz:
+            d = np.where(np.abs(d) < _EPS, np.copysign(_EPS, d), d)
+            edges[1:1] = (np.flatnonzero(np.abs(e[: j - 1]) < _EPS) + 1).tolist()
+        self.d0, self.e0 = d.copy(), e.copy()
+        # dlasda's tree, Fortran arrays with leading dimension J: U, K, DIFL,
+        # DIFR, Z, POLES, GIVPTR, GIVCOL, PERM, GIVNUM, C and S, INTEGER*8
+        # and DOUBLE alike as 8-byte words of one buffer.  VT is shared with
+        # dlasdq's subproblems, as in dlalsd.
+        nlvl = max(1, int(log(j / (smlsiz + 1)) / log(2)) + 1)
+        widths = (smlsiz, 1, nlvl, 2 * nlvl, nlvl, 2 * nlvl, 1, 2 * nlvl, nlvl, 2 * nlvl, 1, 1)
+        self.tree, self.vt = np.zeros((sum(widths), j)), np.zeros((smlsiz + 1, j))
+        starts = (np.cumsum((0,) + widths[:-1]) * j).tolist()
+        ld, work, iwork = _refs(j)[0], _ptr(self.work), _ptr(self.iwork)
+        self.parts = []
+        for st, ns in zip(edges[:-1], np.diff(edges).tolist()):
+            vt = _ptr(self.vt, st)
+            if ns == 1:
+                args = None
+            elif ns <= smlsiz:
+                self.vt[:ns, st : st + ns] = np.eye(ns)
+                self.lapack.dlasdq(
+                    b"U", *_refs(0, ns, ns, 0, 0), _ptr(d, st), _ptr(e, st), vt, ld, work,
+                    *_refs(1), work, *_refs(1), work, info, one,
+                )
+                _checked(self.info, "dlasdq")
+                args = (
+                    b"T", b"N", *_refs(ns, 1, ns, 1.0), vt, ld, self.row2, ld, *_refs(0.0),
+                    self.row, ld, one, one,
+                )
+            else:
+                u, k, difl, difr, z, poles, givptr, givcol, perm, givnum, c, s = (
+                    _ptr(self.tree, start + st) for start in starts
+                )
+                tree = (
+                    u, ld, vt, k, difl, difr, z, poles, givptr, givcol, ld, perm, givnum, c, s,
+                    work, iwork, info,
+                )
+                self.lapack.dlasda(*_refs(1, smlsiz, ns, 0), _ptr(d, st), _ptr(e, st), *tree)
+                _checked(self.info, "dlasda")
+                args = [
+                    (*_refs(icompq, smlsiz, ns, 1), src, ld, dst, ld, *tree)
+                    for icompq, src, dst in ((0, self.row, self.row2), (1, self.row2, self.row))
+                ]
+            self.parts.append((st, ns, args))
+        self.keep = np.abs(d) > rcond * np.max(np.abs(d))
+        self.inv = 1 / np.where(self.keep, d, 1)
+        self.rank = int(np.count_nonzero(self.keep))
+        # dlalsd's last dlascl of d and its dlasrt('D').
+        self.sv = np.sort(np.abs(d) * norm)[::-1]
+        self.norm_inv = 1 / norm
+
+    def _per_cell(self, routine, args, b: np.ndarray, col: int = 0, bx=None) -> None:
+        """routine(*args) once per cell c, with row at b[c, col] and, if bx
+        is given, row2 at bx[c, col]."""
+        row, row2 = self.row, self.row2
+        if bx is None:
+            for row.value in _rows(b, col):
+                routine(*args)
+        else:
+            for row.value, row2.value in zip(_rows(b, col), _rows(bx, col)):
+                routine(*args)
+        _checked(self.info, routine.__name__)
+
+    def solve(self, y: np.ndarray) -> np.ndarray | None:
+        """The fits (cells, J) for the rows of y (cells, m), or None where
+        dgelsd would first scale a row: its largest entry is in (0, _SMLNUM)
+        or above _BIGNUM."""
+        bnrm = np.max(np.abs(y), axis=1)
+        if np.any((bnrm > 0) & (bnrm < _SMLNUM) | (bnrm > _BIGNUM)):
+            return None
+        lapack, j = self.lapack, self.j
+        qty = np.array(y, order="C")
+        self._per_cell(lapack.dormqr, self.qt_args, qty)
+        b = qty[:, :j].copy()
+        if j == 1:
+            return b * self.inv
+        self._per_cell(lapack.dormbr, self.q_args, b)
+        bx = np.zeros_like(b)
+        for st, ns, args in self.parts:
+            if ns > self.smlsiz:
+                self._per_cell(lapack.dlalsa, args[0], b, st, bx)
+                continue
+            if ns > 1:
+                d, e = self.d0[st : st + ns].copy(), self.e0[st : st + ns].copy()
+                work = _ptr(self.work)
+                lapack.dlasdq(
+                    b"U", *_refs(0, ns, 0, 0, len(b)), _ptr(d), _ptr(e), work, *_refs(1), work,
+                    *_refs(1), _ptr(b, st), *_refs(j), work, ctypes.byref(self.info),
+                    ctypes.c_size_t(1),
+                )
+                _checked(self.info, "dlasdq")
+            bx[:, st : st + ns] = b[:, st : st + ns]
+        bx *= self.inv
+        bx[:, ~self.keep] = 0
+        for st, ns, args in self.parts:
+            if ns == 1:
+                b[:, st] = bx[:, st]
+            elif ns <= self.smlsiz:
+                self._per_cell(lapack.dgemm, args, b, st, bx)
+            else:
+                self._per_cell(lapack.dlalsa, args[1], b, st, bx)
+        b *= self.norm_inv
+        self._per_cell(lapack.dormbr, self.p_args, b)
+        return b
 
 
-def _qr_first(a: np.ndarray) -> _QRFirst | None:
-    """dgelsd's QR of a (m, J), made once for all cells of a Jacobian key;
-    None where dgelsd makes none or numpy's LAPACK is out of reach."""
+def _staged(a: np.ndarray) -> _StagedGelsd | None:
+    """dgelsd on a by stages, or None where it would take another path:
+    numpy's LAPACK is out of reach, dgelsd factors no QR first, or it would
+    first scale a, whose largest entry is outside [_SMLNUM, _BIGNUM]."""
     lapack = _lapack()
-    lwork = None if lapack is None else _qr_workspace(*a.shape)
-    if lwork is None:
+    lwork = None if lapack is None else _gelsd_workspace(*a.shape)
+    if lwork is None or not _SMLNUM <= np.max(np.abs(a)) <= _BIGNUM:
         return None
-    import ctypes
-
-    m, j = a.shape
-    qr, tau, work = np.array(a, order="F"), np.empty(j), np.empty(lwork)
-    info = ctypes.c_int64()
-    lapack[0](
-        *_int64_refs(m, j), qr.ctypes, *_int64_refs(m), tau.ctypes, work.ctypes,
-        *_int64_refs(lwork), ctypes.byref(info),
-    )
-    if info.value:
-        raise NumericalError(f"dgeqrf failed with info {info.value}")
-    # qr stays writeable: dormqr sets each diagonal entry to 1 and restores it.
-    r = np.triu(qr[:j])
-    for arr in (tau, r):
-        arr.flags.writeable = False
-    return _QRFirst(qr, tau, r, lwork)
+    return _StagedGelsd(lapack, a, lwork)
 
 
-def _apply_qt(factor: _QRFirst, y: np.ndarray) -> np.ndarray:
-    """The rows Q^T y_c (cells, m) for the rows y_c of y, as dgelsd computes
-    them: one dormqr per row, with dgelsd's workspace."""
-    import ctypes
-
-    m = y.shape[1]
-    out = np.array(y, order="C")
-    work = np.empty(factor.lwork)
-    info, row = ctypes.c_int64(), ctypes.c_void_p()
-    length = ctypes.c_size_t(1)
-    # Raw pointers, as an array's .ctypes would be converted again per call.
-    qr, tau, scratch = (ctypes.c_void_p(arr.ctypes.data) for arr in (factor.qr, factor.tau, work))
-    args = (
-        b"L", b"T", *_int64_refs(m, 1, len(factor.tau)), qr, *_int64_refs(m), tau, row,
-        *_int64_refs(m), scratch, *_int64_refs(factor.lwork), ctypes.byref(info), length, length,
-    )
-    ormqr = _lapack()[1]
-    first = out.ctypes.data
-    for row.value in range(first, first + out.nbytes, out.strides[0]):
-        ormqr(*args)
-    if info.value:
-        raise NumericalError(f"dormqr failed with info {info.value}")
-    return out
+def _lstsq(a: np.ndarray, y: np.ndarray, staged: _StagedGelsd | None) -> tuple:
+    """(fits (cells, J), rank, singular values) of dgelsd on a and each row
+    of y, with np.linalg.lstsq's rcond: by stages where staged applies, else
+    by one call of the gufunc behind np.linalg.lstsq, one dgelsd per row."""
+    sol = None if staged is None else staged.solve(y)
+    if sol is not None:
+        return sol, staged.rank, staged.sv
+    with np.errstate(all="ignore", invalid="call", call=_lstsq_failed):
+        sol, _, rank, sv = _gelsd(
+            np.broadcast_to(a, (len(y),) + a.shape),
+            y[:, :, None],
+            np.finfo(np.float64).eps * max(a.shape),
+            signature="ddd->ddid",
+        )
+    return sol[:, :, 0], rank.min(), sv[0]
 
 
 def _cell_errors(
@@ -618,17 +772,12 @@ def _cell_errors(
     (E, 2^n, n), by weighted least squares over the quadrature points, and
     sv[0]/sv[-1] of the key's design matrix (None if J = 0).  Per chunk of
     cells, one broadcast matmul (per cell the (P, C) @ (C, n) product of a
-    single cell) gives x = F(xref), one target call y, and one call of the
-    gufunc behind np.linalg.lstsq the fits, one dgelsd per cell.  Where
-    dgelsd would start with a QR of the design matrix a, the key's QR is
-    made once (_qr_first), each cell gets one dormqr, and dgelsd solves
-    R x = (Q^T y)[:J]: the steps, inputs and workspaces of dgelsd on
-    (a, y), so the same bits as np.linalg.lstsq.  (dgelsd first rescales a
-    matrix or right-hand side whose largest entry is below about 1e-292 or
-    above 1e292, where (R, Q^T y) and (a, y) could take different branches;
-    no mesh comes near that.)  Elsewhere dgelsd runs on (a, y), with the
-    inputs np.linalg.lstsq would pass.  Rank and singular values depend on
-    the design matrix alone."""
+    single cell) gives x = F(xref), one target call y, and _lstsq the fits
+    with the bits of np.linalg.lstsq: dgelsd's stages on (a, y), the key's
+    _StagedGelsd, made once per key, or where dgelsd would take another
+    path (no QR first, a or a right-hand side to scale, numpy's LAPACK out
+    of reach) the gufunc behind np.linalg.lstsq.  Rank and singular values
+    depend on the design matrix alone."""
     n, k = vhat.n, vhat.k
     if (target.n, target.k) != (n, k):
         raise ValueError("target and space live on different (n, k)")
@@ -646,8 +795,8 @@ def _cell_errors(
         if entry is None:
             tab.geometry.clear()
             scale, a = _geometry(floats[0], tab, quad.weights)
-            entry = tab.geometry[key] = (scale, a, _qr_first(a) if nbasis else None)
-        scale, a, factor = entry
+            entry = tab.geometry[key] = (scale, a, _staged(a) if nbasis else None)
+        scale, a, staged = entry
         npts = len(scale)
         step = max(1, _CHUNK_VALUES // (npts * len(tab.sig_idx)))
         for start in range(0, len(floats), step):
@@ -656,21 +805,14 @@ def _cell_errors(
             uvals = target.values(xphys.reshape(-1, n), np.tile(quad.points, (cells, 1)))
             y = (uvals.reshape(cells, npts, -1) * scale[:, None]).reshape(cells, -1)
             if nbasis:
-                r, c = (a, y) if factor is None else (factor.r, _apply_qt(factor, y)[:, :nbasis])
-                with np.errstate(all="ignore", invalid="call", call=_lstsq_failed):
-                    sol, _, rank, sv = _gelsd(
-                        np.broadcast_to(r, (cells,) + r.shape),
-                        c[:, :, None],
-                        np.finfo(np.float64).eps * max(a.shape),
-                        signature="ddd->ddid",
-                    )
-                cond = float(sv[0, 0] / sv[0, -1]) if sv[0, -1] > 0 else np.inf
-                if rank.min() < nbasis:
+                sol, rank, sv = _lstsq(a, y, staged)
+                cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
+                if rank < nbasis:
                     raise NumericalError(
-                        f"rank-deficient evaluation matrix (rank {rank.min()} < {nbasis}, "
+                        f"rank-deficient evaluation matrix (rank {rank} < {nbasis}, "
                         f"cond {cond:.3e}); quadrature may be too coarse"
                     )
-                y = y - np.matmul(a, sol)[:, :, 0]
+                y = y - np.matmul(a, sol[:, :, None])[:, :, 0]
             errs[start : start + cells] = np.sqrt(np.vecdot(y, y))
     return errs, cond
 
@@ -683,41 +825,6 @@ def element_l2_error(
     recomputed only when the cell's Jacobian differs from the last one's."""
     errs, _ = _cell_errors(fmap.float_arrays()[None], fmap.jacobian_key, vhat, target, quad)
     return float(errs[0])
-
-
-def discrete_l2_pairing(
-    fmap: MultilinearMap, f: DiffForm, g: DiffForm, quad: QuadratureRule
-) -> float:
-    """Quadrature value of the physical-element L2 pairing of two polynomial
-    forms given in physical coordinates."""
-    if f.n != g.n or f.k != g.k:
-        raise ValueError("form shape mismatch")
-    if f.n != fmap.n:
-        raise ValueError(f"forms are {f.n}D but the element map is {fmap.n}D")
-    _check_rule(fmap.n, quad)
-    xref = quad.points
-    values, columns = _corner_tables(fmap.n, xref)
-    coeffs_f = fmap.float_arrays()
-    dets, _ = _det_inv(coeffs_f, columns)
-    xphys = values @ coeffs_f
-    fv = target_from_form(f).values(xphys, xref)
-    gv = target_from_form(g).values(xphys, xref)
-    return float(np.sum(quad.weights * dets * np.sum(fv * gv, axis=1)))
-
-
-def exact_l2_pairing(fmap: MultilinearMap, f: DiffForm, g: DiffForm) -> Fraction:
-    """Exact rational value of the same pairing: pull the volume integrand
-    back to the reference cube and integrate."""
-    if f.n != g.n or f.k != g.k:
-        raise ValueError("form shape mismatch")
-    n = f.n
-    total = Polynomial.zero(n)
-    for sigma, pf in f.components.items():
-        pg = g.components.get(sigma)
-        if pg is not None:
-            total = total + pf * pg
-    volume_form = DiffForm(n, n, {tuple(range(1, n + 1)): total})
-    return integrate_unit_box(pullback_polynomial(fmap, volume_form))
 
 
 # ---------------------------------------------------------------------------

@@ -13,16 +13,11 @@ from math import comb
 import pytest
 
 from cubeforms import verify
+from cubeforms.cli import bundled_config_path, parse_config
 from cubeforms.dofs import build_dofs, dof_count_by_faces, unisolvence_matrix
 from cubeforms.forms import l2_inner_box, l2_inner_reference
 from cubeforms.mapping import MultilinearMap, pullback_polynomial
-from cubeforms.meshlab import (
-    convergence_study,
-    discrete_l2_pairing,
-    exact_l2_pairing,
-    gauss_rule,
-    target_trig,
-)
+from cubeforms.meshlab import convergence_study, gauss_rule, target_trig
 from cubeforms.spaces import (
     build_P,
     build_Qminus,
@@ -31,6 +26,8 @@ from cubeforms.spaces import (
     dim_Qminus,
     predict_rates,
 )
+from oracles import discrete_l2_pairing, exact_l2_pairing
+
 
 def _ok(name: str, detail: str = "") -> None:
     print(f"PASS {name}" + (f" ({detail})" if detail else ""))
@@ -191,6 +188,23 @@ def test_criterion_08e_serendipity_one_forms():
     assert abs(r_trap - 1) <= 0.25, r_trap
     _ok("criterion 8e: S2 one-forms, uniform 3 / parallelotope 3 / trapezoid 1",
         f"fitted {r_uni:.3f} / {r_par:.3f} / {r_trap:.3f}")
+
+
+def test_criterion_08f_p2_volume_forms():
+    # P_2 Lambda^2 pulled back lands in Q-_1 Lambda^2 only: rate 3 on affine
+    # meshes, 1 on trapezoids.  The bundled p2k2_trapezoid levels end at
+    # 16 -> 32 (rate 1.35); the rate settles two levels deeper.
+    cfg = parse_config(bundled_config_path("p2k2_uniform").read_text())
+    space = cfg.build_space()
+    pred = predict_rates(space)
+    r_uni, _ = _rates(space, cfg.build_target(), cfg.family, cfg.subdivision_list)
+    trap = parse_config(bundled_config_path("p2k2_trapezoid").read_text())
+    r_trap, _ = _rates(space, trap.build_target(), trap.family, [16, 32, 64, 128], d=trap.d)
+    assert (pred.s_affine, pred.s_multilinear) == (3, 1)
+    assert abs(r_uni - pred.s_affine) <= 0.25, r_uni
+    assert abs(r_trap - pred.s_multilinear) <= 0.25, r_trap
+    _ok("criterion 8f: P2 volume forms, uniform 3 / trapezoid 1 at N = 64 -> 128",
+        f"fitted {r_uni:.3f} / {r_trap:.3f}")
 
 
 NS_3D = [2, 4, 8]

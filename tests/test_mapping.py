@@ -31,11 +31,12 @@ from cubeforms.mapping import (
     pullback_polynomial,
 )
 from cubeforms import exactla, verify
-from cubeforms.meshlab import build_mesh, target_from_reference
+from cubeforms.meshlab import build_mesh
 from cubeforms.spaces import build_P, build_Qminus, in_span
 from cubeforms.verify import random_rational_affine, random_rational_multilinear
 
 from conftest import form_strategy, naive_product, vertex_strategy
+from oracles import target_from_reference
 
 
 def reference_jacobian(fmap):
@@ -666,7 +667,7 @@ class TestRandomMaps:
 
 
 class TestPushforward:
-    """(F^-1)* of a reference form, evaluated by meshlab.target_from_reference
+    """(F^-1)* of a reference form, evaluated by oracles.target_from_reference
     at the physical points F(xref)."""
 
     @staticmethod

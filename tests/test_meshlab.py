@@ -8,6 +8,7 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,21 +28,19 @@ from cubeforms.meshlab import (
     build_mesh,
     convergence_study,
     default_quad_order,
-    discrete_l2_pairing,
     element_l2_error,
-    exact_l2_pairing,
     gauss_rule,
     mesh_parallelotope,
     mesh_trapezoidal,
     mesh_trilinear_3d,
     mesh_uniform,
     target_from_form,
-    target_from_reference,
     target_trig,
 )
 from cubeforms.mapping import MultilinearMap
 from cubeforms.spaces import build_P, build_Qminus
 from cubeforms.verify import random_rational_multilinear
+from oracles import discrete_l2_pairing, exact_l2_pairing, target_from_reference
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 # The relative tolerance perfbench/workloads.py applies to golden errors.
@@ -722,17 +721,24 @@ class TestGeometrySharing:
         assert counts["cells"] == 2**2 + 4**2 + 1**3 + 2**3
 
 
-def _lstsq_oracle(floats, vhat, target, quad):
-    """_cell_errors with one np.linalg.lstsq and np.linalg.norm per cell,
-    from the same design matrix and right-hand sides: the errors and the
-    worst sv[0]/sv[-1] over the cells."""
+def _design(floats, vhat, target, quad):
+    """The key's design matrix a and the right-hand sides y (cells, m) that
+    _cell_errors makes for the cells with corner coefficients floats."""
     tab = meshlab._tabulation(vhat, quad)
     scale, a = meshlab._geometry(floats[0], tab, quad.weights)
     xphys = np.matmul(tab.corner_tables[0], floats)
     cells = len(floats)
     uvals = target.values(xphys.reshape(-1, vhat.n), np.tile(quad.points, (cells, 1)))
+    return a, (uvals.reshape(cells, len(scale), -1) * scale[:, None]).reshape(cells, -1)
+
+
+def _lstsq_oracle(floats, vhat, target, quad):
+    """_cell_errors with one np.linalg.lstsq and np.linalg.norm per cell,
+    from the same design matrix and right-hand sides: the errors and the
+    worst sv[0]/sv[-1] over the cells."""
+    a, y = _design(floats, vhat, target, quad)
     errs, conds = [], []
-    for row in (uvals.reshape(cells, len(scale), -1) * scale[:, None]).reshape(cells, -1):
+    for row in y:
         if not vhat.basis:
             errs.append(np.linalg.norm(row))
             continue
@@ -761,10 +767,38 @@ def _first_levels():
     return reports
 
 
+@pytest.fixture
+def solves(monkeypatch):
+    """The staged solvers _cell_errors makes (None where dgelsd takes
+    another path) and the calls of the stacked gufunc; skips where numpy's
+    LAPACK is out of reach."""
+    if meshlab._lapack() is None:
+        pytest.skip("numpy's BLAS lacks the scipy-openblas64 LAPACK symbols")
+    made, gufunc = [], []
+    staged, gelsd = meshlab._staged, meshlab._gelsd
+
+    def spied_staged(a):
+        made.append(staged(a))
+        return made[-1]
+
+    def spied_gelsd(*args, **kwargs):
+        gufunc.append(len(args[1]))
+        return gelsd(*args, **kwargs)
+
+    monkeypatch.setattr(meshlab, "_staged", spied_staged)
+    monkeypatch.setattr(meshlab, "_gelsd", spied_gelsd)
+    return made, gufunc
+
+
+def _subproblems(staged):
+    """The sizes of dlalsd's subproblems: () for J = 1."""
+    return tuple(size for _, size, _ in getattr(staged, "parts", ()))
+
+
 class TestStackedSolve:
-    """_cell_errors solves all cells of a chunk in one stacked dgelsd call,
-    on the key's triangle R and Q^T y where dgelsd would factor the design
-    matrix first, with the same bits as one np.linalg.lstsq per cell."""
+    """_cell_errors solves the cells of a key by dgelsd's stages where
+    dgelsd factors the design matrix first, else in one stacked dgelsd
+    call per chunk, with the same bits as one np.linalg.lstsq per cell."""
 
     @pytest.mark.parametrize(
         "family,n,big_n,kw",
@@ -822,17 +856,18 @@ class TestStackedSolve:
     def test_fallback_without_lapack_gives_the_same_bits(self, monkeypatch):
         """With numpy's LAPACK out of reach, the first level of every bundled
         config gives the same errors and conditions; with it, every cell
-        takes the QR route: one dormqr per cell."""
+        takes the staged route: one dormqr per cell."""
         if meshlab._lapack() is None:
             pytest.skip("numpy's BLAS lacks the scipy-openblas64 LAPACK symbols")
-        geqrf, ormqr, ilaenv, gelsd = meshlab._lapack()
+        lapack = meshlab._lapack()
         calls = []
 
         def counted_ormqr(*args):
             calls.append(1)
-            return ormqr(*args)
+            return lapack.dormqr(*args)
 
-        monkeypatch.setattr(meshlab, "_lapack", lambda: (geqrf, counted_ormqr, ilaenv, gelsd))
+        routed_lapack = SimpleNamespace(**{**vars(lapack), "dormqr": counted_ormqr})
+        monkeypatch.setattr(meshlab, "_lapack", lambda: routed_lapack)
         routed = _first_levels()
         cells = sum(rep.subdivisions[0] ** rep.n for rep in routed)
         assert len(routed) == 14 and len(calls) == cells
@@ -840,6 +875,85 @@ class TestStackedSolve:
         fallback = _first_levels()
         assert len(calls) == cells
         assert [(r.errors, r.ls_conds) for r in routed] == [(r.errors, r.ls_conds) for r in fallback]
+
+    @pytest.mark.parametrize(
+        "family,n,big_n,kw,space,sizes",
+        [
+            # Q-_1 Lambda^2: J = 1, dlalsd's N = 1 case; m = 36.
+            ("trapezoidal", 2, 4, {"d": Fraction(3, 10)}, (1, 2, 2), ()),
+            # 1 < J <= SMLSIZ = 25: one dlasdq, then dgemm per cell.
+            ("trapezoidal", 2, 4, {"d": Fraction(3, 10)}, (1, 1, 2), (4,)),
+            ("parallelotope", 3, 2, {"shear": SHEAR_3D}, (1, 1, 3), (12,)),
+            # Q-_2 Lambda^2 in 3D, J = 36: one dlasda, dlalsa twice per cell.
+            ("trilinear3d", 3, 2, {"d": Fraction(3, 10)}, (2, 2, 3), (36,)),
+            # The last e is below eps: dlasda on 35, a 1 x 1 left unsolved.
+            ("uniform", 3, 2, {}, (2, 2, 3), (35, 1)),
+        ],
+        ids=["J=1", "J=4", "J=12", "J=36", "J=35+1"],
+    )
+    @pytest.mark.parametrize("cells", [None, 1], ids=["all-cells", "one-cell-chunks"])
+    def test_each_branch_equals_lstsq_oracle(self, solves, family, n, big_n, kw, space, sizes, cells):
+        """Each branch of the staged solve is taken and gives the bits of
+        np.linalg.lstsq per cell: fits, rank, singular values and errors."""
+        made, gufunc = solves
+        mesh = build_mesh(family, n, big_n, **kw)
+        space = build_Qminus(*space)
+        target, rule = target_trig(n, space.k), gauss_rule(n, default_quad_order(space, n))
+        for key, idxs in zip(mesh.keys, meshlab._groups(mesh)):
+            for start in range(0, len(idxs), cells or len(idxs)):
+                floats = mesh.floats[idxs[start : start + (cells or len(idxs))]]
+                errs, cond = meshlab._cell_errors(floats, key, space, target, rule)
+                want, want_cond = _lstsq_oracle(floats, space, target, rule)
+                assert np.array_equal(errs, want) and cond == want_cond, key
+            a, y = _design(mesh.floats[idxs], space, target, rule)
+            sol, rank, sv = meshlab._lstsq(a, y, made[-1])
+            for got, row in zip(sol, y):
+                want_sol, _, want_rank, want_sv = np.linalg.lstsq(a, row, rcond=None)
+                assert np.array_equal(got, want_sol) and rank == want_rank
+                assert np.array_equal(sv, want_sv)
+        assert len(made) == len(mesh.keys) and not gufunc
+        assert {_subproblems(staged) for staged in made} == {sizes}
+
+    def test_rank_deficient_key(self, solves):
+        """P_4 in 3D on the 4^3 Gauss points: L_4(x), L_4(y) and L_4(z)
+        vanish on all of them, so the 64 x 35 design matrix, which dgelsd
+        factors first, has rank 32.  The staged solve drops the same
+        singular values as np.linalg.lstsq, and the error names its rank."""
+        made, gufunc = solves
+        mesh, space, rule = mesh_uniform(3, 2), build_P(4, 0, 3), gauss_rule(3, 4)
+        target = target_trig(3, 0)
+        a, y = _design(mesh.floats, space, target, rule)
+        sol, rank, sv = meshlab._lstsq(a, y, meshlab._staged(a))
+        assert rank == 32 and _subproblems(made[0]) == (34, 1)
+        for got, row in zip(sol, y):
+            want_sol, _, want_rank, want_sv = np.linalg.lstsq(a, row, rcond=None)
+            assert np.array_equal(got, want_sol) and rank == want_rank
+            assert np.array_equal(sv, want_sv)
+        cond = f"{sv[0] / sv[-1]:.3e}"
+        with pytest.raises(NumericalError) as exc:
+            meshlab._mesh_error(mesh, space, target, rule)
+        assert str(exc.value) == (
+            f"element 0: rank-deficient evaluation matrix (rank 32 < 35, cond {cond}); "
+            "quadrature may be too coarse"
+        )
+        assert not gufunc
+
+    @pytest.mark.parametrize("scale_a,scale_y", [(1e-300, 1.0), (1.0, 1e-300), (1.0, 1e300)])
+    def test_inputs_dgelsd_would_scale_take_the_gufunc(self, solves, scale_a, scale_y):
+        """Where the largest entry of a or of a right-hand side is outside
+        [smlnum, bignum], dgelsd scales it first: those solves take the
+        stacked gufunc, with the bits of np.linalg.lstsq."""
+        made, gufunc = solves
+        mesh, space, rule = mesh_uniform(2, 2), build_Qminus(1, 1, 2), gauss_rule(2, 4)
+        a, y = _design(mesh.floats, space, target_trig(2, 1), rule)
+        a, y = a * scale_a, y * scale_y
+        y[1] = y[0] / scale_y
+        sol, rank, sv = meshlab._lstsq(a, y, meshlab._staged(a))
+        assert (made[0] is None) == (scale_a != 1.0) and gufunc == [len(y)]
+        for got, row in zip(sol, y):
+            want_sol, _, want_rank, want_sv = np.linalg.lstsq(a, row, rcond=None)
+            assert np.array_equal(got, want_sol) and rank == want_rank
+            assert np.array_equal(sv, want_sv)
 
     def test_worst_condition_per_level(self):
         """The report's worst LS condition per level equals the per-element
@@ -1026,13 +1140,13 @@ class TestSerialBlas:
 
     def test_factorization_sees_one_thread(self, blas_threads, monkeypatch):
         seen = []
-        qr_first = meshlab._qr_first
+        staged = meshlab._staged
 
         def probed(a):
             seen.append(blas_threads())
-            return qr_first(a)
+            return staged(a)
 
-        monkeypatch.setattr(meshlab, "_qr_first", probed)
+        monkeypatch.setattr(meshlab, "_staged", probed)
         mesh = mesh_trapezoidal(4, Fraction(3, 10))
         meshlab._mesh_error(mesh, build_Qminus(1, 1, 2), target_trig(2, 1), gauss_rule(2, 3))
         assert seen == [1] * len(mesh.keys)
