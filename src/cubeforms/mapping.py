@@ -25,13 +25,9 @@ Python ints per (sigma, tau), and decodes each tau once, with numpy
 (``forms._slots``), into a (forms, slots) array of integers over one
 denominator per form.  ``pullback_polynomial`` is the one-form case, read
 back as a DiffForm; ``verify`` reads the nonzero slots of a whole basis
-without building a Polynomial.  Against one-form pullbacks and a
-Polynomial per basis form, the n = 3 inclusion loop of ``cubeforms check``
-went from 0.15-0.23 to 0.08-0.13 s (medians of 15 in-process runs, three
-alternating pairs, 2-core shared host); README "Performance" gives the
-end-to-end pairs.  ``jacobian`` and the validity proof read D DF and
-det(D DF), its top minor, from the same cache.  A map is never changed
-after construction, so the cache never goes stale.
+without building a Polynomial.  ``jacobian`` and the validity proof read
+D DF and det(D DF), its top minor, from the same cache.  A map is never
+changed after construction, so the cache never goes stale.
 """
 
 from __future__ import annotations

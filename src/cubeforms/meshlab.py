@@ -16,11 +16,11 @@ target form by the mapped reference space, which lower-bounds the
 conforming infimum; fitted h-rates from it are compared against the
 inclusion-based predictions.  Polynomial forms enter the float path
 through one view (index maps, monomial exponents, coefficients) and one
-pushforward through DF^-1.  The reference element (corner-monomial tables
-and basis values at the quadrature points) is tabulated once per (space,
-quadrature rule) and cached on the space, and the weighted design matrix,
-which depends only on DF, once per Jacobian key.  The element loop takes
-each key's cells in chunks of bounded size: per chunk one broadcast
+pushforward through DF^-1.  A study tabulates the reference element
+(corner-monomial tables and basis values at the quadrature points) once,
+and hands it to the element loop with each Jacobian key's cells, which
+makes the key's weighted design matrix, as it depends only on DF.  The
+loop takes the cells in chunks of bounded size: per chunk one broadcast
 product gives x = F(xref), one target call the values, one product the
 weighted right-hand sides, and LAPACK's ``dgelsd``, the solver behind
 ``np.linalg.lstsq``, the fits.  dgelsd runs by its own stages: those that
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import ctypes
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product
@@ -86,8 +86,7 @@ class NumericalError(RuntimeError):
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
     """Tensor Gauss-Legendre rule on [0,1]^n, exact for per-variable degree
-    up to 2q-1.  Compared and hashed by identity, as the key of a space's
-    tabulations."""
+    up to 2q-1.  Compared and hashed by identity."""
 
     n: int
     order: int
@@ -197,17 +196,16 @@ def _pushforward(hat: np.ndarray, sig_idx: np.ndarray, invs: np.ndarray) -> np.n
 
 @dataclass(frozen=True)
 class _Tabulation:
-    """What _cell_errors needs of one (space, quadrature rule) pair: the
-    corner tables behind x = F(xref) and DF (see _corner_tables) and the
-    reference basis values hat (J, M, P), the same on every cell; and one
-    geometry entry, Jacobian key -> (scale, a, its _staged), replaced
-    whenever cells of another key come, so at most one design matrix is
-    held however many cells a caller passes."""
+    """The reference element of a space of k-forms on [0,1]^n on one
+    quadrature rule, the same on every cell: the corner tables behind
+    x = F(xref) and DF (see _corner_tables), the 0-based index maps sig_idx
+    (M, k) and the reference basis values hat (J, M, P)."""
 
+    n: int
+    k: int
     corner_tables: tuple
     sig_idx: np.ndarray
     hat: np.ndarray
-    geometry: dict = field(default_factory=dict)
 
 
 def _corner_tables(n: int, xref: np.ndarray) -> tuple:
@@ -218,13 +216,11 @@ def _corner_tables(n: int, xref: np.ndarray) -> tuple:
 
 
 def _tabulation(vhat: FormSpace, quad: QuadratureRule) -> _Tabulation:
-    """The tabulation of vhat on quad, cached on the space per rule."""
-    cache = vhat.__dict__.setdefault("_tabulations", {})
-    if quad not in cache:
-        sig_idx, exps, coeffs = _float_view(vhat.basis, vhat.n, vhat.k)
-        hat = _reference_values(exps, coeffs, quad.points)
-        cache[quad] = _Tabulation(_corner_tables(vhat.n, quad.points), sig_idx, hat)
-    return cache[quad]
+    """The tabulation of vhat on quad."""
+    _check_rule(vhat.n, quad)
+    sig_idx, exps, coeffs = _float_view(vhat.basis, vhat.n, vhat.k)
+    hat = _reference_values(exps, coeffs, quad.points)
+    return _Tabulation(vhat.n, vhat.k, _corner_tables(vhat.n, quad.points), sig_idx, hat)
 
 
 # ---------------------------------------------------------------------------
@@ -433,17 +429,14 @@ def _det_inv(coeffs_f: np.ndarray, columns: tuple):
 
 
 def _geometry(coeffs_f: np.ndarray, tab: _Tabulation, weights: np.ndarray) -> tuple:
-    """(scale, a), both read-only, of a cell with float corner coefficients
-    coeffs_f: scale (P,) = sqrt(w det DF) at the quadrature points and
-    a (P M, J) the pushed-forward basis weighted by scale."""
+    """(scale, a) of a cell with float corner coefficients coeffs_f:
+    scale (P,) = sqrt(w det DF) at the quadrature points and a (P M, J) the
+    pushed-forward basis weighted by scale."""
     dets, invs = _det_inv(coeffs_f, tab.corner_tables[1])
     scale = np.sqrt(weights * dets)
     pushed = _pushforward(tab.hat, tab.sig_idx, invs) * scale[:, None, None]
     p, m, j = pushed.shape
-    entry = (scale, pushed.reshape(p * m, j))
-    for arr in entry:
-        arr.flags.writeable = False
-    return entry
+    return scale, pushed.reshape(p * m, j)
 
 
 def _lstsq_failed(err, flag):
@@ -765,38 +758,33 @@ def _lstsq(a: np.ndarray, y: np.ndarray, staged: _StagedGelsd | None) -> tuple:
 
 
 def _cell_errors(
-    floats: np.ndarray, key: tuple, vhat: FormSpace, target: TargetForm, quad: QuadratureRule
+    floats: np.ndarray, tab: _Tabulation, target: TargetForm, quad: QuadratureRule
 ) -> tuple[np.ndarray, float | None]:
     """Broken L2 distances (E,) from the target to the mapped reference
-    space on E cells of Jacobian key with float corner coefficients floats
-    (E, 2^n, n), by weighted least squares over the quadrature points, and
-    sv[0]/sv[-1] of the key's design matrix (None if J = 0).  Per chunk of
-    cells, one broadcast matmul (per cell the (P, C) @ (C, n) product of a
-    single cell) gives x = F(xref), one target call y, and _lstsq the fits
-    with the bits of np.linalg.lstsq: dgelsd's stages on (a, y), the key's
-    _StagedGelsd, made once per key, or where dgelsd would take another
-    path (no QR first, a or a right-hand side to scale, numpy's LAPACK out
-    of reach) the gufunc behind np.linalg.lstsq.  Rank and singular values
-    depend on the design matrix alone."""
-    n, k = vhat.n, vhat.k
+    space, tabulated by tab on quad, on E cells of one Jacobian key with
+    float corner coefficients floats (E, 2^n, n), by weighted least squares
+    over the quadrature points, and sv[0]/sv[-1] of the key's design matrix
+    (None if J = 0).  The design matrix a and its _StagedGelsd are made
+    once, from the first cell.  Per chunk of cells, one broadcast matmul
+    (per cell the (P, C) @ (C, n) product of a single cell) gives
+    x = F(xref), one target call y, and _lstsq the fits with the bits of
+    np.linalg.lstsq: dgelsd's stages on (a, y), or where dgelsd would take
+    another path (no QR first, a or a right-hand side to scale, numpy's
+    LAPACK out of reach) the gufunc behind np.linalg.lstsq.  Rank and
+    singular values depend on the design matrix alone."""
+    n, k = tab.n, tab.k
     if (target.n, target.k) != (n, k):
         raise ValueError("target and space live on different (n, k)")
     if floats.shape[2] != n:
         raise ValueError("element map dimension mismatch")
-    _check_rule(n, quad)
     if k > 3:
         raise NumericalError("numeric pipeline supports form degree k <= 3")
-    tab = _tabulation(vhat, quad)
-    nbasis = len(vhat.basis)
+    nbasis = len(tab.hat)
     errs = np.empty(len(floats))
     cond = None
     with _serial_blas():
-        entry = tab.geometry.get(key)
-        if entry is None:
-            tab.geometry.clear()
-            scale, a = _geometry(floats[0], tab, quad.weights)
-            entry = tab.geometry[key] = (scale, a, _staged(a) if nbasis else None)
-        scale, a, staged = entry
+        scale, a = _geometry(floats[0], tab, quad.weights)
+        staged = _staged(a) if nbasis else None
         npts = len(scale)
         step = max(1, _CHUNK_VALUES // (npts * len(tab.sig_idx)))
         for start in range(0, len(floats), step):
@@ -821,9 +809,9 @@ def element_l2_error(
     fmap: MultilinearMap, vhat: FormSpace, target: TargetForm, quad: QuadratureRule
 ) -> float:
     """Broken L2 distance from the target to the mapped reference space on
-    one element: the E = 1 case of _cell_errors.  The design matrix is
-    recomputed only when the cell's Jacobian differs from the last one's."""
-    errs, _ = _cell_errors(fmap.float_arrays()[None], fmap.jacobian_key, vhat, target, quad)
+    one element: the E = 1 case of _cell_errors, on a tabulation made for
+    this call."""
+    errs, _ = _cell_errors(fmap.float_arrays()[None], _tabulation(vhat, quad), target, quad)
     return float(errs[0])
 
 
@@ -867,7 +855,7 @@ class ConvergenceReport:
 
 
 def _mesh_error(
-    mesh: Mesh, vhat: FormSpace, target: TargetForm, quad: QuadratureRule
+    mesh: Mesh, tab: _Tabulation, target: TargetForm, quad: QuadratureRule
 ) -> tuple[float, float | None]:
     """Root sum of squares of the element errors, summed in mesh order,
     and the groups' worst sv[0]/sv[-1].  The cells of each group go to
@@ -878,13 +866,13 @@ def _mesh_error(
     element in mesh order."""
     errs = np.empty(mesh.size)
     conds = []
-    for key, idxs in zip(mesh.keys, _groups(mesh)):
+    for idxs in _groups(mesh):
         try:
-            errs[idxs], cond = _cell_errors(mesh.floats[idxs], key, vhat, target, quad)
+            errs[idxs], cond = _cell_errors(mesh.floats[idxs], tab, target, quad)
         except NumericalError as exc:
             raise NumericalError(f"element {idxs[0]}: {exc}") from exc
         conds.append(cond)
-    return float(np.sqrt(np.sum(errs * errs))), max(conds) if vhat.basis else None
+    return float(np.sqrt(np.sum(errs * errs))), max(conds) if len(tab.hat) else None
 
 
 def convergence_study(
@@ -896,21 +884,24 @@ def convergence_study(
     shear: Sequence[Sequence[Scalar]] | None = None,
     quad_order: int | None = None,
 ) -> ConvergenceReport:
-    """Run the h-refinement study of the broken L2 projection error."""
+    """Run the h-refinement study of the broken L2 projection error, with
+    the rates predicted before any mesh is built and the reference element
+    tabulated once for all levels."""
     subdivision_list = list(subdivision_list)
     if not subdivision_list:
         raise ValueError("need at least one subdivision level")
     if subdivision_list != sorted(set(subdivision_list)):
         raise ValueError("subdivision list must be strictly increasing")
+    prediction = predict_rates(vhat)
     n = vhat.n
     q = quad_order if quad_order is not None else default_quad_order(vhat, n)
     quad = gauss_rule(n, q)
+    tab = _tabulation(vhat, quad)
     levels = [
-        _mesh_error(build_mesh(family, n, big_n, d=d, shear=shear), vhat, target, quad)
+        _mesh_error(build_mesh(family, n, big_n, d=d, shear=shear), tab, target, quad)
         for big_n in subdivision_list
     ]
     errors, conds = map(list, zip(*levels))
     return ConvergenceReport(
-        family, vhat.label, n, vhat.k, target.label, q, subdivision_list, errors,
-        predict_rates(vhat), conds,
+        family, vhat.label, n, vhat.k, target.label, q, subdivision_list, errors, prediction, conds
     )

@@ -3,16 +3,17 @@
 Builders produce explicit monomial-form bases for the tensor-product family
 Q_r^- Lambda^k, the full polynomial family P_r Lambda^k, the scalar
 serendipity family, and the 2D serendipity 1-form family.  Inclusion
-testing is exact: spaces with a pure monomial basis are compared by
-coordinate-set inclusion, one set test per component (equivalent to the
-rank test and much faster), anything else falls back to fraction-free row
-reduction in ``exactla``, on each form's coefficients as integers over the
-lcm of its components' denominators.
+testing is exact: spaces whose basis forms are single terms c x^e dx^sigma
+are compared by coordinate-set inclusion, one set test per component
+(equivalent to the rank test and much faster), anything else falls back to
+fraction-free row reduction in ``exactla``, on each form's coefficients as
+integers over the lcm of its components' denominators.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from math import comb, lcm
 from typing import Mapping
@@ -38,24 +39,19 @@ __all__ = [
 
 @dataclass
 class FormSpace:
-    """A finite-dimensional span of differential k-forms on [0,1]^n."""
+    """A finite-dimensional span of differential k-forms on [0,1]^n, given
+    by its basis alone; what in_span reads of it is derived from the basis."""
 
     n: int
     k: int
     basis: list[DiffForm]
     label: str = ""
-    # Set by builders whose basis is unit-coefficient monomial forms: the
-    # exponents spanned in each component, by index map.  Enables the fast
-    # membership path in in_span().
-    monomial_coords: Mapping[IndexMap, frozenset[Monomial]] | None = field(
-        default=None, repr=False
-    )
-    _echelon: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         for f in self.basis:
             if f.n != self.n or f.k != self.k:
                 raise ValueError(f"basis form with (n,k)=({f.n},{f.k}) in space ({self.n},{self.k})")
+        self._coords = _single_term_coords(self.basis)
 
     @property
     def dim(self) -> int:
@@ -64,6 +60,20 @@ class FormSpace:
     @property
     def is_zero(self) -> bool:
         return not self.basis
+
+    @property
+    def monomial_coords(self) -> Mapping[IndexMap, frozenset[Monomial]] | None:
+        """The exponents spanned in each component, by index map, if every
+        basis form is a single term c x^e dx^sigma, else None.  Enables the
+        fast membership path in in_span()."""
+        return self._coords
+
+    @cached_property
+    def _echelon(self) -> tuple:
+        """(coordinate index, *exactla.rref) of the basis coefficient rows,
+        as integers."""
+        index = {c: j for j, c in enumerate(self.coordinates())}
+        return (index, *exactla.rref([_int_row(f, index) for f in self.basis]))
 
     def coordinates(self) -> list[tuple[tuple[int, ...], Monomial]]:
         """Sorted union of (sigma, monomial) coordinates over the basis."""
@@ -76,11 +86,24 @@ class FormSpace:
 
     def rank(self) -> int:
         """Exact rank of the basis as vectors of rational coefficients."""
-        return len(_echelon_of(self)[2])
+        return len(self._echelon[2])
+
+
+def _single_term_coords(basis: list[DiffForm]) -> dict[IndexMap, frozenset[Monomial]] | None:
+    """The exponents of each index map in a basis of single-term forms,
+    None if a form has another number of terms."""
+    coords: dict[IndexMap, set[Monomial]] = {}
+    for f in basis:
+        terms = [(sigma, exps) for sigma, poly in f.components.items() for exps in poly.ints]
+        if len(terms) != 1:
+            return None
+        ((sigma, exps),) = terms
+        coords.setdefault(sigma, set()).add(exps)
+    return {sigma: frozenset(group) for sigma, group in coords.items()}
 
 
 def zero_space(n: int, k: int, label: str = "zero") -> FormSpace:
-    return FormSpace(n, k, [], label, monomial_coords={})
+    return FormSpace(n, k, [], label)
 
 
 def _monomial_space(
@@ -88,11 +111,7 @@ def _monomial_space(
 ) -> FormSpace:
     """The span of the forms x^e dx^sigma over distinct (sigma, e) items."""
     basis = [_form(n, k, {sigma: _from_ints(n, ((exps, 1),), 1)}) for sigma, exps in items]
-    coords: dict[IndexMap, set[Monomial]] = {}
-    for sigma, exps in items:
-        coords.setdefault(sigma, set()).add(exps)
-    allowed = {sigma: frozenset(group) for sigma, group in coords.items()}
-    return FormSpace(n, k, basis, label, monomial_coords=allowed)
+    return FormSpace(n, k, basis, label)
 
 
 def build_P(r: int, k: int, n: int) -> FormSpace:
@@ -192,15 +211,6 @@ def _int_row(f: DiffForm, index: Mapping) -> list[int] | None:
     return row
 
 
-def _echelon_of(space: FormSpace) -> tuple:
-    """(coordinate index, *exactla.rref) of the basis coefficient rows, as
-    integers, computed once per space."""
-    if space._echelon is None:
-        index = {c: j for j, c in enumerate(space.coordinates())}
-        space._echelon = (index, *exactla.rref([_int_row(f, index) for f in space.basis]))
-    return space._echelon
-
-
 _NOTHING: frozenset[Monomial] = frozenset()
 
 
@@ -216,7 +226,7 @@ def in_span(space: FormSpace, f: DiffForm) -> bool:
             poly.ints.keys() <= allowed.get(sigma, _NOTHING)
             for sigma, poly in f.components.items()
         )
-    index, echelon, pivots, d = _echelon_of(space)
+    index, echelon, pivots, d = space._echelon
     vec = _int_row(f, index)
     return vec is not None and exactla.in_row_span(echelon, pivots, d, vec)
 

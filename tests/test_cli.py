@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from cubeforms import cli
+from cubeforms import cli, meshlab
 from cubeforms.cli import (
     CSV_HEADER,
     ConfigError,
@@ -241,6 +241,18 @@ class TestConvergeCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and reason in err
         assert not (tmp_path / "out").exists()
+
+    def test_zero_space_fails_before_any_mesh(self, tmp_path, capsys, monkeypatch):
+        meshes = []
+        monkeypatch.setattr(meshlab, "build_mesh", lambda *args, **kw: meshes.append(args))
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text(
+            "[space]\nkind = Qminus\nr = 0\nk = 1\nn = 2\n\n[mesh]\nfamily = uniform\n"
+            "N = 2 4 8 16 32 64\n"
+        )
+        assert cli.main(["converge", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "config error: rate prediction needs a nonzero space\n"
+        assert meshes == [] and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "text, reason",

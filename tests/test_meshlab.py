@@ -1,9 +1,11 @@
 import contextlib
+import gc
 import json
 import math
 import os
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -64,6 +66,11 @@ def mesh_of(maps, family):
         dtype=object,
     )
     return Mesh(n, family, denom, ints)
+
+
+def _mesh_error(mesh, space, target, quad):
+    """meshlab._mesh_error on the tabulation of space on quad."""
+    return meshlab._mesh_error(mesh, meshlab._tabulation(space, quad), target, quad)
 
 
 def trapezoid_map(d=Fraction(1, 2)):
@@ -394,7 +401,7 @@ class TestLatticeArrays:
         space, target = build_Qminus(1, 1, n), target_trig(n, 1)
         quad = gauss_rule(n, 3)
         errs = np.array([element_l2_error(el, space, target, quad) for el in cells])
-        got, _ = meshlab._mesh_error(mesh, space, target, quad)
+        got, _ = _mesh_error(mesh, space, target, quad)
         assert math.isfinite(got) and got > 0
         assert got == float(np.sqrt(np.sum(errs * errs)))
 
@@ -552,8 +559,8 @@ def _kernel_chain_error(fmap, vhat, target, quad):
 
 
 class TestTabulation:
-    """element_l2_error tabulates the reference element once per (space,
-    rule) and must give exactly what the untabulated kernel chain gives."""
+    """element_l2_error tabulates the reference element on its rule and
+    must give exactly what the untabulated kernel chain gives."""
 
     @pytest.mark.parametrize("n", [2, 3])
     @given(data=st.data())
@@ -589,8 +596,8 @@ def _translated(el, shift):
 
 
 class TestGeometrySharing:
-    """element_l2_error computes the weighted design matrix once per
-    Jacobian key, and _mesh_error visits a mesh key by key."""
+    """_cell_errors computes the weighted design matrix once per call, and
+    _mesh_error visits a mesh key by key, so once per Jacobian key."""
 
     @pytest.mark.parametrize(
         "family,n,kw,want",
@@ -670,7 +677,7 @@ class TestGeometrySharing:
 
         chunked = meshlab.TargetForm(n, n - 1, target.label, counted_target)
         monkeypatch.setattr(_kernels, "jacobian_det_inv", counted)
-        got, _ = meshlab._mesh_error(mesh, space, chunked, quad)
+        got, _ = _mesh_error(mesh, space, chunked, quad)
         assert got == float(np.sqrt(np.sum(errs * errs)))
         assert len(calls) == want
         # Each group in chunks of at most _CHUNK_VALUES target values; an
@@ -681,14 +688,25 @@ class TestGeometrySharing:
         assert sum(chunk_sizes) == mesh.size and max(chunk_sizes) <= step
         assert (len(chunk_sizes) > len(groups)) == spans_chunks
 
-    def test_one_geometry_entry_per_tabulation(self, rng):
+    def test_rule_not_kept_after_return(self, monkeypatch):
+        """Neither element_l2_error nor convergence_study keeps its
+        quadrature rule alive once it returns: the tabulation belongs to
+        the call."""
         space, target = build_Qminus(1, 1, 2), target_trig(2, 1)
-        convergence_study(space, target, "trapezoidal", [2, 4], d=Fraction(3, 10))
         quad = gauss_rule(2, 4)
-        for _ in range(20):
-            element_l2_error(random_rational_multilinear(2, rng), space, target, quad)
-        tabs = space.__dict__["_tabulations"]
-        assert [len(tab.geometry) for tab in tabs.values()] == [1, 1]
+        element_l2_error(trapezoid_map(), space, target, quad)
+        rules = [weakref.ref(quad)]
+        del quad
+
+        def recorded(n, q):
+            rule = gauss_rule(n, q)
+            rules.append(weakref.ref(rule))
+            return rule
+
+        monkeypatch.setattr(meshlab, "gauss_rule", recorded)
+        convergence_study(space, target, "trapezoidal", [2, 4], d=Fraction(3, 10))
+        gc.collect()
+        assert len(rules) == 2 and all(rule() is None for rule in rules)
 
     def test_first_bad_element_named(self):
         # The identity cells 0 and 2 form the first group, so cell 2 is
@@ -697,7 +715,7 @@ class TestGeometrySharing:
         reflected = map_from_vertices({a: (1 - a[0], a[1]) for a in product((0, 1), repeat=2)})
         mesh = mesh_of([ident, reflected, ident], "unvalidated")
         with pytest.raises(NumericalError, match="^element 1: Jacobian determinant not positive"):
-            meshlab._mesh_error(mesh, build_Qminus(1, 0, 2), target_trig(2, 0), gauss_rule(2, 3))
+            _mesh_error(mesh, build_Qminus(1, 0, 2), target_trig(2, 0), gauss_rule(2, 3))
 
     def test_pushforward_through_reflected_map_rejected(self):
         reflected = map_from_vertices({a: (1 - a[0], a[1]) for a in product((0, 1), repeat=2)})
@@ -827,10 +845,10 @@ class TestStackedSolve:
             space = build_Qminus(2, 2, 3)
             cases.append((space, gauss_rule(3, default_quad_order(space, 3))))
         for space, rule in cases:
-            target = target_trig(n, space.k)
+            target, tab = target_trig(n, space.k), meshlab._tabulation(space, rule)
             for key, idxs in zip(mesh.keys, meshlab._groups(mesh)):
                 floats = mesh.floats[idxs]
-                errs, cond = meshlab._cell_errors(floats, key, space, target, rule)
+                errs, cond = meshlab._cell_errors(floats, tab, target, rule)
                 want, want_cond = _lstsq_oracle(floats, space, target, rule)
                 assert np.array_equal(errs, want), (space.label, key)
                 assert cond == want_cond
@@ -848,7 +866,7 @@ class TestStackedSolve:
     def test_rank_deficiency_message(self, space, q, want):
         mesh = mesh_uniform(2, 2)
         with pytest.raises(NumericalError) as exc:
-            meshlab._mesh_error(mesh, space, target_trig(2, 0), gauss_rule(2, q))
+            _mesh_error(mesh, space, target_trig(2, 0), gauss_rule(2, q))
         assert str(exc.value) == (
             f"element 0: rank-deficient evaluation matrix ({want}); quadrature may be too coarse"
         )
@@ -899,10 +917,12 @@ class TestStackedSolve:
         mesh = build_mesh(family, n, big_n, **kw)
         space = build_Qminus(*space)
         target, rule = target_trig(n, space.k), gauss_rule(n, default_quad_order(space, n))
+        tab, calls = meshlab._tabulation(space, rule), 0
         for key, idxs in zip(mesh.keys, meshlab._groups(mesh)):
             for start in range(0, len(idxs), cells or len(idxs)):
                 floats = mesh.floats[idxs[start : start + (cells or len(idxs))]]
-                errs, cond = meshlab._cell_errors(floats, key, space, target, rule)
+                errs, cond = meshlab._cell_errors(floats, tab, target, rule)
+                calls += 1
                 want, want_cond = _lstsq_oracle(floats, space, target, rule)
                 assert np.array_equal(errs, want) and cond == want_cond, key
             a, y = _design(mesh.floats[idxs], space, target, rule)
@@ -911,7 +931,7 @@ class TestStackedSolve:
                 want_sol, _, want_rank, want_sv = np.linalg.lstsq(a, row, rcond=None)
                 assert np.array_equal(got, want_sol) and rank == want_rank
                 assert np.array_equal(sv, want_sv)
-        assert len(made) == len(mesh.keys) and not gufunc
+        assert len(made) == calls and not gufunc
         assert {_subproblems(staged) for staged in made} == {sizes}
 
     def test_rank_deficient_key(self, solves):
@@ -931,7 +951,7 @@ class TestStackedSolve:
             assert np.array_equal(sv, want_sv)
         cond = f"{sv[0] / sv[-1]:.3e}"
         with pytest.raises(NumericalError) as exc:
-            meshlab._mesh_error(mesh, space, target, rule)
+            _mesh_error(mesh, space, target, rule)
         assert str(exc.value) == (
             f"element 0: rank-deficient evaluation matrix (rank 32 < 35, cond {cond}); "
             "quadrature may be too coarse"
@@ -1131,11 +1151,11 @@ class TestSerialBlas:
         target = meshlab.TargetForm(2, 1, "probe", fn)
         mesh = mesh_trapezoidal(4, Fraction(3, 10))
         assert blas_threads() == 2
-        meshlab._mesh_error(mesh, build_Qminus(1, 1, 2), target, gauss_rule(2, 3))
+        _mesh_error(mesh, build_Qminus(1, 1, 2), target, gauss_rule(2, 3))
         assert seen and set(seen) == {1}
         assert blas_threads() == 2
         with pytest.raises(NumericalError, match="rank-deficient"):
-            meshlab._mesh_error(mesh, build_Qminus(2, 1, 2), target, gauss_rule(2, 1))
+            _mesh_error(mesh, build_Qminus(2, 1, 2), target, gauss_rule(2, 1))
         assert blas_threads() == 2
 
     def test_factorization_sees_one_thread(self, blas_threads, monkeypatch):
@@ -1148,7 +1168,7 @@ class TestSerialBlas:
 
         monkeypatch.setattr(meshlab, "_staged", probed)
         mesh = mesh_trapezoidal(4, Fraction(3, 10))
-        meshlab._mesh_error(mesh, build_Qminus(1, 1, 2), target_trig(2, 1), gauss_rule(2, 3))
+        _mesh_error(mesh, build_Qminus(1, 1, 2), target_trig(2, 1), gauss_rule(2, 3))
         assert seen == [1] * len(mesh.keys)
         assert blas_threads() == 2
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cubeforms import exactla
 from cubeforms.forms import DiffForm
 from cubeforms.spaces import (
     FormSpace,
@@ -240,17 +241,45 @@ def space_and_form(draw):
     return space, f
 
 
+def _rank_path(space):
+    """A space with the span of space whose membership test takes the rank
+    path: its basis plus the sum of its first two forms, a two-term form
+    (the zero form for the zero space)."""
+    extra = sum(space.basis[:2], DiffForm.zero(space.n, space.k))
+    plain = FormSpace(space.n, space.k, space.basis + [extra], space.label)
+    assert space.monomial_coords is not None and plain.monomial_coords is None
+    return plain
+
+
 class TestInSpanPaths:
     @given(case=space_and_form())
     def test_monomial_path_agrees_with_rank_path(self, case):
         space, f = case
-        plain = FormSpace(space.n, space.k, space.basis, space.label, monomial_coords=None)
+        plain = _rank_path(space)
         assert in_span(space, f) == in_span(plain, f)
 
     def test_both_verdicts_occur(self):
         space = build_Qminus(1, 1, 2)
-        plain = FormSpace(2, 1, space.basis, monomial_coords=None)
+        plain = _rank_path(space)
         inside = space.basis[0] * Fraction(2, 3) - space.basis[-1]
         outside = DiffForm.monomial_form(2, (1,), (1, 0))
         assert in_span(space, inside) and in_span(plain, inside)
         assert not in_span(space, outside) and not in_span(plain, outside)
+
+    @pytest.mark.parametrize("space", _MONOMIAL_SPACES, ids=lambda space: space.label)
+    def test_rebuilt_space_equals_the_builders(self, space, monkeypatch):
+        """A space made from a builder's basis equals the builder's space and
+        takes the same, monomial, membership path."""
+        rebuilt = FormSpace(space.n, space.k, space.basis, space.label)
+        assert rebuilt == space
+        assert space.monomial_coords is not None
+        assert rebuilt.monomial_coords == space.monomial_coords
+        # The rank path would need a row echelon form.
+        monkeypatch.setattr(exactla, "rref", None)
+        assert all(in_span(rebuilt, f) for f in space.basis)
+
+    def test_single_terms_of_any_coefficient_are_monomial(self):
+        f = DiffForm.monomial_form(2, (1,), (1, 0), Fraction(-2, 5))
+        g = DiffForm.monomial_form(2, (2,), (0, 1), 3)
+        assert FormSpace(2, 1, [f, g]).monomial_coords == {(1,): {(1, 0)}, (2,): {(0, 1)}}
+        assert FormSpace(2, 1, [f, f + g]).monomial_coords is None
