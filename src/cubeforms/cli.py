@@ -444,10 +444,7 @@ def cmd_converge(args) -> int:
     print(f"csv: {csv_path}")
     print(f"record: {record_path}")
     if args.assert_rates is not None:
-        affine_family = cfg.family in ("uniform", "parallelotope")
-        predicted = (
-            report.prediction.s_affine if affine_family else report.prediction.s_multilinear
-        )
+        predicted = report.predicted_rate
         fitted = report.last_pair_rate
         if fitted is None or abs(fitted - predicted) > args.assert_rates:
             print(

@@ -27,10 +27,11 @@ weighted right-hand sides, and LAPACK's ``dgelsd``, the solver behind
 read the design matrix alone (its QR, the bidiagonal reduction of R, the
 bidiagonal SVD) once per key, those that touch right-hand sides per chunk
 or per cell, each called as dgelsd calls it, so the bits are those of
-``np.linalg.lstsq``.  Where dgelsd would take another path, the stacked
-gufunc behind ``np.linalg.lstsq`` makes one dgelsd per cell.  The loop
-runs OpenBLAS with one thread, as the solves are too small to share
-between threads.
+``np.linalg.lstsq``.  For J = 1, or where dgelsd would take another path,
+the gufunc behind ``np.linalg.lstsq`` makes one dgelsd per cell.  The
+loop runs OpenBLAS with one thread, as the solves are too small to share
+between threads.  It checks no input: ``convergence_study`` and
+``element_l2_error`` do, before any mesh or tabulation.  Any k <= n runs.
 """
 
 from __future__ import annotations
@@ -201,8 +202,6 @@ class _Tabulation:
     x = F(xref) and DF (see _corner_tables), the 0-based index maps sig_idx
     (M, k) and the reference basis values hat (J, M, P)."""
 
-    n: int
-    k: int
     corner_tables: tuple
     sig_idx: np.ndarray
     hat: np.ndarray
@@ -217,10 +216,9 @@ def _corner_tables(n: int, xref: np.ndarray) -> tuple:
 
 def _tabulation(vhat: FormSpace, quad: QuadratureRule) -> _Tabulation:
     """The tabulation of vhat on quad."""
-    _check_rule(vhat.n, quad)
     sig_idx, exps, coeffs = _float_view(vhat.basis, vhat.n, vhat.k)
     hat = _reference_values(exps, coeffs, quad.points)
-    return _Tabulation(vhat.n, vhat.k, _corner_tables(vhat.n, quad.points), sig_idx, hat)
+    return _Tabulation(_corner_tables(vhat.n, quad.points), sig_idx, hat)
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +333,12 @@ def _as_fraction(x: Scalar | float | str) -> Fraction:
     return Fraction(x)
 
 
+def _check_subdivisions(family: str, big_n: int) -> None:
+    """Raise unless a family's meshes may have N = big_n subdivisions."""
+    if family in ("trapezoidal", "trilinear3d") and (big_n < 2 or big_n % 2):
+        raise ValueError(f"{family} meshes need an even N >= 2")
+
+
 def _distorted_mesh(n: int, subdivisions: int, d: Scalar | float, family: str) -> Mesh:
     """The uniform lattice with each interior coordinate a >= 1 moved by
     +d/2 or -d/2 of a cell, the sign alternating with the parity of
@@ -345,8 +349,7 @@ def _distorted_mesh(n: int, subdivisions: int, d: Scalar | float, family: str) -
     trilinear.  With d = p/q the points are integers over 2qN."""
     big_n = subdivisions
     dd = _as_fraction(d)
-    if big_n < 2 or big_n % 2:
-        raise ValueError(f"{family} meshes need an even N >= 2")
+    _check_subdivisions(family, big_n)
     if not 0 <= dd < 1:
         raise ValueError("distortion must satisfy 0 <= d < 1")
     p, q = dd.numerator, dd.denominator
@@ -576,7 +579,8 @@ class _StagedGelsd:
     them with NRHS = 1, dormqr, dormbr('Q'), dlalsa or dgemm per
     subproblem and dormbr('P'); and the scalings as b * (1/d), the product
     dlascl makes at these magnitudes.  Each stage gets dgelsd's workspace,
-    so every bit is that of np.linalg.lstsq."""
+    so every bit is that of np.linalg.lstsq.  J >= 2: for J = 1 there is
+    no bidiagonal SVD to share."""
 
     def __init__(self, lapack, a: np.ndarray, lwork: int):
         m, j = a.shape
@@ -609,16 +613,8 @@ class _StagedGelsd:
              work, *_refs(lwork - 3 * j), info, one, one, one)
             for vect, trans, taus in ((b"Q", b"T", tauq), (b"P", b"N", taup))
         )
-        if j == 1:
-            # dlalsd's N = 1 case, b * (1/d); d != 0 as a != 0.
-            self.inv, self.rank, self.sv = 1 / d, 1, np.abs(d)
-        else:
-            self._bidiagonal(d, e, rcond=np.finfo(np.float64).eps * m)
-
-    def _bidiagonal(self, d: np.ndarray, e: np.ndarray, rcond: float) -> None:
-        """dlalsd's steps on B that read no right-hand side; e has room for
-        J entries, as in dgelsd's workspace, the last 0 and unused."""
-        j, info, one = self.j, ctypes.byref(self.info), ctypes.c_size_t(1)
+        # dlalsd's steps on B that read no right-hand side; e has room for J
+        # entries, as in dgelsd's workspace, the last 0 and unused.
         smlsiz = self.smlsiz = _ilaenv(9, 0, 0)
         norm = max(np.max(np.abs(d)), np.max(np.abs(e)))
         d, e = d * (1 / norm), e * (1 / norm)
@@ -635,7 +631,7 @@ class _StagedGelsd:
         widths = (smlsiz, 1, nlvl, 2 * nlvl, nlvl, 2 * nlvl, 1, 2 * nlvl, nlvl, 2 * nlvl, 1, 1)
         self.tree, self.vt = np.zeros((sum(widths), j)), np.zeros((smlsiz + 1, j))
         starts = (np.cumsum((0,) + widths[:-1]) * j).tolist()
-        ld, work, iwork = _refs(j)[0], _ptr(self.work), _ptr(self.iwork)
+        ld, iwork = _refs(j)[0], _ptr(self.iwork)
         self.parts = []
         for st, ns in zip(edges[:-1], np.diff(edges).tolist()):
             vt = _ptr(self.vt, st)
@@ -643,7 +639,7 @@ class _StagedGelsd:
                 args = None
             elif ns <= smlsiz:
                 self.vt[:ns, st : st + ns] = np.eye(ns)
-                self.lapack.dlasdq(
+                lapack.dlasdq(
                     b"U", *_refs(0, ns, ns, 0, 0), _ptr(d, st), _ptr(e, st), vt, ld, work,
                     *_refs(1), work, *_refs(1), work, info, one,
                 )
@@ -660,14 +656,14 @@ class _StagedGelsd:
                     u, ld, vt, k, difl, difr, z, poles, givptr, givcol, ld, perm, givnum, c, s,
                     work, iwork, info,
                 )
-                self.lapack.dlasda(*_refs(1, smlsiz, ns, 0), _ptr(d, st), _ptr(e, st), *tree)
+                lapack.dlasda(*_refs(1, smlsiz, ns, 0), _ptr(d, st), _ptr(e, st), *tree)
                 _checked(self.info, "dlasda")
                 args = [
                     (*_refs(icompq, smlsiz, ns, 1), src, ld, dst, ld, *tree)
                     for icompq, src, dst in ((0, self.row, self.row2), (1, self.row2, self.row))
                 ]
             self.parts.append((st, ns, args))
-        self.keep = np.abs(d) > rcond * np.max(np.abs(d))
+        self.keep = np.abs(d) > np.finfo(np.float64).eps * m * np.max(np.abs(d))
         self.inv = 1 / np.where(self.keep, d, 1)
         self.rank = int(np.count_nonzero(self.keep))
         # dlalsd's last dlascl of d and its dlasrt('D').
@@ -697,8 +693,6 @@ class _StagedGelsd:
         qty = np.array(y, order="C")
         self._per_cell(lapack.dormqr, self.qt_args, qty)
         b = qty[:, :j].copy()
-        if j == 1:
-            return b * self.inv
         self._per_cell(lapack.dormbr, self.q_args, b)
         bx = np.zeros_like(b)
         for st, ns, args in self.parts:
@@ -730,11 +724,12 @@ class _StagedGelsd:
 
 
 def _staged(a: np.ndarray) -> _StagedGelsd | None:
-    """dgelsd on a by stages, or None where it would take another path:
-    numpy's LAPACK is out of reach, dgelsd factors no QR first, or it would
-    first scale a, whose largest entry is outside [_SMLNUM, _BIGNUM]."""
+    """dgelsd on a (m, J) by stages, or None where there is no bidiagonal
+    SVD to share (J < 2) or dgelsd would take another path: numpy's LAPACK
+    is out of reach, dgelsd factors no QR first, or it would first scale
+    a, whose largest entry is outside [_SMLNUM, _BIGNUM]."""
     lapack = _lapack()
-    lwork = None if lapack is None else _gelsd_workspace(*a.shape)
+    lwork = None if lapack is None or a.shape[1] < 2 else _gelsd_workspace(*a.shape)
     if lwork is None or not _SMLNUM <= np.max(np.abs(a)) <= _BIGNUM:
         return None
     return _StagedGelsd(lapack, a, lwork)
@@ -768,29 +763,22 @@ def _cell_errors(
     once, from the first cell.  Per chunk of cells, one broadcast matmul
     (per cell the (P, C) @ (C, n) product of a single cell) gives
     x = F(xref), one target call y, and _lstsq the fits with the bits of
-    np.linalg.lstsq: dgelsd's stages on (a, y), or where dgelsd would take
-    another path (no QR first, a or a right-hand side to scale, numpy's
-    LAPACK out of reach) the gufunc behind np.linalg.lstsq.  Rank and
-    singular values depend on the design matrix alone."""
-    n, k = tab.n, tab.k
-    if (target.n, target.k) != (n, k):
-        raise ValueError("target and space live on different (n, k)")
-    if floats.shape[2] != n:
-        raise ValueError("element map dimension mismatch")
-    if k > 3:
-        raise NumericalError("numeric pipeline supports form degree k <= 3")
+    np.linalg.lstsq: dgelsd's stages on (a, y), or for J = 1 and where
+    dgelsd would take another path the gufunc behind np.linalg.lstsq.
+    Rank and singular values depend on the design matrix alone.  The
+    caller checks that target, tab and cells agree; any k <= n runs."""
     nbasis = len(tab.hat)
     errs = np.empty(len(floats))
     cond = None
     with _serial_blas():
         scale, a = _geometry(floats[0], tab, quad.weights)
-        staged = _staged(a) if nbasis else None
+        staged = _staged(a)
         npts = len(scale)
         step = max(1, _CHUNK_VALUES // (npts * len(tab.sig_idx)))
         for start in range(0, len(floats), step):
             xphys = np.matmul(tab.corner_tables[0], floats[start : start + step])
             cells = len(xphys)
-            uvals = target.values(xphys.reshape(-1, n), np.tile(quad.points, (cells, 1)))
+            uvals = target.values(xphys.reshape(cells * npts, -1), np.tile(quad.points, (cells, 1)))
             y = (uvals.reshape(cells, npts, -1) * scale[:, None]).reshape(cells, -1)
             if nbasis:
                 sol, rank, sv = _lstsq(a, y, staged)
@@ -810,7 +798,12 @@ def element_l2_error(
 ) -> float:
     """Broken L2 distance from the target to the mapped reference space on
     one element: the E = 1 case of _cell_errors, on a tabulation made for
-    this call."""
+    this call once rule, target and map are checked against vhat."""
+    _check_rule(vhat.n, quad)
+    if (target.n, target.k) != (vhat.n, vhat.k):
+        raise ValueError("target and space live on different (n, k)")
+    if fmap.n != vhat.n:
+        raise ValueError("element map dimension mismatch")
     errs, _ = _cell_errors(fmap.float_arrays()[None], _tabulation(vhat, quad), target, quad)
     return float(errs[0])
 
@@ -853,6 +846,12 @@ class ConvergenceReport:
     def last_pair_rate(self) -> float | None:
         return self.rate_pairs[-1] if len(self.subdivisions) > 1 else None
 
+    @property
+    def predicted_rate(self) -> int:
+        """s_affine on the affine families (uniform, parallelotope), else s_multilinear."""
+        affine = self.family in ("uniform", "parallelotope")
+        return self.prediction.s_affine if affine else self.prediction.s_multilinear
+
 
 def _mesh_error(
     mesh: Mesh, tab: _Tabulation, target: TargetForm, quad: QuadratureRule
@@ -885,13 +884,17 @@ def convergence_study(
     quad_order: int | None = None,
 ) -> ConvergenceReport:
     """Run the h-refinement study of the broken L2 projection error, with
-    the rates predicted before any mesh is built and the reference element
-    tabulated once for all levels."""
+    the target's (n, k) and every level's N checked and the rates predicted
+    before any mesh is built, and the reference element tabulated once."""
+    if (target.n, target.k) != (vhat.n, vhat.k):
+        raise ValueError("target and space live on different (n, k)")
     subdivision_list = list(subdivision_list)
     if not subdivision_list:
         raise ValueError("need at least one subdivision level")
     if subdivision_list != sorted(set(subdivision_list)):
         raise ValueError("subdivision list must be strictly increasing")
+    for big_n in subdivision_list:
+        _check_subdivisions(family, big_n)
     prediction = predict_rates(vhat)
     n = vhat.n
     q = quad_order if quad_order is not None else default_quad_order(vhat, n)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from math import comb, lcm
-from typing import Mapping
+from typing import Callable, Mapping
 
 from . import exactla
 from .forms import DiffForm, IndexMap, Monomial, _form, _from_ints, enumerate_sigma
@@ -251,6 +251,15 @@ class RatePrediction:
 _MAX_S = 64
 
 
+def _largest_contained(v: FormSpace, probe: Callable[[int], FormSpace], top: int) -> int:
+    """The largest s <= top with probe(1), ..., probe(s) all inside v."""
+    for s in range(1, top + 1):
+        space = probe(s)
+        if space.dim > v.dim or not contains(v, space):
+            return s - 1
+    return top
+
+
 def predict_rates(v: FormSpace) -> RatePrediction:
     """Largest s with P_(s-1) Lambda^k inside V, and with
     Q_(s+k-1)^- Lambda^k inside V.  s = 0 is always admissible since both
@@ -258,16 +267,6 @@ def predict_rates(v: FormSpace) -> RatePrediction:
     if v.is_zero:
         raise ValueError("rate prediction needs a nonzero space")
     n, k = v.n, v.k
-    s_affine = 0
-    for s in range(1, _MAX_S + 1):
-        probe = build_P(s - 1, k, n)
-        if probe.dim > v.dim or not contains(v, probe):
-            break
-        s_affine = s
-    s_multi = 0
-    for s in range(1, s_affine + 1):
-        probe = build_Qminus(s + k - 1, k, n)
-        if probe.dim > v.dim or not contains(v, probe):
-            break
-        s_multi = s
+    s_affine = _largest_contained(v, lambda s: build_P(s - 1, k, n), _MAX_S)
+    s_multi = _largest_contained(v, lambda s: build_Qminus(s + k - 1, k, n), s_affine)
     return RatePrediction(s_affine, s_multi)

@@ -8,12 +8,14 @@ its assertions hold; run with `pytest tests/test_acceptance.py -v -s`.
 
 import random
 from fractions import Fraction
+from functools import cache
 from math import comb
+from pathlib import Path
 
 import pytest
 
 from cubeforms import verify
-from cubeforms.cli import bundled_config_path, parse_config
+from cubeforms.cli import bundled_config_names, bundled_config_path, parse_config
 from cubeforms.dofs import build_dofs, dof_count_by_faces, unisolvence_matrix
 from cubeforms.forms import l2_inner_box, l2_inner_reference
 from cubeforms.mapping import MultilinearMap, pullback_polynomial
@@ -36,6 +38,21 @@ def _ok(name: str, detail: str = "") -> None:
 def _rates(space, target, family, ns, **kw):
     rep = convergence_study(space, target, family, ns, **kw)
     return rep.last_pair_rate, rep
+
+
+# The bundled p2k2_trapezoid levels end at 16 -> 32 (rate 1.35); the rate
+# settles two levels deeper.
+DEEPER = {"p2k2_trapezoid": (16, 32, 64, 128)}
+
+
+@cache
+def _config_report(name, levels=None):
+    """The study a bundled config describes, at its own levels or at levels."""
+    cfg = parse_config(bundled_config_path(name).read_text())
+    return convergence_study(
+        cfg.build_space(), cfg.build_target(), cfg.family, levels or cfg.subdivision_list,
+        d=cfg.d, shear=cfg.shear, quad_order=cfg.quad,
+    )
 
 
 def test_criterion_01_dimension_formula():
@@ -192,19 +209,26 @@ def test_criterion_08e_serendipity_one_forms():
 
 def test_criterion_08f_p2_volume_forms():
     # P_2 Lambda^2 pulled back lands in Q-_1 Lambda^2 only: rate 3 on affine
-    # meshes, 1 on trapezoids.  The bundled p2k2_trapezoid levels end at
-    # 16 -> 32 (rate 1.35); the rate settles two levels deeper.
-    cfg = parse_config(bundled_config_path("p2k2_uniform").read_text())
-    space = cfg.build_space()
-    pred = predict_rates(space)
-    r_uni, _ = _rates(space, cfg.build_target(), cfg.family, cfg.subdivision_list)
-    trap = parse_config(bundled_config_path("p2k2_trapezoid").read_text())
-    r_trap, _ = _rates(space, trap.build_target(), trap.family, [16, 32, 64, 128], d=trap.d)
+    # meshes, 1 on trapezoids.
+    uni = _config_report("p2k2_uniform")
+    pred, r_uni = uni.prediction, uni.last_pair_rate
+    r_trap = _config_report("p2k2_trapezoid", DEEPER["p2k2_trapezoid"]).last_pair_rate
     assert (pred.s_affine, pred.s_multilinear) == (3, 1)
     assert abs(r_uni - pred.s_affine) <= 0.25, r_uni
     assert abs(r_trap - pred.s_multilinear) <= 0.25, r_trap
     _ok("criterion 8f: P2 volume forms, uniform 3 / trapezoid 1 at N = 64 -> 128",
         f"fitted {r_uni:.3f} / {r_trap:.3f}")
+
+
+@pytest.mark.parametrize("name", [Path(f).stem for f in bundled_config_names()])
+def test_bundled_config_rates(name):
+    """Each bundled config's last pair is within 0.25 (2D) or 0.35 (3D) of
+    the rate `cubeforms converge --assert-rates` compares it with, at the
+    config's levels (DEEPER's where those are preasymptotic)."""
+    rep = _config_report(name, DEEPER.get(name))
+    tol = 0.25 if rep.n == 2 else 0.35
+    assert abs(rep.last_pair_rate - rep.predicted_rate) <= tol, rep.rate_pairs
+    _ok(f"bundled {name}: rate {rep.predicted_rate}", f"fitted {rep.last_pair_rate:.3f}")
 
 
 NS_3D = [2, 4, 8]

@@ -254,6 +254,18 @@ class TestConvergeCommand:
         assert capsys.readouterr().err == "config error: rate prediction needs a nonzero space\n"
         assert meshes == [] and not (tmp_path / "out").exists()
 
+    def test_odd_later_level_fails_before_any_mesh(self, tmp_path, capsys, monkeypatch):
+        meshes = []
+        monkeypatch.setattr(meshlab, "build_mesh", lambda *args, **kw: meshes.append(args))
+        cfg = tmp_path / "odd.cfg"
+        cfg.write_text(
+            "[space]\nkind = Qminus\nr = 1\nk = 0\nn = 2\n\n[mesh]\nfamily = trapezoidal\n"
+            "N = 8 16 32 64 65\nd = 3/10\n"
+        )
+        assert cli.main(["converge", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "config error: trapezoidal meshes need an even N >= 2\n"
+        assert meshes == [] and not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "text, reason",
         [

@@ -54,6 +54,8 @@ SHEAR_3D = [
     [Fraction(1, 5), 0, Fraction(1, 2)],
     [Fraction(-1, 6), Fraction(1, 7), 0],
 ]
+# S_12 = 1/5 and S_34 = 1/7.
+SHEAR_4D = [[0, Fraction(1, 5), 0, 0], [0] * 4, [0, 0, 0, Fraction(1, 7)], [0] * 4]
 
 
 def mesh_of(maps, family):
@@ -528,6 +530,16 @@ class TestElementError:
         with pytest.raises(ValueError, match="forms are 3D but the element map is 2D"):
             discrete_l2_pairing(MultilinearMap.identity(2), g, g, gauss_rule(2, 3))
 
+    def test_map_of_other_dimension_fails_before_tabulating(self, monkeypatch):
+        tabs = []
+        monkeypatch.setattr(meshlab, "_tabulation", lambda *args: tabs.append(args))
+        with pytest.raises(ValueError, match="^element map dimension mismatch$"):
+            element_l2_error(
+                MultilinearMap.identity(3), build_Qminus(1, 0, 2), target_trig(2, 0),
+                gauss_rule(2, 3),
+            )
+        assert tabs == []
+
     def test_rank_deficient_quadrature_reported(self):
         space = build_Qminus(1, 0, 2)
         u = target_trig(2, 0)
@@ -809,8 +821,8 @@ def solves(monkeypatch):
 
 
 def _subproblems(staged):
-    """The sizes of dlalsd's subproblems: () for J = 1."""
-    return tuple(size for _, size, _ in getattr(staged, "parts", ()))
+    """The sizes of dlalsd's subproblems."""
+    return tuple(size for _, size, _ in staged.parts)
 
 
 class TestStackedSolve:
@@ -873,8 +885,9 @@ class TestStackedSolve:
 
     def test_fallback_without_lapack_gives_the_same_bits(self, monkeypatch):
         """With numpy's LAPACK out of reach, the first level of every bundled
-        config gives the same errors and conditions; with it, every cell
-        takes the staged route: one dormqr per cell."""
+        config gives the same errors and conditions; with it, every cell of
+        a key with J > 1 takes the staged route: one dormqr per cell.  The
+        16 cells of q1k2_trapezoid (J = 1) take the gufunc."""
         if meshlab._lapack() is None:
             pytest.skip("numpy's BLAS lacks the scipy-openblas64 LAPACK symbols")
         lapack = meshlab._lapack()
@@ -887,8 +900,12 @@ class TestStackedSolve:
         routed_lapack = SimpleNamespace(**{**vars(lapack), "dormqr": counted_ormqr})
         monkeypatch.setattr(meshlab, "_lapack", lambda: routed_lapack)
         routed = _first_levels()
-        cells = sum(rep.subdivisions[0] ** rep.n for rep in routed)
-        assert len(routed) == 14 and len(calls) == cells
+        dims = [
+            parse_config(bundled_config_path(Path(name).stem).read_text()).build_space().dim
+            for name in bundled_config_names()
+        ]
+        cells = sum(rep.subdivisions[0] ** rep.n for rep, dim in zip(routed, dims) if dim > 1)
+        assert len(routed) == 14 and len(calls) == cells == 184
         monkeypatch.setattr(meshlab, "_lapack", lambda: None)
         fallback = _first_levels()
         assert len(calls) == cells
@@ -897,7 +914,7 @@ class TestStackedSolve:
     @pytest.mark.parametrize(
         "family,n,big_n,kw,space,sizes",
         [
-            # Q-_1 Lambda^2: J = 1, dlalsd's N = 1 case; m = 36.
+            # Q-_1 Lambda^2: J = 1, m = 36; no SVD to share, so the gufunc.
             ("trapezoidal", 2, 4, {"d": Fraction(3, 10)}, (1, 2, 2), ()),
             # 1 < J <= SMLSIZ = 25: one dlasdq, then dgemm per cell.
             ("trapezoidal", 2, 4, {"d": Fraction(3, 10)}, (1, 1, 2), (4,)),
@@ -911,8 +928,9 @@ class TestStackedSolve:
     )
     @pytest.mark.parametrize("cells", [None, 1], ids=["all-cells", "one-cell-chunks"])
     def test_each_branch_equals_lstsq_oracle(self, solves, family, n, big_n, kw, space, sizes, cells):
-        """Each branch of the staged solve is taken and gives the bits of
-        np.linalg.lstsq per cell: fits, rank, singular values and errors."""
+        """Each branch of the staged solve, and the gufunc for J = 1, is
+        taken and gives the bits of np.linalg.lstsq per cell: fits, rank,
+        singular values and errors."""
         made, gufunc = solves
         mesh = build_mesh(family, n, big_n, **kw)
         space = build_Qminus(*space)
@@ -931,8 +949,12 @@ class TestStackedSolve:
                 want_sol, _, want_rank, want_sv = np.linalg.lstsq(a, row, rcond=None)
                 assert np.array_equal(got, want_sol) and rank == want_rank
                 assert np.array_equal(sv, want_sv)
-        assert len(made) == calls and not gufunc
-        assert {_subproblems(staged) for staged in made} == {sizes}
+        if sizes:
+            assert len(made) == calls and not gufunc
+            assert {_subproblems(staged) for staged in made} == {sizes}
+        else:
+            # J = 1: every chunk, and each key's _lstsq above, made one gufunc call.
+            assert made == [None] * calls and len(gufunc) == calls + len(mesh.keys)
 
     def test_rank_deficient_key(self, solves):
         """P_4 in 3D on the 4^3 Gauss points: L_4(x), L_4(y) and L_4(z)
@@ -1045,6 +1067,42 @@ class TestConvergenceStudy:
     def test_empty_subdivision_list_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             convergence_study(build_Qminus(1, 0, 2), target_trig(2, 0), "uniform", [])
+
+    @pytest.mark.parametrize(
+        "target,family,levels,want",
+        [
+            (target_trig(2, 2), "uniform", [2, 4], r"target and space live on different \(n, k\)"),
+            (
+                target_trig(2, 1), "trapezoidal", [8, 16, 32, 64, 65],
+                "trapezoidal meshes need an even N >= 2",
+            ),
+        ],
+        ids=["target-of-other-degree", "odd-last-level"],
+    )
+    def test_bad_input_fails_before_any_mesh(self, monkeypatch, target, family, levels, want):
+        """A study's inputs are checked before its first mesh or tabulation."""
+        made = []
+        monkeypatch.setattr(meshlab, "build_mesh", lambda *args, **kw: made.append(args))
+        monkeypatch.setattr(meshlab, "_tabulation", lambda *args: made.append(args))
+        with pytest.raises(ValueError, match=f"^{want}$"):
+            convergence_study(build_Qminus(1, 1, 2), target, family, levels, d=Fraction(3, 10))
+        assert made == []
+
+    @pytest.mark.parametrize(
+        "r,family,shear",
+        [
+            (1, "uniform", None),
+            (2, "parallelotope", SHEAR_4D),
+        ],
+        ids=["Q1-uniform", "Q2-parallelotope"],
+    )
+    def test_top_forms_in_4d(self, r, family, shear):
+        """Q-_r Lambda^4 in 4D runs like any lower degree, at the rate r
+        its affine prediction gives, on the target scale of the 3D configs."""
+        space = build_Qminus(r, 4, 4)
+        rep = convergence_study(space, target_trig(4, 4, 0.25), family, [1, 2, 4], shear=shear)
+        assert rep.prediction.s_affine == r
+        assert abs(rep.last_pair_rate - r) <= 0.35, rep.rate_pairs
 
     def test_default_quad_orders(self):
         assert default_quad_order(build_Qminus(2, 0, 2), 2) == 8
