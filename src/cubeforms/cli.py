@@ -46,6 +46,9 @@ from .spaces import (
 )
 
 SPACE_KINDS = ("P", "Qminus", "serendipity", "SLambda1_2d", "custom")
+# The mesh families that read the distortion d, and the one that reads shear.
+D_FAMILIES = ("trapezoidal", "trilinear3d")
+SHEAR_FAMILY = "parallelotope"
 CSV_HEADER = "family,n,k,r,space,N,h,error,rate_pair,rate_lsq,pred_affine,pred_multilinear"
 
 
@@ -173,9 +176,9 @@ class ExperimentConfig:
             "family": self.family,
             "N": " ".join(str(x) for x in self.subdivision_list),
         }
-        if self.family in ("trapezoidal", "trilinear3d"):
+        if self.family in D_FAMILIES:
             cp["mesh"]["d"] = str(self.d)
-        if self.family == "parallelotope" and self.shear is not None:
+        if self.family == SHEAR_FAMILY and self.shear is not None:
             cp["mesh"]["shear"] = " ".join(
                 str(x) for row in self.shear for x in row
             )
@@ -225,6 +228,12 @@ def parse_config(text: str) -> ExperimentConfig:
         if kind != "custom" and r is None:
             raise ConfigError("space needs r")
         family = me.get("family", "")
+        # A key the family does not read would be dropped from the run.
+        if "d" in me and family not in D_FAMILIES:
+            wanted = " or ".join(D_FAMILIES)
+            raise ConfigError(f"mesh key d needs family {wanted}, not {family!r}")
+        if "shear" in me and family != SHEAR_FAMILY:
+            raise ConfigError(f"mesh key shear needs family {SHEAR_FAMILY}, not {family!r}")
         subdivision_list = [int(x) for x in me.get("N", "").split()]
         if not subdivision_list:
             raise ConfigError("mesh needs an N list")

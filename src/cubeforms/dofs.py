@@ -7,8 +7,10 @@ All verdicts (counts, matrix invertibility, dual bases) are exact.
 
 One private routine, ``_pair``, integrates traces against weights, both as
 integer term tables (``_Terms``); tracing a table is one mask and one
-column drop.  A row of the unisolvence matrix is integers over one row
-denominator, on which ``exactla`` decides invertibility and inverts.
+column drop.  The unisolvence tables are read from the (sigma, exponent)
+items of the monomial spaces, so no basis form is made for them.  A row
+of the unisolvence matrix is integers over one row denominator, on which
+``exactla`` decides invertibility and inverts.
 Fractions are made only for the public matrix, whose zeros share one, and
 at the end of ``apply_dof``, which runs the same pairing on one form.
 """
@@ -25,8 +27,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import exactla
-from .forms import DiffForm, Face
-from .spaces import build_Qminus, dim_Qminus
+from .forms import DiffForm, Face, IndexMap, Monomial
+from .spaces import FormSpace, build_Qminus, dim_Qminus
 
 __all__ = [
     "Face",
@@ -107,6 +109,16 @@ def _terms(forms: Sequence[DiffForm], n: int) -> _Terms:
     shape = (len(items), n)
     exps, mask = np.array(exps, np.int64).reshape(shape), np.array(mask, bool).reshape(shape)
     return _Terms(exps, mask, np.array(coeffs, object), np.array(owner, np.intp), len(forms), denom)
+
+
+def _item_terms(items: Sequence[tuple[IndexMap, Monomial]], n: int) -> _Terms:
+    """The term table of the forms x^e dx^sigma on [0,1]^n of (sigma, e)
+    items, each its own form with coefficient 1, over 1: the table _terms
+    makes of a monomial space's basis, read from its items."""
+    count = len(items)
+    exps = np.array([e for _, e in items], np.int64).reshape(count, n)
+    mask = np.array([[j in sigma for j in range(1, n + 1)] for sigma, _ in items], bool)
+    return _Terms(exps, mask.reshape(count, n), np.ones(count, object), np.arange(count), count, 1)
 
 
 def _trace(terms: _Terms, face: Face) -> _Terms:
@@ -201,24 +213,25 @@ def dof_count_by_faces(r: int, k: int, n: int) -> int:
     )
 
 
-def _int_matrix(r: int, k: int, n: int) -> tuple[list[DiffForm], list[list[int]], list[int]]:
-    """(monomial basis, integer rows, row denominators) of the unisolvence
+def _int_matrix(r: int, k: int, n: int) -> tuple[FormSpace, list[list[int]], list[int]]:
+    """(monomial space, integer rows, row denominators) of the unisolvence
     matrix, rows in the order of ``build_dofs``.  All faces of one dimension
     share one weight table; the basis table is traced onto each face once
-    and paired with all its weights at once."""
-    basis = build_Qminus(r, k, n).basis
-    terms = _terms(basis, n)
+    and paired with all its weights at once.  Both tables are read from the
+    spaces' items, so no basis form is made."""
+    space = build_Qminus(r, k, n)
+    terms = _item_terms(space.items, n)
     rows, denoms = [], []
     for d in range(k, n + 1):
-        weights = build_Qminus(r - 1, d - k, d).basis
+        weights = build_Qminus(r - 1, d - k, d).items
         if not weights:
             continue
-        table = _terms(weights, d)
+        table = _item_terms(weights, d)
         for face in enumerate_faces(n, d):
             block, block_denoms = _pair(_trace(terms, face), table)
             rows += block.tolist()
             denoms += block_denoms
-    return basis, rows, denoms
+    return space, rows, denoms
 
 
 def unisolvence_matrix(r: int, k: int, n: int) -> tuple[list[list[Fraction]], bool]:
@@ -233,10 +246,11 @@ def dual_basis(r: int, k: int, n: int) -> list[DiffForm]:
     """Forms phi_j with xi_i(phi_j) = delta_ij, solved exactly against the
     unisolvence matrix A = D^-1 M, M the integer rows and D their
     denominators: A^-1 = M^-1 D scales column j by row j's denominator."""
-    basis, rows, denoms = _int_matrix(r, k, n)
+    space, rows, denoms = _int_matrix(r, k, n)
     if not exactla.is_invertible(rows):
         raise ArithmeticError(f"unisolvence matrix singular for (r,k,n)=({r},{k},{n})")
     inv = exactla.invert(rows)
+    basis = space.basis
     return [
         sum((b * (row[j] * denom) for b, row in zip(basis, inv) if row[j]), DiffForm.zero(n, k))
         for j, denom in enumerate(denoms)

@@ -16,9 +16,9 @@ evaluates one at x_i = 2^(W s_i), s the strides of a mixed-radix layout,
 ``_int_mul`` multiplies two such ints, ``_slots`` decodes the product's
 bytes with numpy, as one array of W-bit slots when W is 8, 16, 32 or 64,
 and ``_slot_terms`` turns only the nonzero slots into (exponents, int)
-pairs.  Terms that cancel are dropped, never kept as zeros.  ``_stack``
-lays packed polynomials one after another, so that one product pulls back
-many forms (``mapping._pullbacks``).
+pairs.  Terms that cancel are dropped, never kept as zeros.  The same
+mixed-radix layout (``_strides``) indexes the dense integer arrays of
+``mapping._pullbacks``, which ``_slot_terms`` and ``_slot_mask`` read.
 """
 
 from __future__ import annotations
@@ -384,18 +384,6 @@ _SLOT_TYPES = {
     )
     for size in (1, 2, 4, 8)
 }
-
-
-def _stack(packed: Sequence[int], slots: int, width: int) -> int:
-    """sum_i packed[i] << (i slots width): the packed polynomials one after
-    another, each ``slots`` slots long, with every coefficient in
-    [-2^(width-1), 2^(width-1)).  Built in linear time: the bytes of each
-    packed[i] + bias are its digits, so their concatenation is the sum plus
-    the bias of all slots, which is subtracted once."""
-    size = width * slots // 8
-    bias = _bias(width, slots)
-    raw = b"".join([(p + bias).to_bytes(size, "little") for p in packed])
-    return int.from_bytes(raw, "little") - _bias(width, slots * len(packed))
 
 
 def _slots(x: int, slots: int, width: int) -> np.ndarray:

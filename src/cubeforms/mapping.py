@@ -12,22 +12,25 @@ reference shape functions is not polynomial, since the inverse of a
 multilinear map is not; the numeric lab evaluates it at quadrature
 points through the numpy kernels (``meshlab._pushforward``).
 
-Pullback of polynomial forms is fully symbolic and exact, and runs on
-Python ints.  On first use a map builds one cache, kept for its lifetime:
-its components as integer polynomials D F^i, the entries of D DF, memos of
-the minors det((D DF)[sigma, tau]) and of the monomial images D^|e| F^e
-(built from cached powers of each D F^i), the l1 norm of each image and
-the max norm of each minor.  One engine, ``_pullbacks``, pulls back a
-list of k-forms at once: it packs each image and minor once, in one
-layout and slot width shared by the list, stacks the forms' packed sigma
-components one after another (``forms._stack``), makes one product of
-Python ints per (sigma, tau), and decodes each tau once, with numpy
-(``forms._slots``), into a (forms, slots) array of integers over one
-denominator per form.  ``pullback_polynomial`` is the one-form case, read
-back as a DiffForm; ``verify`` reads the nonzero slots of a whole basis
-without building a Polynomial.  ``jacobian`` and the validity proof read
-D DF and det(D DF), its top minor, from the same cache.  A map is never
-changed after construction, so the cache never goes stale.
+Pullback of polynomial forms is fully symbolic and exact.  On first use a
+map builds one cache, kept for its lifetime: its components as integer
+polynomials D F^i, the entries of D DF, memos of the minors
+det((D DF)[sigma, tau]) and of the monomial images D^|e| F^e (each one
+image of lower degree times one D F^i), the l1 norm of each image and the
+max norm of each minor.  One engine, ``_pullbacks``, pulls back a list of
+k-forms at once, on dense integer arrays in one mixed-radix layout shared
+by the list: per sigma, the forms with a sigma component are one block of
+rows, each row the form's sum of scaled images, and multiplying a block by
+a minor is one shifted add per minor term.  The arrays are int64 when the
+cached norms bound every value below 2^63 and hold Python ints otherwise.
+The result is one (forms, slots) array per tau of integers over one
+denominator per form.  ``_pull_all`` reads back forms of mixed degrees as
+DiffForms, with one ``_pullbacks`` call per degree, and
+``pullback_polynomial`` is its one-form case; ``verify`` reads the nonzero
+slots of a whole basis without building a Polynomial.  ``jacobian`` and
+the validity proof read D DF and det(D DF), its top minor, from the same
+cache.  A map is never changed after construction, so the cache never
+goes stale.
 """
 
 from __future__ import annotations
@@ -35,9 +38,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 from math import comb, gcd, lcm, prod
-from operator import index
+from operator import index, mul
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -46,16 +49,14 @@ from .forms import (
     DiffForm,
     IndexMap,
     IntPoly,
+    Monomial,
     Polynomial,
     Scalar,
     _form,
     _from_ints,
     _int_mul,
-    _pack,
     _slot_terms,
-    _slots,
-    _stack,
-    _width,
+    _strides,
     enumerate_sigma,
 )
 
@@ -168,7 +169,7 @@ class _ClearedMap:
     """The pullback cache of one map F (see the module docstring), with
     entries[i][j] = D dF^(i+1)/dx^(j+1) as an integer polynomial."""
 
-    __slots__ = ("n", "denom", "entries", "_powers", "_images", "_minors", "_norms")
+    __slots__ = ("n", "denom", "entries", "_images", "_minors", "_norms")
 
     def __init__(self, fmap: MultilinearMap):
         n = fmap.n
@@ -180,12 +181,16 @@ class _ClearedMap:
             for comp in comps
         ]
         self.n = n
-        # _powers[i][p] = (D F^(i+1))^p.
-        self._powers = [[{(0,) * n: 1}, comp] for comp in comps]
-        self._images: dict[tuple[int, ...], IntPoly] = {}
+        # Images start from e = 0 and the unit exponents: 1 and the D F^i.
+        zero = (0,) * n
+        self._images: dict[tuple[int, ...], IntPoly] = {zero: {zero: 1}}
+        for i, comp in enumerate(comps):
+            self._images[zero[:i] + (1,) + zero[i + 1 :]] = comp
         self._minors: dict[tuple[IndexMap, IndexMap], IntPoly] = {}
         # The l1 norm of each image and the max norm of each minor, by key.
-        self._norms: dict[tuple, int] = {}
+        self._norms: dict[tuple, int] = {
+            e: sum(map(abs, image.values())) for e, image in self._images.items()
+        }
 
     def minor(self, sigma: IndexMap, tau: IndexMap) -> IntPoly:
         """det((D DF)[sigma, tau]) for 1-based rows sigma and columns tau,
@@ -195,6 +200,8 @@ class _ClearedMap:
         if got is None:
             if not sigma:
                 got = {(0,) * self.n: 1}
+            elif len(sigma) == 1:
+                got = self.entries[sigma[0] - 1][tau[0] - 1]
             else:
                 got = {}
                 row = self.entries[sigma[0] - 1]
@@ -208,15 +215,14 @@ class _ClearedMap:
         return got
 
     def image(self, exps: tuple[int, ...]) -> IntPoly:
-        """D^|e| F^e = prod_i (D F^i)^(e_i) for the exponent tuple e."""
+        """D^|e| F^e = prod_i (D F^i)^(e_i) for the exponent tuple e, made
+        as image(e - u_j) D F^j, j the last variable with e_j > 0."""
         got = self._images.get(exps)
         if got is None:
-            got = {(0,) * self.n: 1}
-            for powers, e in zip(self._powers, exps):
-                while len(powers) <= e:
-                    powers.append(_int_mul(powers[-1], powers[1]))
-                if e:
-                    got = _int_mul(got, powers[e])
+            j = max(i for i, e in enumerate(exps) if e)
+            lower = exps[:j] + (exps[j] - 1,) + exps[j + 1 :]
+            unit = (0,) * j + (1,) + (0,) * (self.n - j - 1)
+            got = _int_mul(self.image(lower), self._images[unit])
             self._images[exps] = got
             self._norms[exps] = sum(map(abs, got.values()))
         return got
@@ -394,7 +400,7 @@ class _Pullbacks(NamedTuple):
 
 def _pullbacks(fmap: MultilinearMap, forms: Sequence[DiffForm]) -> _Pullbacks:
     """The exact pullbacks F*v of a nonempty list of polynomial k-forms on
-    the map's cube, in one shared layout and slot width.
+    the map's cube, in one shared layout.
 
     Expands (v_sigma o F) det(DF[sigma, tau]) over increasing tau, which is
     the component form of the coordinate pullback formula.  With L the lcm
@@ -403,15 +409,24 @@ def _pullbacks(fmap: MultilinearMap, forms: Sequence[DiffForm]) -> _Pullbacks:
     a_e (L / L_sigma) D^(m-|e|) (D^|e| F^e) in integers,
     so component tau is an integer polynomial over L D^(m+k).  Its degree
     in each variable is at most m + k, so with M the largest m of the list
-    every product runs in the packed layout of radix M + k + 1 per variable
-    (forms._pack).  The forms are stacked as an outer slot dimension: for
-    each sigma, sum_e scale_e image_e of every form, packed, is one operand
-    (forms._stack), so component tau of all forms is
-    sum_sigma operand_sigma minor(sigma, tau): one product of Python ints
-    per (sigma, tau), decoded once per tau into a (forms, slots) array.
-    The slot width bounds each output coefficient by
-    sum_sigma (sum_e |scale_e| l1(image_e)) max|minor| and each operand
-    coefficient by its l1 sum, over all forms.
+    every polynomial has a slot in the dense layout of radix M + k + 1 per
+    variable, x^b at the flat offset sum_i b_i strides_i, and adding the
+    offsets of two polynomials whose degrees sum to at most M + k never
+    carries into the next variable.  Operands, of degree at most M, fit in
+    the first M sum_i strides_i + 1 slots.
+
+    For each sigma, the forms with a sigma term are one block of rows, row
+    i the operand sum_e scale_e image_e of form i.  The block times
+    minor(sigma, tau) is one shifted add ``acc[:, o : o + width] += c * op``
+    per minor term c x^b, o the offset of b, and acc is added into those
+    rows of part tau.  Every partial sum of an operand coefficient is at
+    most sum_e |scale_e| l1(image_e), and every partial sum of an output
+    coefficient at most sum_sigma (sum_e |scale_e| l1(image_e))
+    max|minor(sigma, tau)|.  Terms with a zero image are dropped, so each
+    l1(image_e) >= 1 and these bounds also hold for every scale, image
+    coefficient and minor coefficient a block is multiplied by.  The arrays
+    are int64 when these exact bounds are below 2^63, and the same code
+    runs on Python ints (object arrays) otherwise.
     """
     n = fmap.n
     k = forms[0].k
@@ -420,59 +435,80 @@ def _pullbacks(fmap: MultilinearMap, forms: Sequence[DiffForm]) -> _Pullbacks:
     cleared = fmap._int_data()
     d = cleared.denom
     taus = enumerate_sigma(k, n)
+    position = {tau: j for j, tau in enumerate(taus)}
     tops = [f.max_degree() for f in forms]
-    layout = (max(0, *tops) + k + 1,) * n
-    slots = prod(layout)
-    scaled, denoms, bound = [], [], 0
-    for f, m in zip(forms, tops):
+    top = max(0, *tops)
+    layout = (top + k + 1,) * n
+    size = prod(layout)
+    strides = _strides(layout)[0]
+    width = top * sum(strides) + 1
+    # Per sigma: the forms with a sigma term of nonzero image (rows), where
+    # each row's terms start, and per term its image (a column) and scale.
+    blocks: dict[IndexMap, tuple[list[int], list[int], list[int], list[int]]] = {}
+    column: dict[Monomial, int] = {}
+    norms = np.zeros((len(forms), len(taus)), object)
+    denoms = []
+    for i, (f, m) in enumerate(zip(forms, tops)):
         big_l = lcm(*(p.denom for p in f.components.values()))
-        terms = {
-            sigma: [
-                (exps, c * (big_l // poly.denom) * d ** (m - sum(exps)))
-                for exps, c in poly.ints.items()
-            ]
-            for sigma, poly in f.components.items()
-        }
-        l1 = {
-            sigma: sum(abs(s) * cleared.image_l1(exps) for exps, s in group)
-            for sigma, group in terms.items()
-        }
-        outputs = (sum(x * cleared.minor_max(s, tau) for s, x in l1.items()) for tau in taus)
-        bound = max([bound, *l1.values(), *outputs])
-        scaled.append(terms)
-        denoms.append(big_l * d ** (m + k) if terms else 1)
-    width = _width(bound)
-    images: dict[tuple[int, ...], int] = {}
-
-    def packed(exps: tuple[int, ...]) -> int:
-        got = images.get(exps)
-        if got is None:
-            got = images[exps] = _pack(cleared.image(exps), layout, width)
-        return got
-
-    operands = {}
-    for sigma in taus:
-        column = [sum(s * packed(exps) for exps, s in terms.get(sigma, ())) for terms in scaled]
-        used = [i for i, x in enumerate(column) if x]
-        if used:
-            # The forms before the first one with a sigma term are shifted in.
-            stacked = _stack(column[used[0] : used[-1] + 1], slots, width)
-            operands[sigma] = (stacked, used[0] * slots * width)
-    parts = {}
-    for tau in taus:
-        total = sum(
-            x * _pack(cleared.minor(sigma, tau), layout, width) << shift
-            for sigma, (x, shift) in operands.items()
-        )
-        parts[tau] = _slots(total, len(forms) * slots, width).reshape(len(forms), slots)
+        for sigma, poly in f.components.items():
+            rows, starts, cols, scales = blocks.setdefault(sigma, ([], [], [], []))
+            start, l1 = len(cols), 0
+            for exps, c in poly.ints.items():
+                norm = cleared.image_l1(exps)
+                if norm:
+                    scale = c * (big_l // poly.denom) * d ** (m - sum(exps))
+                    cols.append(column.setdefault(exps, len(column)))
+                    scales.append(scale)
+                    l1 += abs(scale) * norm
+            if l1:
+                rows.append(i)
+                starts.append(start)
+                norms[i, position[sigma]] = l1
+        denoms.append(big_l * d ** (m + k) if f.components else 1)
+    blocks = {sigma: block for sigma, block in blocks.items() if block[0]}
+    maxima = np.zeros((len(taus), len(taus)), object)
+    for sigma in blocks:
+        maxima[position[sigma]] = [cleared.minor_max(sigma, tau) for tau in taus]
+    bound = max(norms.max(), (norms @ maxima).max())
+    dtype = np.int64 if bound < 2**63 else object
+    polys = [cleared.image(exps) for exps in column]
+    owner = np.repeat(np.arange(len(polys)), [len(p) for p in polys])
+    exps = np.fromiter(chain.from_iterable(chain.from_iterable(polys)), np.int64)
+    images = np.zeros((len(polys), width), dtype)
+    images[owner, exps.reshape(-1, n) @ strides] = np.fromiter(
+        chain.from_iterable(p.values() for p in polys), dtype
+    )
+    parts = {tau: np.zeros((len(forms), size), dtype) for tau in taus}
+    for sigma, (rows, starts, cols, scales) in blocks.items():
+        op = np.add.reduceat(np.array(scales, dtype)[:, None] * images[cols], starts)
+        for tau in taus:
+            acc = np.zeros((len(rows), size), dtype)
+            for b, c in cleared.minor(sigma, tau).items():
+                o = sum(map(mul, b, strides))
+                acc[:, o : o + width] += c * op
+            parts[tau][rows] += acc
     return _Pullbacks(n, k, layout, denoms, parts)
+
+
+def _pull_all(fmap: MultilinearMap, forms: Sequence[DiffForm]) -> list[DiffForm]:
+    """F*v for each polynomial form v on the map's cube, by one _pullbacks
+    call per form degree; a form of degree k > n pulls back to the zero
+    form."""
+    by_degree: dict[int, list[int]] = {}
+    for i, v in enumerate(forms):
+        by_degree.setdefault(v.k, []).append(i)
+    out = [DiffForm.zero(fmap.n, v.k) for v in forms]
+    for k, rows in by_degree.items():
+        if k <= fmap.n:
+            table = _pullbacks(fmap, [forms[i] for i in rows])
+            for j, i in enumerate(rows):
+                out[i] = table.form(j)
+    return out
 
 
 def pullback_polynomial(fmap: MultilinearMap, v: DiffForm) -> DiffForm:
     """Exact pullback F*v of a polynomial k-form through a multilinear map:
-    the one-form case of _pullbacks."""
+    the one-form case of _pull_all."""
     if v.n != fmap.n:
         raise ValueError("form dimension does not match the map")
-    if v.k > v.n:
-        return DiffForm.zero(v.n, v.k)
-    return _pullbacks(fmap, [v]).form(0)
+    return _pull_all(fmap, [v])[0]

@@ -1,11 +1,14 @@
 """Reference shape-function spaces on the unit n-cube and the rate predictor.
 
-Builders produce explicit monomial-form bases for the tensor-product family
-Q_r^- Lambda^k, the full polynomial family P_r Lambda^k, the scalar
-serendipity family, and the 2D serendipity 1-form family.  Inclusion
-testing is exact: spaces whose basis forms are single terms c x^e dx^sigma
-are compared by coordinate-set inclusion, one set test per component
-(equivalent to the rank test and much faster), anything else falls back to
+Builders produce monomial-form spaces for the tensor-product family
+Q_r^- Lambda^k, the full polynomial family P_r Lambda^k and the scalar
+serendipity family, and an explicit basis for the 2D serendipity 1-form
+family.  A monomial space is made from its (sigma, exponent) items; its
+basis forms x^e dx^sigma are made only when a caller reads ``basis``.
+Inclusion testing is exact: spaces whose basis forms are single terms
+c x^e dx^sigma are compared by coordinate-set inclusion, one set test per
+component (equivalent to the rank test and much faster), so ``contains``
+between two such spaces reads no basis form; anything else falls back to
 fraction-free row reduction in ``exactla``, on each form's coefficients as
 integers over the lcm of its components' denominators.
 """
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from math import comb, lcm
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from . import exactla
 from .forms import DiffForm, IndexMap, Monomial, _form, _from_ints, enumerate_sigma
@@ -37,29 +40,55 @@ __all__ = [
 ]
 
 
-@dataclass
 class FormSpace:
-    """A finite-dimensional span of differential k-forms on [0,1]^n, given
-    by its basis alone; what in_span reads of it is derived from the basis."""
+    """A finite-dimensional span of differential k-forms on [0,1]^n.
 
-    n: int
-    k: int
-    basis: list[DiffForm]
-    label: str = ""
+    A space is given by its basis, or, by the builders, by distinct
+    (sigma, exponent) ``items``, each the form x^e dx^sigma.  A space of
+    items takes its dim and monomial_coords from them and makes its basis
+    forms, in item order, only when ``basis`` is first read; for a space
+    given by its basis, items is None and what in_span reads of it is
+    derived from the basis.  Spaces are equal when their n, k, basis and
+    label are."""
 
-    def __post_init__(self):
-        for f in self.basis:
-            if f.n != self.n or f.k != self.k:
-                raise ValueError(f"basis form with (n,k)=({f.n},{f.k}) in space ({self.n},{self.k})")
-        self._coords = _single_term_coords(self.basis)
+    def __init__(self, n: int, k: int, basis: list[DiffForm], label: str = ""):
+        for f in basis:
+            if f.n != n or f.k != k:
+                raise ValueError(f"basis form with (n,k)=({f.n},{f.k}) in space ({n},{k})")
+        self.n, self.k, self.label = n, k, label
+        self.items: list[tuple[IndexMap, Monomial]] | None = None
+        self._basis: list[DiffForm] | None = basis
+        self._coords = _single_term_coords(basis)
+
+    @classmethod
+    def _from_items(
+        cls, n: int, k: int, items: list[tuple[IndexMap, Monomial]], label: str
+    ) -> "FormSpace":
+        """The span of the forms x^e dx^sigma over distinct (sigma, e) items."""
+        space = cls.__new__(cls)
+        space.n, space.k, space.label = n, k, label
+        space.items = items
+        space._basis = None
+        space._coords = _group(items)
+        return space
+
+    @property
+    def basis(self) -> list[DiffForm]:
+        """The basis forms; a space of items makes them on first read."""
+        if self._basis is None:
+            n, k = self.n, self.k
+            self._basis = [
+                _form(n, k, {sigma: _from_ints(n, ((exps, 1),), 1)}) for sigma, exps in self.items
+            ]
+        return self._basis
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.basis if self.items is None else self.items)
 
     @property
     def is_zero(self) -> bool:
-        return not self.basis
+        return not self.dim
 
     @property
     def monomial_coords(self) -> Mapping[IndexMap, frozenset[Monomial]] | None:
@@ -67,6 +96,16 @@ class FormSpace:
         basis form is a single term c x^e dx^sigma, else None.  Enables the
         fast membership path in in_span()."""
         return self._coords
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FormSpace):
+            return NotImplemented
+        return (self.n, self.k, self.label) == (other.n, other.k, other.label) and (
+            self.basis == other.basis
+        )
+
+    def __repr__(self) -> str:
+        return f"FormSpace(n={self.n}, k={self.k}, dim={self.dim}, label={self.label!r})"
 
     @cached_property
     def _echelon(self) -> tuple:
@@ -89,29 +128,25 @@ class FormSpace:
         return len(self._echelon[2])
 
 
-def _single_term_coords(basis: list[DiffForm]) -> dict[IndexMap, frozenset[Monomial]] | None:
-    """The exponents of each index map in a basis of single-term forms,
-    None if a form has another number of terms."""
+def _group(items: Iterable[tuple[IndexMap, Monomial]]) -> dict[IndexMap, frozenset[Monomial]]:
+    """The exponents of (sigma, exponent) pairs, grouped by index map."""
     coords: dict[IndexMap, set[Monomial]] = {}
-    for f in basis:
-        terms = [(sigma, exps) for sigma, poly in f.components.items() for exps in poly.ints]
-        if len(terms) != 1:
-            return None
-        ((sigma, exps),) = terms
+    for sigma, exps in items:
         coords.setdefault(sigma, set()).add(exps)
     return {sigma: frozenset(group) for sigma, group in coords.items()}
 
 
+def _single_term_coords(basis: list[DiffForm]) -> dict[IndexMap, frozenset[Monomial]] | None:
+    """The exponents of each index map in a basis of single-term forms,
+    None if a form has another number of terms."""
+    terms = [[(s, e) for s, poly in f.components.items() for e in poly.ints] for f in basis]
+    if any(len(t) != 1 for t in terms):
+        return None
+    return _group(t for (t,) in terms)
+
+
 def zero_space(n: int, k: int, label: str = "zero") -> FormSpace:
-    return FormSpace(n, k, [], label)
-
-
-def _monomial_space(
-    n: int, k: int, items: list[tuple[IndexMap, Monomial]], label: str
-) -> FormSpace:
-    """The span of the forms x^e dx^sigma over distinct (sigma, e) items."""
-    basis = [_form(n, k, {sigma: _from_ints(n, ((exps, 1),), 1)}) for sigma, exps in items]
-    return FormSpace(n, k, basis, label)
+    return FormSpace._from_items(n, k, [], label)
 
 
 def build_P(r: int, k: int, n: int) -> FormSpace:
@@ -129,7 +164,7 @@ def build_P(r: int, k: int, n: int) -> FormSpace:
     monos = [e for e in product(range(r + 1), repeat=n) if sum(e) <= r]
     monos.sort()
     items = [(s, e) for s in sigmas for e in monos]
-    space = _monomial_space(n, k, items, label)
+    space = FormSpace._from_items(n, k, items, label)
     assert space.dim == comb(n, k) * comb(n + r, n)
     return space
 
@@ -158,7 +193,7 @@ def build_Qminus(r: int, k: int, n: int) -> FormSpace:
         caps = [r - 1 if i in sset else r for i in range(1, n + 1)]
         for exps in product(*(range(c + 1) for c in caps)):
             items.append((sigma, exps))
-    space = _monomial_space(n, k, items, label)
+    space = FormSpace._from_items(n, k, items, label)
     assert space.dim == dim_Qminus(r, k, n)
     return space
 
@@ -180,7 +215,7 @@ def build_serendipity(r: int, n: int) -> FormSpace:
         for e in sorted(product(range(r + 1), repeat=n))
         if superlinear_degree(e) <= r
     ]
-    return _monomial_space(n, 0, items, label)
+    return FormSpace._from_items(n, 0, items, label)
 
 
 def build_SrLambda1_2d(r: int) -> FormSpace:
@@ -232,9 +267,13 @@ def in_span(space: FormSpace, f: DiffForm) -> bool:
 
 
 def contains(v: FormSpace, w: FormSpace) -> bool:
-    """True iff every basis element of w lies in span(v).  Exact."""
+    """True iff every basis element of w lies in span(v).  Exact; when both
+    spaces are single-term, one set inclusion per index map of w."""
     if v.n != w.n or v.k != w.k:
         raise ValueError("spaces live on different (n, k)")
+    have, want = v.monomial_coords, w.monomial_coords
+    if have is not None and want is not None:
+        return all(exps <= have.get(sigma, _NOTHING) for sigma, exps in want.items())
     return all(in_span(v, f) for f in w.basis)
 
 

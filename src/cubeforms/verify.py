@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 from typing import Mapping
 
 from . import exactla
@@ -19,6 +20,7 @@ from .mapping import (
     MultilinearMap,
     _corners,
     _Pullbacks,
+    _pull_all,
     _pullbacks,
     check_diffeo,
     map_from_vertices,
@@ -199,8 +201,11 @@ def check_pullback_inclusions(
     """Affine pullbacks stay in P_r; multilinear pullbacks land in
     Q_(r+k)^-, where r is the total degree of the pulled monomial.  The
     degree-max_r monomial basis of each k is pulled back through each map at
-    once (mapping._pullbacks).  Also naturality (d commutes) and wedge
-    preservation, all exact."""
+    once (mapping._pullbacks), and the target spaces are read by their
+    monomial exponents alone.  Also naturality (F*(dv) = d(F*v)) and wedge
+    preservation (F*(v ^ w) = F*v ^ F*w) on the sample forms, through one
+    more map: every F*v, F*(dv) and F*(v ^ w) is pulled back by one
+    mapping._pull_all, one _pullbacks call per form degree.  All exact."""
     rng = random.Random(seed)
     out = []
     qspaces = {
@@ -228,13 +233,15 @@ def check_pullback_inclusions(
         out.append((f"pullback-affine->P n={n} map={idx}", ok_p))
     fmap = random_rational_multilinear(n, rng)
     forms = _sample_forms(n)
-    pulled = [pullback_polynomial(fmap, f) for f in forms]
-    ok_nat = all(pullback_polynomial(fmap, f.d()) == pf.d() for f, pf in zip(forms, pulled))
+    m = len(forms)
+    flat = _pull_all(
+        fmap, forms + [f.d() for f in forms] + [f.wedge(g) for f in forms for g in forms]
+    )
+    pulled, pulled_d, pulled_wedges = flat[:m], flat[m : 2 * m], flat[2 * m :]
+    ok_nat = all(pdf == pf.d() for pf, pdf in zip(pulled, pulled_d))
     out.append((f"pullback-naturality n={n}", ok_nat))
     ok_wedge = all(
-        pullback_polynomial(fmap, f.wedge(g)) == pf.wedge(pg)
-        for f, pf in zip(forms, pulled)
-        for g, pg in zip(forms, pulled)
+        pfg == pf.wedge(pg) for pfg, (pf, pg) in zip(pulled_wedges, product(pulled, repeat=2))
     )
     out.append((f"pullback-wedge n={n}", ok_wedge))
     return out

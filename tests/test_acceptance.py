@@ -45,14 +45,26 @@ def _rates(space, target, family, ns, **kw):
 DEEPER = {"p2k2_trapezoid": (16, 32, 64, 128)}
 
 
-@cache
 def _config_report(name, levels=None):
-    """The study a bundled config describes, at its own levels or at levels."""
+    """The study a bundled config describes, at its own levels or at levels.
+    Criteria 8 and 9 read the same studies as test_bundled_config_rates,
+    from one memo keyed by (name, levels), so each runs once per session."""
+    return _study(name, levels)
+
+
+@cache
+def _study(name, levels):
     cfg = parse_config(bundled_config_path(name).read_text())
     return convergence_study(
         cfg.build_space(), cfg.build_target(), cfg.family, levels or cfg.subdivision_list,
         d=cfg.d, shear=cfg.shear, quad_order=cfg.quad,
     )
+
+
+def _bundled(name):
+    """(last-pair rate, report) of a bundled config's study at its levels."""
+    rep = _config_report(name)
+    return rep.last_pair_rate, rep
 
 
 def test_criterion_01_dimension_formula():
@@ -151,20 +163,15 @@ def test_criterion_07_dilation_scaling():
     _ok("criterion 7: dilation L2 scaling h^(2k-n) for h in {1/2, 1/3, 2} (exact)")
 
 
-NS_2D = [4, 8, 16, 32]
-
-
 def test_criterion_08a_q1_scalars_uniform():
-    rate, _ = _rates(build_Qminus(1, 0, 2), target_trig(2, 0), "uniform", NS_2D)
+    rate, _ = _bundled("q1k0_uniform")
     assert abs(rate - 2) <= 0.25, rate
     _ok("criterion 8a: Q1 scalar uniform rate 2", f"fitted {rate:.3f}")
 
 
 def test_criterion_08b_q2_volume_forms():
-    space = build_Qminus(2, 2, 2)
-    target = target_trig(2, 2)
-    r_uni, _ = _rates(space, target, "uniform", NS_2D)
-    r_trap, _ = _rates(space, target, "trapezoidal", NS_2D, d=Fraction(3, 10))
+    r_uni, _ = _bundled("q2k2_uniform")
+    r_trap, _ = _bundled("q2k2_trapezoid")
     assert abs(r_uni - 2) <= 0.25, r_uni
     assert abs(r_trap - 1) <= 0.25, r_trap
     _ok("criterion 8b: Q2- volume forms, uniform 2 / trapezoid 1",
@@ -172,9 +179,7 @@ def test_criterion_08b_q2_volume_forms():
 
 
 def test_criterion_08c_q1_volume_forms_no_convergence():
-    rate, rep = _rates(
-        build_Qminus(1, 2, 2), target_trig(2, 2), "trapezoidal", NS_2D, d=Fraction(3, 10)
-    )
+    rate, rep = _bundled("q1k2_trapezoid")
     assert rate < 0.2, rate
     assert min(rep.errors) > 0.05, rep.errors
     _ok("criterion 8c: Q1- volume forms trapezoid, no convergence",
@@ -182,10 +187,8 @@ def test_criterion_08c_q1_volume_forms_no_convergence():
 
 
 def test_criterion_08d_serendipity_scalars():
-    space = build_serendipity(3, 2)
-    target = target_trig(2, 0)
-    r_uni, _ = _rates(space, target, "uniform", NS_2D)
-    r_trap, _ = _rates(space, target, "trapezoidal", NS_2D, d=Fraction(3, 10))
+    r_uni, _ = _bundled("s3k0_uniform")
+    r_trap, _ = _bundled("s3k0_trapezoid")
     assert abs(r_uni - 4) <= 0.25, r_uni
     assert abs(r_trap - 2) <= 0.25, r_trap
     _ok("criterion 8d: S3 scalars, uniform 4 / trapezoid 2",
@@ -193,13 +196,9 @@ def test_criterion_08d_serendipity_scalars():
 
 
 def test_criterion_08e_serendipity_one_forms():
-    space = build_SrLambda1_2d(2)
-    target = target_trig(2, 1)
-    r_uni, _ = _rates(space, target, "uniform", NS_2D)
-    r_par, _ = _rates(
-        space, target, "parallelotope", NS_2D, shear=[[0, Fraction(1, 2)], [0, 0]]
-    )
-    r_trap, _ = _rates(space, target, "trapezoidal", NS_2D, d=Fraction(3, 10))
+    r_uni, _ = _bundled("s2k1_uniform")
+    r_par, _ = _bundled("s2k1_parallelotope")
+    r_trap, _ = _bundled("s2k1_trapezoid")
     assert abs(r_uni - 3) <= 0.25, r_uni
     assert abs(r_par - 3) <= 0.25, r_par
     assert abs(r_trap - 1) <= 0.25, r_trap
@@ -231,19 +230,14 @@ def test_bundled_config_rates(name):
     _ok(f"bundled {name}: rate {rep.predicted_rate}", f"fitted {rep.last_pair_rate:.3f}")
 
 
-NS_3D = [2, 4, 8]
 SCALE_3D = 0.25
 
 
 def test_criterion_09_three_dimensional_rates():
-    r_scalar, _ = _rates(
-        build_Qminus(1, 0, 3), target_trig(3, 0, SCALE_3D), "uniform", NS_3D
-    )
+    r_scalar, _ = _bundled("q1k0_uniform3d")
     assert abs(r_scalar - 2) <= 0.35, r_scalar
-    space = build_Qminus(2, 2, 3)
-    target = target_trig(3, 2, SCALE_3D)
-    r_uni, _ = _rates(space, target, "uniform", NS_3D)
-    r_tri, _ = _rates(space, target, "trilinear3d", NS_3D, d=Fraction(3, 10))
+    r_uni, _ = _bundled("q2k2_uniform3d")
+    r_tri, _ = _bundled("q2k2_trilinear3d")
     assert abs(r_uni - 2) <= 0.35, r_uni
     assert abs(r_tri - 1) <= 0.35, r_tri
     _ok("criterion 9: 3D rates, Q1 scalar 2 / Q2- faces uniform 2 / trilinear 1",

@@ -18,7 +18,10 @@ from cubeforms.cli import (
 )
 from cubeforms.forms import DiffForm
 
+import rates_grid
+
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+RATES_GRID = Path(__file__).resolve().parent / "rates_grid.txt"
 
 TINY_CFG = """
 [space]
@@ -96,6 +99,28 @@ class TestConfigRoundTrip:
         with pytest.raises(ConfigError):
             parse_config(TINY_CFG.replace("Qminus", "Qplus"))
 
+    @pytest.mark.parametrize(
+        "family, key, wanted",
+        [
+            ("uniform", "d = 3/10", "trapezoidal or trilinear3d"),
+            ("parallelotope", "d = 0", "trapezoidal or trilinear3d"),
+            ("uniform", "shear = 0 1/2 0 0", "parallelotope"),
+            ("trapezoidal", "shear = 0 0 0 0", "parallelotope"),
+        ],
+    )
+    def test_key_the_family_ignores_is_rejected(self, tmp_path, capsys, family, key, wanted):
+        message = f"mesh key {key.split()[0]} needs family {wanted}, not {family!r}"
+        # Each family ignores the other's key, and the run record drops it.
+        text = TINY_CFG.replace("family = uniform", f"family = {family}\n{key}")
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert str(err.value) == message
+        cfg = tmp_path / "ignored.cfg"
+        cfg.write_text(text)
+        assert cli.main(["converge", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_shear_length_checked(self):
         text = TINY_CFG.replace("family = uniform", "family = parallelotope\nshear = 0 1/2")
         with pytest.raises(ConfigError):
@@ -151,6 +176,12 @@ class TestCheckCommand:
 
 
 class TestRatesCommand:
+    def test_grid_matches_the_recorded_output(self):
+        # Every space of the grid goes through predict_rates, which builds
+        # monomial spaces from their items and compares them by exponent
+        # sets; tests/rates_grid.txt pins the rates that come out.
+        assert rates_grid.render() == RATES_GRID.read_text()
+
     def test_qminus_range(self, capsys):
         rc = cli.main(["rates", "--kind", "Qminus", "--r", "1..3", "--k", "2", "--n", "2"])
         out = capsys.readouterr().out

@@ -24,6 +24,7 @@ from cubeforms.mapping import (
     _corners,
     _det_bernstein,
     _halve,
+    _pull_all,
     _pullbacks,
     check_diffeo,
     jacobian,
@@ -649,6 +650,31 @@ class TestBatchedPullback:
         table = assert_batched(fmap, [zero, v, zero, zero, w, zero, v])
         assert table.form(2) == zero
         assert table.form(6) == table.form(1) == reference_pullback(fmap, v)
+
+    @pytest.mark.parametrize(
+        "c, dtype",
+        [(2**62 - 1, np.int64), (2**62, object), (2**62 + 1, object)],
+        ids=["bound 2^63-2", "bound 2^63", "bound 2^63+2"],
+    )
+    def test_int64_only_below_two_to_the_63(self, c, dtype):
+        # Through F(x) = 2x, D = 1, the 1-form c dx is one operand slot c
+        # and one minor term 2, so the engine's bound is 2c, reached by
+        # the output coefficient itself: int64 would wrap from 2^63 on.
+        fmap = MultilinearMap.dilation(1, 2)
+        v = DiffForm.monomial_form(1, (1,), (0,), c)
+        table = _pullbacks(fmap, [v])
+        assert all(part.dtype == dtype for part in table.parts.values())
+        assert table.form(0) == reference_pullback(fmap, v)
+        assert table.form(0).component((1,)).ints == {(0,): 2 * c}
+
+    def test_mixed_degrees_match_textbook_formula(self, rng):
+        # The list the naturality and wedge checks pull back: one _pullbacks
+        # call per degree, and degrees above n give the zero form.
+        fmap = random_rational_multilinear(2, rng)
+        forms = verify._sample_forms(2)
+        forms += [f.d() for f in forms] + [f.wedge(g) for f in forms for g in forms]
+        for v, pulled in zip(forms, _pull_all(fmap, forms), strict=True):
+            assert pulled == (DiffForm.zero(2, v.k) if v.k > 2 else reference_pullback(fmap, v))
 
     def test_rejects_forms_of_another_shape(self, rng):
         fmap = random_rational_multilinear(2, rng)
