@@ -11,14 +11,14 @@ A Polynomial is an integer polynomial (``IntPoly``, exponents to nonzero
 ints) over one positive denominator, in lowest terms: the one exact
 format that maps, pullbacks and DOF pairings also use.  ``_from_ints``
 makes every Polynomial; it drops zero terms and divides by one gcd.
-Products run on the integer parts by Kronecker substitution: ``_pack``
-evaluates one at x_i = 2^(W s_i), s the strides of a mixed-radix layout,
-``_int_mul`` multiplies two such ints, ``_slots`` decodes the product's
-bytes with numpy, as one array of W-bit slots when W is 8, 16, 32 or 64,
-and ``_slot_terms`` turns only the nonzero slots into (exponents, int)
-pairs.  Terms that cancel are dropped, never kept as zeros.  The same
-mixed-radix layout (``_strides``) indexes the dense integer arrays of
-``mapping._pullbacks``, which ``_slot_terms`` and ``_slot_mask`` read.
+Products run on the integer parts as one scatter into a mixed-radix
+layout (``_strides``): ``_int_mul`` adds the product of each pair of
+terms at the sum of their offsets, and ``_slot_terms`` turns only the
+nonzero slots into (exponents, int) pairs.  Terms that cancel are
+dropped, never kept as zeros.  The dense integer arrays of
+``mapping._pullbacks`` use the same layout, which ``_slot_terms`` and
+``_slot_mask`` read, and the same dtype rule, ``_int_dtype``: int64 while
+an exact bound stays below 2^63, Python ints above it.
 """
 
 from __future__ import annotations
@@ -312,18 +312,26 @@ def _int_mul(a: IntPoly, b: IntPoly, out: IntPoly | None = None) -> IntPoly:
     """Adds the product of two integer polynomials into ``out`` (a new dict
     when None) and returns it, dropping every term that cancels to zero.
 
-    The product is one product of Python ints by Kronecker substitution:
-    both operands are packed in the layout whose radix per variable is the
-    product's degree in it plus one, with slots wide enough for every output
-    coefficient (see _width)."""
+    The product is one scatter into the layout whose radix per variable is
+    the product's degree in it plus one: each pair of terms adds ca cb at
+    the sum of their offsets.  A coefficient of the product sums at most
+    min(#a, #b) pairs, so no operand coefficient or partial sum exceeds
+    max(max|a|, max|b|, min(#a, #b) max|a| max|b|), the bound that picks
+    the arrays' dtype."""
     if out is None:
         out = {}
     if a and b:
         layout = tuple(x + y + 1 for x, y in zip(map(max, zip(*a)), map(max, zip(*b))))
-        bound = min(len(a), len(b)) * max(map(abs, a.values())) * max(map(abs, b.values()))
-        width = _width(bound)
-        packed = _pack(a, layout, width) * _pack(b, layout, width)
-        terms = _slot_terms(_slots(packed, prod(layout), width), layout)
+        top_a, top_b = max(map(abs, a.values())), max(map(abs, b.values()))
+        dtype = _int_dtype(max(top_a, top_b, min(len(a), len(b)) * top_a * top_b))
+        strides = _strides(layout)[0]
+        oa = np.array([sum(map(mul, e, strides)) for e in a])
+        ob = np.array([sum(map(mul, e, strides)) for e in b])
+        ca = np.fromiter(a.values(), dtype, len(a))
+        cb = np.fromiter(b.values(), dtype, len(b))
+        acc = np.zeros(prod(layout), dtype)
+        np.add.at(acc, (oa[:, None] + ob).ravel(), np.multiply.outer(ca, cb).ravel())
+        terms = _slot_terms(acc, layout)
         if not out:
             out.update(terms)
             return out
@@ -337,16 +345,11 @@ def _int_mul(a: IntPoly, b: IntPoly, out: IntPoly | None = None) -> IntPoly:
     return out
 
 
-def _width(bound: int) -> int:
-    """Slot width in bits for coefficients of absolute value at most
-    ``bound``: W > bitlen(bound), so -2^(W-1) < c < 2^(W-1).  W is the
-    least of 8, 16, 32 and 64 that allows it, which _slots decodes as one
-    numpy array, and above 64 bits it is rounded up to whole bytes."""
-    bits = bound.bit_length() + 1
-    for w in (8, 16, 32, 64):
-        if bits <= w:
-            return w
-    return (bits + 7) // 8 * 8
+def _int_dtype(bound: int) -> type:
+    """The dtype of exact integer arrays whose values never exceed
+    ``bound`` in absolute value: int64 below 2^63, Python ints (object)
+    otherwise."""
+    return np.int64 if bound < 2**63 else object
 
 
 @lru_cache(maxsize=128)
@@ -360,55 +363,6 @@ def _strides(layout: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[Monomial, 
         strides.append(step)
         step *= r
     return tuple(reversed(strides)), tuple(product(*map(range, layout)))
-
-
-@lru_cache(maxsize=128)
-def _bias(width: int, slots: int) -> int:
-    """2^(width-1) in each of ``slots`` slots of ``width`` bits."""
-    return ((1 << width * slots) - 1) // ((1 << width) - 1) << (width - 1)
-
-
-def _pack(a: IntPoly, layout: tuple[int, ...], width: int) -> int:
-    """The value of ``a`` at x_i = 2^(width strides[i]): each coefficient
-    shifted to its slot.  Exact for coefficients of any size."""
-    strides = _strides(layout)[0]
-    return sum(c << width * sum(map(mul, e, strides)) for e, c in a.items())
-
-
-# Slot size in bytes -> (unsigned and signed little-endian dtypes, top bit).
-_SLOT_TYPES = {
-    size: (
-        np.dtype(f"<u{size}"),
-        np.dtype(f"<i{size}"),
-        np.dtype(f"<u{size}").type(1 << (8 * size - 1)),
-    )
-    for size in (1, 2, 4, 8)
-}
-
-
-def _slots(x: int, slots: int, width: int) -> np.ndarray:
-    """The coefficients of a packed polynomial of ``slots`` slots, each c
-    with -2^(width-1) <= c < 2^(width-1), as one array in slot order.
-    Adding 2^(width-1) to every slot makes each one a digit
-    c + 2^(width-1) in [0, 2^width), read from the bytes of the sum.  For
-    a width of 8, 16, 32 or 64 the digits are one unsigned array, and
-    flipping their top bit leaves c in two's complement, so viewed as
-    signed the array holds every coefficient.  Wider slots give an object
-    array of ints: they are found nonzero on the bytes (a zero term is the
-    digit 2^(width-1)) and only those are read as ints."""
-    size = width // 8
-    raw = (x + _bias(width, slots)).to_bytes(size * slots, "little")
-    if size in _SLOT_TYPES:
-        unsigned, signed, top = _SLOT_TYPES[size]
-        return (np.frombuffer(raw, unsigned) ^ top).view(signed)
-    digits = np.frombuffer(raw, np.uint8).reshape(slots, size)
-    nonzero = ((digits[:, -1] != 0x80) | digits[:, :-1].any(axis=1)).nonzero()[0]
-    half = 1 << (width - 1)
-    coeffs = np.zeros(slots, object)
-    coeffs[nonzero] = [
-        int.from_bytes(raw[i * size : (i + 1) * size], "little") - half for i in nonzero.tolist()
-    ]
-    return coeffs
 
 
 def _slot_terms(coeffs: np.ndarray, layout: tuple[int, ...]) -> Iterable[tuple[Monomial, int]]:

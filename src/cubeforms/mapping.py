@@ -54,6 +54,7 @@ from .forms import (
     Scalar,
     _form,
     _from_ints,
+    _int_dtype,
     _int_mul,
     _slot_terms,
     _strides,
@@ -470,7 +471,7 @@ def _pullbacks(fmap: MultilinearMap, forms: Sequence[DiffForm]) -> _Pullbacks:
     for sigma in blocks:
         maxima[position[sigma]] = [cleared.minor_max(sigma, tau) for tau in taus]
     bound = max(norms.max(), (norms @ maxima).max())
-    dtype = np.int64 if bound < 2**63 else object
+    dtype = _int_dtype(bound)
     polys = [cleared.image(exps) for exps in column]
     owner = np.repeat(np.arange(len(polys)), [len(p) for p in polys])
     exps = np.fromiter(chain.from_iterable(chain.from_iterable(polys)), np.int64)

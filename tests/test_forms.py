@@ -336,8 +336,8 @@ class TestPolynomialProduct:
 
 
 def double_loop_mul(a, b, out=None):
-    """The term-pair double loop that Kronecker substitution replaced in
-    _int_mul, kept as its oracle.  Terms that cancel stay as zeros."""
+    """The term-pair double loop that the scatter in _int_mul replaces,
+    kept as its oracle.  Terms that cancel stay as zeros."""
     if out is None:
         out = {}
     for ea, ca in a.items():
@@ -414,14 +414,25 @@ class TestIntMul:
     @pytest.mark.parametrize("delta", [-1, 0, 1])
     @pytest.mark.parametrize("sign", [1, -1])
     def test_coefficients_around_slot_size_switch(self, s, delta, sign):
-        """Output coefficients of magnitude 2^s - 1, 2^s and 2^s + 1, where
-        the slot width switches from s + 1 to the next power-of-two size."""
+        """Output coefficients of magnitude 2^s - 1, 2^s and 2^s + 1, around
+        the fixed-width integer sizes; at s = 63 the product's array
+        switches from int64 to Python ints."""
         c = sign * (2**s + delta)
         assert _int_mul({(1, 0, 2): c}, {(0, 3, 0): 1}) == {(1, 3, 2): c}
         a = {(0, 0, 0): c, (2, 1, 0): -c, (0, 0, 3): 1}
         b = {(0, 0, 0): 1, (1, 0, 1): -1, (0, 2, 0): sign}
         assert _int_mul(a, b) == nonzero(double_loop_mul(a, b))
         assert _int_mul(b, a) == nonzero(double_loop_mul(b, a))
+
+    def test_zero_operand_beside_a_large_coefficient(self):
+        """An all-zero operand makes every product zero, so only the
+        operands' own maxima keep 2^200 out of an int64 array."""
+        big = {(1, 0): 2**200, (0, 2): 3}
+        zeros = {(0, 0): 0, (2, 1): 0}
+        for a, b in ((big, zeros), (zeros, big)):
+            assert _int_mul(a, b) == {}
+            out = {(1, 1): 5}
+            assert _int_mul(a, b, out) is out and out == {(1, 1): 5}
 
     @pytest.mark.parametrize("nvars", [3, 4])
     @pytest.mark.parametrize("bits", [6, 14, 30, 62, 100])
