@@ -30,6 +30,8 @@ from pathlib import Path
 from . import __version__, verify
 from .forms import DiffForm
 from .meshlab import (
+    D_FAMILIES,
+    SHEAR_FAMILY,
     ConvergenceReport,
     NumericalError,
     convergence_study,
@@ -46,9 +48,6 @@ from .spaces import (
 )
 
 SPACE_KINDS = ("P", "Qminus", "serendipity", "SLambda1_2d", "custom")
-# The mesh families that read the distortion d, and the one that reads shear.
-D_FAMILIES = ("trapezoidal", "trilinear3d")
-SHEAR_FAMILY = "parallelotope"
 CSV_HEADER = "family,n,k,r,space,N,h,error,rate_pair,rate_lsq,pred_affine,pred_multilinear"
 
 

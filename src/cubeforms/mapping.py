@@ -4,10 +4,10 @@ A multilinear map is stored by its monomial corner coefficients as
 Python ints over one positive denominator D, in lowest terms, the format
 of ``forms.Polynomial``; ``coeffs`` is a derived view of them as
 rationals and ``float_arrays`` a correctly rounded float one, built on
-each call.  ``jacobian_key``, made once at construction, is DF as a key:
-the non-constant coefficients in lowest terms, denominator last.
-Validity (det DF > 0 on the closed cube) is proved in integer arithmetic
-from the Bernstein coefficients of det DF.  The pushforward (F^-1)* of
+each call.  ``_moebius`` turns corner positions into these coefficients,
+one difference per axis, for one map or a whole mesh at once.  Validity
+(det DF > 0 on the closed cube) is proved in integer arithmetic from the
+Bernstein coefficients of det DF.  The pushforward (F^-1)* of
 reference shape functions is not polynomial, since the inverse of a
 multilinear map is not; the numeric lab evaluates it at quadrature
 points through the numpy kernels (``meshlab._pushforward``).
@@ -83,7 +83,7 @@ class MultilinearMap:
     are stored as c_alpha = ints[alpha] / denom in lowest terms, that is with
     gcd(all ints, denom) = 1."""
 
-    __slots__ = ("n", "ints", "denom", "jacobian_key", "_int_cache")
+    __slots__ = ("n", "ints", "denom", "_int_cache")
 
     def __init__(self, n: int, ints: Mapping[tuple[int, ...], Sequence[int]], denom: int):
         if denom <= 0:
@@ -94,11 +94,7 @@ class MultilinearMap:
         vecs = [tuple(map(index, ints.get(alpha, (0,) * n))) for alpha in corners]
         if any(len(vec) != n for vec in vecs):
             raise ValueError("coefficient vectors must have length n")
-        # DF, and so the key, does not see the constant coefficients.
-        key = [c for vec in vecs[1:] for c in vec] + [denom]
-        g_df = gcd(*key)
-        self.jacobian_key = tuple(key) if g_df == 1 else tuple([c // g_df for c in key])
-        g = gcd(g_df, *vecs[0])
+        g = gcd(denom, *chain.from_iterable(vecs))
         if g > 1:
             vecs = [tuple([c // g for c in vec]) for vec in vecs]
             denom //= g
@@ -253,8 +249,8 @@ def map_from_vertices(
 ) -> MultilinearMap:
     """Multilinear interpolant of corner positions: F(alpha) = vertices[alpha].
 
-    The vertices are cleared once to integers over their common denominator
-    and handed to _from_corners.
+    The vertices are cleared once to Python integers over their common
+    denominator and handed to _moebius.
     """
     alphas = list(vertices.keys())
     if not alphas:
@@ -264,24 +260,25 @@ def map_from_vertices(
     if set(alphas) != set(corners):
         raise ValueError(f"need all {2**n} corners of the {n}-cube")
     verts = [[Fraction(x) for x in vertices[alpha]] for alpha in corners]
+    for alpha, vec in zip(corners, verts):
+        if len(vec) != n:
+            raise ValueError(f"vertex {alpha} has {len(vec)} coordinates, not {n}")
     denom = lcm(*(x.denominator for vec in verts for x in vec))
-    points = [[x.numerator * (denom // x.denominator) for x in vec] for vec in verts]
-    return _from_corners(n, points, denom)
+    points = np.array([[x.numerator * (denom // x.denominator) for x in v] for v in verts], object)
+    return MultilinearMap(n, dict(zip(corners, _moebius(points, n).tolist())), denom)
 
 
-def _from_corners(n: int, points: Sequence[Sequence[int]], denom: int) -> MultilinearMap:
-    """The multilinear map through the integer corner positions points[i] /
-    denom, points[i] the image of corner _corners(n)[i].  Monomial
-    coefficients come from inclusion-exclusion over sub-corners, done one
-    axis at a time."""
-    corners = _corners(n)
-    vecs = [list(p) for p in points]
-    for axis in range(n):
-        step = 1 << (n - 1 - axis)
-        for i, alpha in enumerate(corners):
-            if alpha[axis]:
-                vecs[i] = [a - b for a, b in zip(vecs[i], vecs[i - step])]
-    return MultilinearMap(n, dict(zip(corners, vecs)), denom)
+def _moebius(points: np.ndarray, n: int) -> np.ndarray:
+    """Monomial coefficients of the multilinear maps through corner
+    positions, in place: points (..., 2^n, n), row i the image of corner
+    _corners(n)[i], becomes row alpha = sum over the sub-corners beta of
+    alpha of (-1)^|alpha - beta| points[beta], by one difference per axis.
+    Returns points."""
+    cube = points.reshape(points.shape[:-2] + (2,) * n + (n,))
+    for tail in range(1, n + 1):
+        rest = (slice(None),) * tail
+        cube[(..., 1) + rest] -= cube[(..., 0) + rest]
+    return points
 
 
 def jacobian(fmap: MultilinearMap) -> JacobianPoly:

@@ -3,9 +3,10 @@
 A mesh is the N^n cells of the lattice {0..N}^n, held as arrays.  A
 family's numpy integer rule places all lattice points at once over one
 denominator; every cell's corners are slices of them, so neighbouring
-cells share faces, and one Moebius difference per axis gives the cells'
-coefficients (E, 2^n, n).  DF does not see a translation, so cells are
-grouped by Jacobian key (``MultilinearMap.jacobian_key``): one group per
+cells share faces, and ``mapping._moebius``, one difference per axis,
+gives the cells' coefficients (E, 2^n, n).  DF does not see a
+translation, so the Mesh groups its cells by Jacobian key, the
+non-constant coefficients over the mesh's one denominator: one group per
 uniform or parallelotope mesh, six per trapezoidal and 24 per trilinear3d
 mesh for N >= 4.  Exact maps are made only for exact consumers: a mesh is
 returned once det DF > 0 is proved and the cell volumes sum to the
@@ -57,6 +58,7 @@ from .mapping import (
     _bernstein_positive,
     _corners,
     _det_bernstein,
+    _moebius,
     jacobian,
 )
 from .spaces import FormSpace, RatePrediction, predict_rates
@@ -79,6 +81,11 @@ __all__ = [
     "convergence_study",
     "default_quad_order",
 ]
+
+# The mesh families that read the distortion d, and the one that reads shear.
+D_FAMILIES = ("trapezoidal", "trilinear3d")
+SHEAR_FAMILY = "parallelotope"
+
 
 class NumericalError(RuntimeError):
     """Numeric failure in the projection pipeline (singular or rank-deficient)."""
@@ -228,17 +235,17 @@ def _tabulation(vhat: FormSpace, quad: QuadratureRule) -> _Tabulation:
 class Mesh:
     """The E cells of a mesh as arrays: cell e has the corner coefficients
     ints[e] / denom, ints (E, 2^n, n) int64 if below 2^53, else Python ints,
-    and floats = ints / denom, correctly rounded.  keys are the Jacobian
-    keys (as ``MultilinearMap.jacobian_key``) in the order of their first
-    cell, and group[e] the index of cell e's key."""
+    and floats = ints / denom, correctly rounded.  A cell's Jacobian key is
+    the tuple of its non-constant coefficients ints[e, 1:]; all cells share
+    denom, so DF = key / denom, and equal keys mean equal DF.  keys are the
+    distinct keys in the order of their first cell, and groups[g] the
+    indices of key g's cells, in mesh order."""
 
     def __init__(self, n: int, family: str, denom: int, ints: np.ndarray):
-        rows = np.full((len(ints), ints[0].size - n + 1), denom, dtype=ints.dtype)
-        rows[:, :-1] = ints[:, 1:].reshape(len(ints), -1)
-        rows //= np.gcd.reduce(rows, axis=1)[:, None]
-        keys: dict[tuple[int, ...], int] = {}
-        self.group = np.array([keys.setdefault(row, len(keys)) for row in map(tuple, rows.tolist())])
-        self.keys = list(keys)
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for e, row in enumerate(map(tuple, ints[:, 1:].reshape(len(ints), -1).tolist())):
+            groups.setdefault(row, []).append(e)
+        self.keys, self.groups = list(groups), list(groups.values())
         self.n, self.family, self.denom, self.ints = n, family, denom, ints
         self.floats = np.asarray(ints / denom, dtype=np.float64)
 
@@ -255,19 +262,13 @@ class Mesh:
         return [self.element(e) for e in range(self.size)]
 
 
-def _groups(mesh: Mesh) -> list[list[int]]:
-    """The cell indices of each group of a mesh, the groups in the order of
-    their first cell, the cells of a group in mesh order."""
-    return [np.flatnonzero(mesh.group == g).tolist() for g in range(len(mesh.keys))]
-
-
 def _validate_mesh(mesh: Mesh, expected_volume: Fraction) -> Mesh:
     """Prove every element orientation preserving (as check_diffeo does) and
     check that the exact element volumes add up to the domain's, with one
     exact map per Jacobian key.  Groups are proved in the order of their
     first cell, so the first bad cell is the one named."""
     total = Fraction(0)
-    for idxs in _groups(mesh):
+    for idxs in mesh.groups:
         coeffs, scale = _det_bernstein(mesh.element(idxs[0]))
         if not _bernstein_positive(coeffs, mesh.n):
             raise ValueError(f"element {idxs[0]} of {mesh.family} mesh is not orientation preserving")
@@ -284,9 +285,9 @@ def _lattice_mesh(
     """The N^n cells of the lattice {0..N}^n in product(range(N), repeat=n)
     order, cell c the multilinear map through vertex(c + alpha) / denom.
     vertex maps np.indices((N+1,)*n) to the integer points, |entries| <=
-    top; cells' corners are slices of them, and one Moebius difference per
-    axis makes coefficients, each at most 2^n top.  int64 converts to float
-    exactly below 2^53; beyond, the same code runs on Python ints."""
+    top; cells' corners are slices of them, and _moebius makes the
+    coefficients, each at most 2^n top.  int64 converts to float exactly
+    below 2^53; beyond, the same code runs on Python ints."""
     if big_n < 1:
         raise ValueError("need at least one subdivision")
     dtype = np.int64 if top << n < 2**53 and denom < 2**53 else object
@@ -295,10 +296,7 @@ def _lattice_mesh(
         [pts[tuple(slice(a, a + big_n) for a in alpha)].reshape(-1, n) for alpha in _corners(n)],
         axis=1,
     )
-    cube = ints.reshape((len(ints),) + (2,) * n + (n,))
-    for axis in range(1, n + 1):
-        cube[(slice(None),) * axis + (1,)] -= cube[(slice(None),) * axis + (0,)]
-    return _validate_mesh(Mesh(n, family, denom, ints), volume)
+    return _validate_mesh(Mesh(n, family, denom, _moebius(ints, n)), volume)
 
 
 def mesh_uniform(n: int, subdivisions: int) -> Mesh:
@@ -335,7 +333,7 @@ def _as_fraction(x: Scalar | float | str) -> Fraction:
 
 def _check_subdivisions(family: str, big_n: int) -> None:
     """Raise unless a family's meshes may have N = big_n subdivisions."""
-    if family in ("trapezoidal", "trilinear3d") and (big_n < 2 or big_n % 2):
+    if family in D_FAMILIES and (big_n < 2 or big_n % 2):
         raise ValueError(f"{family} meshes need an even N >= 2")
 
 
@@ -865,7 +863,7 @@ def _mesh_error(
     element in mesh order."""
     errs = np.empty(mesh.size)
     conds = []
-    for idxs in _groups(mesh):
+    for idxs in mesh.groups:
         try:
             errs[idxs], cond = _cell_errors(mesh.floats[idxs], tab, target, quad)
         except NumericalError as exc:

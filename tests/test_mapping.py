@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from fractions import Fraction
 from itertools import permutations, product
@@ -115,6 +116,24 @@ class TestMapFromVertices:
     def test_missing_corner(self):
         with pytest.raises(ValueError):
             map_from_vertices({(0, 0): (0, 0), (1, 0): (1, 0), (0, 1): (0, 1)})
+
+    @pytest.mark.parametrize(
+        "n,corner,coords",
+        [
+            (2, (1, 1), (1, 1, 7)),
+            (3, (1, 0, 1), (1, 0, 1, 5)),
+            (2, (0, 1), (0,)),
+            (3, (0, 0, 0), ()),
+        ],
+        ids=["long-2d", "long-3d", "short-2d", "short-origin-3d"],
+    )
+    def test_vertex_of_wrong_length(self, n, corner, coords):
+        # A differenced corner's extra coordinate would otherwise be dropped.
+        verts = {alpha: alpha for alpha in product((0, 1), repeat=n)}
+        verts[corner] = coords
+        match = rf"^vertex {re.escape(str(corner))} has {len(coords)} coordinates, not {n}$"
+        with pytest.raises(ValueError, match=match):
+            map_from_vertices(verts)
 
     def test_corner_interpolation_exact(self, rng):
         fmap = random_rational_multilinear(3, rng)

@@ -21,7 +21,7 @@ from conftest import vertex_strategy
 from cubeforms import _kernels, meshlab
 from cubeforms.cli import bundled_config_names, bundled_config_path, parse_config
 from cubeforms.forms import DiffForm, Polynomial, l2_inner_reference
-from cubeforms.mapping import _corners, _from_corners, check_diffeo, jacobian, map_from_vertices
+from cubeforms.mapping import _corners, check_diffeo, jacobian, map_from_vertices
 from cubeforms.meshlab import (
     Mesh,
     NumericalError,
@@ -293,10 +293,25 @@ class TestConformity:
                         assert xi == Fraction(i, big_n)
 
 
+def textbook_map(n, points, denom):
+    """The multilinear map through the integer corner positions
+    points[beta] / denom, each coefficient by inclusion-exclusion: c_alpha
+    = sum over the sub-corners beta <= alpha of (-1)^|alpha - beta|
+    points[beta]."""
+    ints = {}
+    for alpha in _corners(n):
+        subs = [beta for beta in _corners(n) if all(b <= a for b, a in zip(beta, alpha))]
+        ints[alpha] = [
+            sum((-1) ** (sum(alpha) - sum(beta)) * points[beta][i] for beta in subs)
+            for i in range(n)
+        ]
+    return MultilinearMap(n, ints, denom)
+
+
 def per_cell_oracle(family, n, big_n, d=0, shear=None):
     """The cells as a per-cell construction makes them: every lattice point
     placed by the family's rule in Python ints, and each cell's map made by
-    _from_corners from its corners, cells in product(range(N), repeat=n)
+    textbook_map from its corners, cells in product(range(N), repeat=n)
     order."""
     if family == "parallelotope":
         a = [[Fraction(x) + (i == j) for j, x in enumerate(row)] for i, row in enumerate(shear)]
@@ -326,30 +341,40 @@ def per_cell_oracle(family, n, big_n, d=0, shear=None):
 
     cells = product(range(big_n), repeat=n)
     return [
-        _from_corners(n, [vertex([c + a for c, a in zip(cell, al)]) for al in _corners(n)], denom)
+        textbook_map(
+            n, {al: vertex([c + a for c, a in zip(cell, al)]) for al in _corners(n)}, denom
+        )
         for cell in cells
     ]
 
 
 def oracle_groups(cells):
-    groups = {}
+    """The cell indices grouped by exact Jacobian, the groups in the order
+    of their first cell."""
+    dfs, groups = [], []
     for idx, el in enumerate(cells):
-        groups.setdefault(el.jacobian_key, []).append(idx)
-    return list(groups.values())
+        df = jacobian(el).entries
+        if df in dfs:
+            groups[dfs.index(df)].append(idx)
+        else:
+            dfs.append(df)
+            groups.append([idx])
+    return groups
 
 
 def assert_same_cells(mesh, cells):
     assert mesh.size == len(cells)
     for el, want in zip(mesh.elements, cells):
-        assert (el.ints, el.denom, el.jacobian_key) == (want.ints, want.denom, want.jacobian_key)
-    assert meshlab._groups(mesh) == oracle_groups(cells)
+        assert (el.ints, el.denom) == (want.ints, want.denom)
+    assert mesh.groups == oracle_groups(cells)
 
 
 class TestLatticeArrays:
     """A mesh is built as integer arrays: lattice points by numpy rules,
     corners by slicing, coefficients by one Moebius difference per axis,
-    keys by one gcd per row.  Its materialised maps and groups must be
-    those of the per-cell construction."""
+    keys and groups by one dict over the coefficient rows.  Its
+    materialised maps and groups must be those of the per-cell
+    construction."""
 
     # The meshes of the first two levels of the bundled configs, and a 3D shear.
     @pytest.mark.parametrize(
@@ -623,7 +648,7 @@ class TestGeometrySharing:
     )
     def test_groups_follow_exact_jacobians(self, family, n, kw, want):
         mesh = build_mesh(family, n, 4, **kw)
-        groups = meshlab._groups(mesh)
+        groups = mesh.groups
         assert len(groups) == want
         # Groups in the order of their first cell, cells in mesh order.
         assert sorted(i for idxs in groups for i in idxs) == list(range(mesh.size))
@@ -644,15 +669,14 @@ class TestGeometrySharing:
         # A translated copy of an interior cell, stored over 7x the denominator.
         cells = cells + [_translated(cells[-1], Fraction(1, 7))]
         assert cells[-1].denom != cells[-2].denom
-        assert cells[-1].jacobian_key == cells[-2].jacobian_key
-        groups = {}
-        for el in cells:
-            groups.setdefault(el.jacobian_key, []).append(el)
-        for group in groups.values():
-            rows = group[0].float_arrays()[1:]
-            for el in group[1:]:
-                assert np.array_equal(el.float_arrays()[1:], rows)
-        assert len(groups) == want
+        mesh = mesh_of(cells, family)
+        last = len(cells) - 1
+        assert any(idxs[-2:] == [last - 1, last] for idxs in mesh.groups)
+        for idxs in mesh.groups:
+            rows = cells[idxs[0]].float_arrays()[1:]
+            for e in idxs[1:]:
+                assert np.array_equal(cells[e].float_arrays()[1:], rows)
+        assert len(mesh.groups) == want
 
     @pytest.mark.parametrize(
         "family,n,big_n,kw,want,spans_chunks",
@@ -695,7 +719,7 @@ class TestGeometrySharing:
         # Each group in chunks of at most _CHUNK_VALUES target values; an
         # (n-1)-form has n components.
         step = meshlab._CHUNK_VALUES // (len(quad.weights) * n)
-        groups = meshlab._groups(mesh)
+        groups = mesh.groups
         assert len(chunk_sizes) == sum(-(-len(idxs) // step) for idxs in groups)
         assert sum(chunk_sizes) == mesh.size and max(chunk_sizes) <= step
         assert (len(chunk_sizes) > len(groups)) == spans_chunks
@@ -858,7 +882,7 @@ class TestStackedSolve:
             cases.append((space, gauss_rule(3, default_quad_order(space, 3))))
         for space, rule in cases:
             target, tab = target_trig(n, space.k), meshlab._tabulation(space, rule)
-            for key, idxs in zip(mesh.keys, meshlab._groups(mesh)):
+            for key, idxs in zip(mesh.keys, mesh.groups):
                 floats = mesh.floats[idxs]
                 errs, cond = meshlab._cell_errors(floats, tab, target, rule)
                 want, want_cond = _lstsq_oracle(floats, space, target, rule)
@@ -936,7 +960,7 @@ class TestStackedSolve:
         space = build_Qminus(*space)
         target, rule = target_trig(n, space.k), gauss_rule(n, default_quad_order(space, n))
         tab, calls = meshlab._tabulation(space, rule), 0
-        for key, idxs in zip(mesh.keys, meshlab._groups(mesh)):
+        for key, idxs in zip(mesh.keys, mesh.groups):
             for start in range(0, len(idxs), cells or len(idxs)):
                 floats = mesh.floats[idxs[start : start + (cells or len(idxs))]]
                 errs, cond = meshlab._cell_errors(floats, tab, target, rule)
@@ -1011,7 +1035,7 @@ class TestStackedSolve:
             want.append(
                 max(
                     _lstsq_oracle(mesh.floats[idxs], space, target, quad)[1]
-                    for idxs in meshlab._groups(mesh)
+                    for idxs in mesh.groups
                 )
             )
         assert rep.ls_conds == want
